@@ -27,29 +27,15 @@ util::Bytes make_piece(std::size_t len) {
 
 void BM_ChaCha20EncryptPiece(benchmark::State& state) {
   const auto piece = make_piece(static_cast<std::size_t>(state.range(0)));
-  const auto cipher = crypto::make_cipher(crypto::CipherKind::kChaCha20);
   crypto::KeySource keys(1);
   const auto key = keys.next();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cipher->encrypt(key, piece));
+    benchmark::DoNotOptimize(crypto::piece_xor(key, piece));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_ChaCha20EncryptPiece)->Arg(64 << 10)->Arg(128 << 10)->Arg(256 << 10);
-
-void BM_XteaCtrEncryptPiece(benchmark::State& state) {
-  const auto piece = make_piece(static_cast<std::size_t>(state.range(0)));
-  const auto cipher = crypto::make_cipher(crypto::CipherKind::kXteaCtr);
-  crypto::KeySource keys(1);
-  const auto key = keys.next();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cipher->encrypt(key, piece));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_XteaCtrEncryptPiece)->Arg(64 << 10)->Arg(128 << 10);
 
 void BM_Sha256PieceHash(benchmark::State& state) {
   const auto piece = make_piece(static_cast<std::size_t>(state.range(0)));
@@ -98,13 +84,12 @@ struct OverheadReport {
   ~OverheadReport() {
     const std::size_t piece = 128 << 10;
     const auto data = make_piece(piece);
-    const auto cipher = crypto::make_cipher(crypto::CipherKind::kChaCha20);
     crypto::KeySource keys(1);
     const auto key = keys.next();
     const auto t0 = std::chrono::steady_clock::now();
     constexpr int reps = 200;
     for (int i = 0; i < reps; ++i)
-      benchmark::DoNotOptimize(cipher->encrypt(key, data));
+      benchmark::DoNotOptimize(crypto::piece_xor(key, data));
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count() /

@@ -1,5 +1,7 @@
 #include "src/core/exchange.h"
 
+#include <stdexcept>
+
 #include "src/crypto/hmac.h"
 
 namespace tc::core {
@@ -19,7 +21,6 @@ DonorSession::DonorSession(TxId tx, std::uint64_t chain, PeerId donor,
                            PeerId requestor, PeerId payee, PieceIndex piece,
                            PeerId prev_donor, PieceIndex prev_piece,
                            const util::Bytes& plaintext,
-                           const crypto::SymmetricCipher& cipher,
                            crypto::KeySource& keys)
     : key_(keys.next()) {
   offer_.tx = tx;
@@ -30,7 +31,7 @@ DonorSession::DonorSession(TxId tx, std::uint64_t chain, PeerId donor,
   offer_.piece = piece;
   offer_.prev_donor = prev_donor;
   offer_.prev_piece = prev_piece;
-  offer_.ciphertext = cipher.encrypt(key_, plaintext);
+  offer_.ciphertext = crypto::piece_xor(key_, plaintext);
 }
 
 bool DonorSession::accept_receipt(const net::ReceiptMsg& receipt) {
@@ -65,7 +66,7 @@ RequestorSession::RequestorSession(net::EncryptedPieceMsg msg)
     : msg_(std::move(msg)) {}
 
 std::optional<util::Bytes> RequestorSession::complete(
-    const net::KeyReleaseMsg& release, const crypto::SymmetricCipher& cipher,
+    const net::KeyReleaseMsg& release,
     const std::optional<crypto::Digest256>& expected_hash) {
   if (release.tx != msg_.tx || release.piece != msg_.piece) return std::nullopt;
   crypto::SymmetricKey key;
@@ -74,7 +75,7 @@ std::optional<util::Bytes> RequestorSession::complete(
   } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-  util::Bytes plain = cipher.decrypt(key, msg_.ciphertext);
+  util::Bytes plain = crypto::piece_xor(key, msg_.ciphertext);
   if (expected_hash) {
     const auto got = crypto::sha256(plain);
     if (!crypto::digest_equal(got, *expected_hash)) return std::nullopt;

@@ -10,8 +10,8 @@
 //                      HMAC-authenticated receipt for the original donor.
 //
 // The event-driven simulator models these exchanges at metadata level; the
-// TCP example (examples/tcp_triangle.cpp) and the integration tests run
-// these sessions byte-for-byte.
+// live runtime (src/rt) runs DonorSession byte-for-byte, and the tests run
+// all three.
 #pragma once
 
 #include <optional>
@@ -37,7 +37,7 @@ class DonorSession {
   DonorSession(TxId tx, std::uint64_t chain, PeerId donor, PeerId requestor,
                PeerId payee, PieceIndex piece, PeerId prev_donor,
                PieceIndex prev_piece, const util::Bytes& plaintext,
-               const crypto::SymmetricCipher& cipher, crypto::KeySource& keys);
+               crypto::KeySource& keys);
 
   // The message to upload to the requestor.
   const net::EncryptedPieceMsg& offer() const { return offer_; }
@@ -82,7 +82,7 @@ class RequestorSession {
   // verifies it against `expected_hash` when provided (the .torrent piece
   // hash); nullopt on tx mismatch or hash mismatch.
   std::optional<util::Bytes> complete(
-      const net::KeyReleaseMsg& release, const crypto::SymmetricCipher& cipher,
+      const net::KeyReleaseMsg& release,
       const std::optional<crypto::Digest256>& expected_hash = std::nullopt);
 
   bool completed() const { return completed_; }

@@ -1,6 +1,7 @@
-// ChaCha20 stream cipher (RFC 8439). This is the default piece cipher for
-// T-Chain's almost-fair exchange: the donor encrypts a file piece under a
-// fresh symmetric key, and releases the key only after reciprocation.
+// ChaCha20 stream cipher (RFC 8439). This is the piece cipher for T-Chain's
+// almost-fair exchange (crypto::piece_xor): the donor encrypts a file piece
+// under a fresh symmetric key, and releases the key only after
+// reciprocation.
 #pragma once
 
 #include <array>

@@ -46,71 +46,8 @@ SymmetricKey KeySource::next() {
   return k;
 }
 
-const char* cipher_kind_name(CipherKind kind) {
-  switch (kind) {
-    case CipherKind::kChaCha20: return "chacha20";
-    case CipherKind::kXteaCtr: return "xtea-ctr";
-  }
-  return "?";
-}
-
-namespace {
-
-class ChaCha20Cipher final : public SymmetricCipher {
- public:
-  CipherKind kind() const override { return CipherKind::kChaCha20; }
-
-  util::Bytes encrypt(const SymmetricKey& key,
-                      const util::Bytes& plaintext) const override {
-    return chacha20_xor(key.key, key.nonce, 1, plaintext);
-  }
-
-  util::Bytes decrypt(const SymmetricKey& key,
-                      const util::Bytes& ciphertext) const override {
-    return chacha20_xor(key.key, key.nonce, 1, ciphertext);
-  }
-};
-
-class XteaCtrCipher final : public SymmetricCipher {
- public:
-  CipherKind kind() const override { return CipherKind::kXteaCtr; }
-
-  util::Bytes encrypt(const SymmetricKey& key,
-                      const util::Bytes& plaintext) const override {
-    return xtea_ctr_xor(derive_key(key), derive_nonce(key), plaintext);
-  }
-
-  util::Bytes decrypt(const SymmetricKey& key,
-                      const util::Bytes& ciphertext) const override {
-    return encrypt(key, ciphertext);
-  }
-
- private:
-  static XteaKey derive_key(const SymmetricKey& key) {
-    XteaKey k;
-    for (int i = 0; i < 4; ++i) {
-      std::uint32_t w = 0;
-      for (int j = 0; j < 4; ++j) w = (w << 8) | key.key[4 * i + j];
-      k[static_cast<std::size_t>(i)] = w;
-    }
-    return k;
-  }
-
-  static std::uint64_t derive_nonce(const SymmetricKey& key) {
-    std::uint64_t n = 0;
-    for (int j = 0; j < 8; ++j) n = (n << 8) | key.nonce[static_cast<std::size_t>(j)];
-    return n;
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<SymmetricCipher> make_cipher(CipherKind kind) {
-  switch (kind) {
-    case CipherKind::kChaCha20: return std::make_unique<ChaCha20Cipher>();
-    case CipherKind::kXteaCtr: return std::make_unique<XteaCtrCipher>();
-  }
-  throw std::invalid_argument("unknown cipher kind");
+util::Bytes piece_xor(const SymmetricKey& key, const util::Bytes& data) {
+  return chacha20_xor(key.key, key.nonce, 1, data);
 }
 
 }  // namespace tc::crypto

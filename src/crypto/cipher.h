@@ -1,5 +1,5 @@
-// Typed per-transaction symmetric keys and the piece-cipher interface used
-// by the T-Chain exchange protocol.
+// Typed per-transaction symmetric keys and the piece cipher used by the
+// T-Chain exchange protocol.
 //
 // Paper notation: K^{i}_{D,R} is the fresh symmetric key the donor D uses
 // to encrypt piece p_i sent to requestor R (Table I). Keys are never
@@ -9,12 +9,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/crypto/chacha20.h"
 #include "src/crypto/sha256.h"
-#include "src/crypto/xtea.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 
@@ -49,23 +47,13 @@ class KeySource {
   std::uint64_t issued_ = 0;
 };
 
-enum class CipherKind : std::uint8_t { kChaCha20 = 0, kXteaCtr = 1 };
-
-const char* cipher_kind_name(CipherKind kind);
-
-// Stateless piece cipher. Both implementations are stream ciphers, so
-// ciphertext size == plaintext size (the paper's "almost complete resource"
-// costs the same bandwidth as the plaintext piece).
-class SymmetricCipher {
- public:
-  virtual ~SymmetricCipher() = default;
-  virtual CipherKind kind() const = 0;
-  virtual util::Bytes encrypt(const SymmetricKey& key,
-                              const util::Bytes& plaintext) const = 0;
-  virtual util::Bytes decrypt(const SymmetricKey& key,
-                              const util::Bytes& ciphertext) const = 0;
-};
-
-std::unique_ptr<SymmetricCipher> make_cipher(CipherKind kind);
+// The piece cipher: XORs `data` with the ChaCha20 keystream (RFC 8439,
+// block counter 1) of `key`. The same call encrypts and decrypts, and the
+// ciphertext is as long as the plaintext (the paper's "almost complete
+// resource" costs the same bandwidth as the plaintext piece). Being a pure
+// XOR keystream, layers under different keys commute: data encrypted
+// under K1 then K2 decrypts with K1 and K2 in either order. rt::PeerNode's
+// §II-D1 key cascade depends on exactly this.
+util::Bytes piece_xor(const SymmetricKey& key, const util::Bytes& data);
 
 }  // namespace tc::crypto

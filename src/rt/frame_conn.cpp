@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 namespace tc::rt {
 
@@ -17,19 +16,31 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+[[noreturn]] void throw_errno(const std::string& what, int err) {
+  throw std::runtime_error(what + ": " + std::strerror(err));
+}
+
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
-FrameConn::FrameConn(Reactor& reactor, net::FrameSocket sock,
-                     Delegate* delegate)
-    : reactor_(reactor), sock_(std::move(sock)), delegate_(delegate) {
-  sock_.set_nonblocking(true);
-  reactor_.add(sock_.fd(), this);
+FrameConn::FrameConn(Reactor& reactor, int fd, Delegate* delegate)
+    : reactor_(reactor), fd_(fd), delegate_(delegate) {
+  try {
+    reactor_.add(fd_, this);
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
 }
 
 FrameConn::~FrameConn() {
-  if (sock_.valid()) {
-    reactor_.remove(sock_.fd());
-    sock_.close();
+  if (fd_ >= 0) {
+    reactor_.remove(fd_);
+    ::close(fd_);
   }
 }
 
@@ -38,9 +49,7 @@ std::unique_ptr<FrameConn> FrameConn::dial(Reactor& reactor,
                                            std::uint16_t port,
                                            Delegate* delegate) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0)
-    throw std::runtime_error(std::string("dial: socket: ") +
-                             std::strerror(errno));
+  if (fd < 0) throw_errno("dial: socket", errno);
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -54,12 +63,10 @@ std::unique_ptr<FrameConn> FrameConn::dial(Reactor& reactor,
       errno != EINPROGRESS) {
     const int err = errno;
     ::close(fd);
-    throw std::runtime_error(std::string("dial: connect: ") +
-                             std::strerror(err));
+    throw_errno("dial: connect", err);
   }
 
-  auto conn = std::make_unique<FrameConn>(reactor, net::FrameSocket(fd),
-                                          delegate);
+  auto conn = std::make_unique<FrameConn>(reactor, fd, delegate);
   conn->dialed_ = true;
   // Even when connect() succeeded synchronously (possible on loopback),
   // resolve through the initial EPOLLOUT edge so on_conn_open is always
@@ -69,47 +76,74 @@ std::unique_ptr<FrameConn> FrameConn::dial(Reactor& reactor,
 }
 
 void FrameConn::send(const net::Message& m) {
-  if (closed_notified_ || !sock_.valid()) return;
-  try {
-    // While still connecting, the kernel reports EAGAIN and the bytes stay
-    // in the outbox; the post-connect EPOLLOUT edge flushes them.
-    sock_.send_frame(net::encode_message(m));
-  } catch (const std::exception&) {
+  if (closed_notified_ || fd_ < 0) return;
+  const util::Bytes payload = net::encode_message(m);
+  if (payload.size() > kMaxFrame) {
     fail();
+    return;
+  }
+  const auto n = static_cast<std::uint32_t>(payload.size());
+  const std::uint8_t prefix[4] = {
+      static_cast<std::uint8_t>(n >> 24), static_cast<std::uint8_t>(n >> 16),
+      static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)};
+  outbox_.insert(outbox_.end(), prefix, prefix + 4);
+  outbox_.insert(outbox_.end(), payload.begin(), payload.end());
+  // While still connecting, the kernel reports EAGAIN and the bytes stay
+  // in the outbox; the post-connect EPOLLOUT edge flushes them.
+  flush();
+}
+
+void FrameConn::flush() {
+  while (outbox_off_ < outbox_.size()) {
+    // MSG_NOSIGNAL: a peer that closed mid-frame must come back as EPIPE
+    // (and close this connection), not as a process-killing SIGPIPE.
+    const ssize_t n = ::send(fd_, outbox_.data() + outbox_off_,
+                             outbox_.size() - outbox_off_, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      fail();
+      return;
+    }
+    outbox_off_ += static_cast<std::size_t>(n);
+  }
+  if (outbox_off_ == outbox_.size()) {
+    outbox_.clear();
+    outbox_off_ = 0;
+  } else if (outbox_off_ >= 64 * 1024 && outbox_off_ * 2 >= outbox_.size()) {
+    // Reclaim the consumed prefix once it dominates the buffer.
+    outbox_.erase(outbox_.begin(),
+                  outbox_.begin() + static_cast<std::ptrdiff_t>(outbox_off_));
+    outbox_off_ = 0;
   }
 }
 
 void FrameConn::on_writable() {
-  if (closed_notified_ || !sock_.valid()) return;
+  if (closed_notified_ || fd_ < 0) return;
   if (connecting_) {
     int err = 0;
     socklen_t len = sizeof(err);
-    if (::getsockopt(sock_.fd(), SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
+    if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
         err != 0) {
       fail();
       return;
     }
     connecting_ = false;
-    int one = 1;
-    ::setsockopt(sock_.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_nodelay(fd_);
     delegate_->on_conn_open(*this);
-    if (closed_notified_ || !sock_.valid()) return;
+    if (closed_notified_ || fd_ < 0) return;
   }
-  try {
-    sock_.flush_pending();
-  } catch (const std::exception&) {
-    fail();
-  }
+  flush();
 }
 
 void FrameConn::on_readable() {
-  if (closed_notified_ || !sock_.valid()) return;
+  if (closed_notified_ || fd_ < 0) return;
   bool eof = false;
   // Edge-triggered: drain until EAGAIN or EOF.
   for (;;) {
     const std::size_t old = inbox_.size();
     inbox_.resize(old + kReadChunk);
-    const ssize_t n = ::read(sock_.fd(), inbox_.data() + old, kReadChunk);
+    const ssize_t n = ::read(fd_, inbox_.data() + old, kReadChunk);
     if (n > 0) {
       inbox_.resize(old + static_cast<std::size_t>(n));
       continue;
@@ -142,22 +176,20 @@ bool FrameConn::parse_frames() {
                               (static_cast<std::uint32_t>(p[1]) << 16) |
                               (static_cast<std::uint32_t>(p[2]) << 8) |
                               static_cast<std::uint32_t>(p[3]);
-    if (len > net::kMaxFrame) {
+    if (len > kMaxFrame) {
       fail();
       return false;
     }
     if (avail < 4 + static_cast<std::size_t>(len)) break;
     util::Bytes payload(p + 4, p + 4 + len);
     inbox_off_ += 4 + static_cast<std::size_t>(len);
-    net::Message m;
     try {
-      m = net::decode_message(payload);
+      delegate_->on_message(*this, net::decode_message(payload));
     } catch (const std::exception&) {
       fail();
       return false;
     }
-    delegate_->on_message(*this, std::move(m));
-    if (closed_notified_ || !sock_.valid()) return false;
+    if (closed_notified_ || fd_ < 0) return false;
   }
   // Compact the consumed prefix once it dominates the buffer.
   if (inbox_off_ > kReadChunk && inbox_off_ * 2 >= inbox_.size()) {
@@ -171,14 +203,58 @@ bool FrameConn::parse_frames() {
 void FrameConn::fail() {
   if (closed_notified_) return;
   closed_notified_ = true;
-  if (sock_.valid()) {
-    reactor_.remove(sock_.fd());
-    sock_.close();
+  if (fd_ >= 0) {
+    reactor_.remove(fd_);
+    ::close(fd_);
+    fd_ = -1;
   }
   // Deferred: fail() can fire from inside send() while the delegate is
   // mid-handler; notifying synchronously would let the delegate mutate
   // state (e.g. erase a neighbor) under its caller's feet.
   reactor_.post([this] { delegate_->on_conn_closed(*this); });
+}
+
+Listener::Listener(std::uint16_t port) {
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd_ < 0) throw_errno("listener: socket", errno);
+  // A throwing constructor never runs the destructor: close the fd on every
+  // failure path here.
+  const auto fail = [this](const char* what) {
+    const int err = errno;
+    ::close(fd_);
+    fd_ = -1;
+    throw_errno(std::string("listener: ") + what, err);
+  };
+  int one = 1;
+  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
+    fail("bind");
+  if (::listen(fd_, 64) != 0) fail("listen");
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+    fail("getsockname");
+  port_ = ntohs(addr.sin_port);
+}
+
+Listener::~Listener() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+std::optional<int> Listener::accept() {
+  for (;;) {
+    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return fd;
+    }
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
+    throw_errno("accept", errno);
+  }
 }
 
 }  // namespace tc::rt

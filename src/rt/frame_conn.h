@@ -1,27 +1,35 @@
-// Non-blocking framed connection on a Reactor: incremental frame parsing
-// on the read side (edge-triggered drain into an inbox buffer), buffered
-// partial writes on the send side (net::FrameSocket's outbox, flushed on
-// EPOLLOUT), and asynchronous dialing (connect() in progress resolves via
-// writability + SO_ERROR).
+// The live runtime's socket layer. FrameConn is a non-blocking framed
+// connection on a Reactor: incremental frame parsing on the read side
+// (edge-triggered drain into an inbox buffer), buffered partial writes on
+// the send side (an outbox flushed on EPOLLOUT), and asynchronous dialing
+// (connect() in progress resolves via writability + SO_ERROR). Listener
+// is the accepting end.
+//
+// Wire format: each frame is a 4-byte big-endian length prefix followed by
+// that many bytes of net::encode_message output.
 //
 // A FrameConn delivers whole decoded net::Message values to its Delegate;
 // wire errors — truncated stream, oversized length prefix, undecodable
-// frame, connection reset — all funnel into a single on_conn_closed
-// notification, after which the connection is defunct. The delegate owns
-// the FrameConn and should destroy it from a posted callback, never from
-// inside its own notification.
+// frame, a message the delegate rejects, connection reset — all funnel
+// into a single on_conn_closed notification, after which the connection
+// is defunct. The delegate owns the FrameConn and should destroy it from a
+// posted callback, never from inside its own notification.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/net/message.h"
-#include "src/net/tcp.h"
 #include "src/rt/reactor.h"
 #include "src/util/bytes.h"
 
 namespace tc::rt {
+
+// Upper bound on a frame body, so a corrupt length prefix cannot trigger a
+// multi-gigabyte allocation: a larger prefix closes the connection.
+inline constexpr std::uint32_t kMaxFrame = 64u * 1024 * 1024;
 
 class FrameConn : public Reactor::Handler {
  public:
@@ -31,6 +39,8 @@ class FrameConn : public Reactor::Handler {
     // A dialed connection finished its handshake (accepted connections are
     // open from construction and do not get this callback).
     virtual void on_conn_open(FrameConn& c) { (void)c; }
+    // May throw std::exception to reject a malformed message: the
+    // connection then closes like on any other wire error.
     virtual void on_message(FrameConn& c, net::Message m) = 0;
     // Peer closed, wire error, or malformed frame. Fired at most once,
     // always from a posted reactor callback (never re-entrantly from
@@ -38,8 +48,9 @@ class FrameConn : public Reactor::Handler {
     virtual void on_conn_closed(FrameConn& c) = 0;
   };
 
-  // Adopts an accepted, connected socket (made non-blocking here).
-  FrameConn(Reactor& reactor, net::FrameSocket sock, Delegate* delegate);
+  // Adopts a connected, non-blocking stream socket (Listener::accept's
+  // result); the fd is closed with the connection.
+  FrameConn(Reactor& reactor, int fd, Delegate* delegate);
   ~FrameConn() override;
 
   FrameConn(const FrameConn&) = delete;
@@ -52,14 +63,13 @@ class FrameConn : public Reactor::Handler {
                                          std::uint16_t port,
                                          Delegate* delegate);
 
-  // Queues one message; unsent bytes drain on writability. Dropped
-  // silently if the connection is already closed (the delegate saw or
-  // will see on_conn_closed).
+  // Queues one message and writes what the socket accepts; unsent bytes
+  // drain on writability. Dropped silently if the connection is already
+  // closed (the delegate saw or will see on_conn_closed).
   void send(const net::Message& m);
 
-  bool is_open() const { return sock_.valid(); }
+  bool is_open() const { return fd_ >= 0; }
   bool dialed() const { return dialed_; }
-  std::size_t backlog_bytes() const { return sock_.pending_bytes(); }
 
   // Owner-assigned identity of the remote peer (kNoPeer until known).
   net::PeerId peer = net::kNoPeer;
@@ -70,18 +80,49 @@ class FrameConn : public Reactor::Handler {
 
  private:
   void fail();
+  // Writes the outbox until it is empty or the socket refuses more.
+  void flush();
   // Extracts complete frames from inbox_; returns false if the connection
   // died while parsing (delegate closed it or a frame was malformed).
   bool parse_frames();
 
   Reactor& reactor_;
-  net::FrameSocket sock_;
+  int fd_;
   Delegate* delegate_;
   bool dialed_ = false;
   bool connecting_ = false;
   bool closed_notified_ = false;
   util::Bytes inbox_;
   std::size_t inbox_off_ = 0;
+  // Unsent bytes (prefix+payload concatenation); outbox_off_ marks the
+  // consumed prefix so flushing is O(written), not O(queue).
+  util::Bytes outbox_;
+  std::size_t outbox_off_ = 0;
+};
+
+// Non-blocking listening socket on 127.0.0.1, registered with a Reactor by
+// its owner.
+class Listener {
+ public:
+  // Port 0 picks an ephemeral port. SO_REUSEADDR is set before bind so a
+  // rebind inside TIME_WAIT succeeds. Throws std::runtime_error (and
+  // leaks no fd) when the socket cannot be set up.
+  explicit Listener(std::uint16_t port);
+  ~Listener();
+
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  std::uint16_t port() const { return port_; }
+  int fd() const { return fd_; }
+
+  // The next pending connection as a non-blocking TCP_NODELAY fd, or
+  // nullopt when none is pending.
+  std::optional<int> accept();
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
 };
 
 }  // namespace tc::rt

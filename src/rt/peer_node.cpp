@@ -16,7 +16,7 @@ PeerNode::PeerNode(SwarmContext& ctx, const Options& opts)
     : ctx_(ctx),
       reactor_(ctx.reactor),
       opts_(opts),
-      listener_(0, /*nonblocking=*/true),
+      listener_(0),
       have_(ctx.meta.piece_count),
       store_(ctx.meta.piece_count),
       pending_(opts.pending_cap),
@@ -64,8 +64,8 @@ void PeerNode::count(const char* name) {
 // --- Connection plumbing --------------------------------------------------
 
 void PeerNode::on_readable() {
-  while (auto sock = listener_.try_accept()) {
-    auto conn = std::make_unique<FrameConn>(reactor_, std::move(*sock), this);
+  while (const auto fd = listener_.accept()) {
+    auto conn = std::make_unique<FrameConn>(reactor_, *fd, this);
     FrameConn* raw = conn.get();
     conns_[raw] = std::move(conn);
     count("rt.conns_accepted");
@@ -328,8 +328,8 @@ void PeerNode::handle_key_release(const net::KeyReleaseMsg& m) {
   } catch (const std::invalid_argument&) {
     return;
   }
-  // XOR keystreams commute: peel this key off regardless of arrival order.
-  b.buffer = ctx_.cipher->decrypt(key, b.buffer);
+  // piece_xor layers commute: peel this key off regardless of arrival order.
+  b.buffer = crypto::piece_xor(key, b.buffer);
   b.applied_keys.push_back(m.key);
 
   // Cascade to every forward of this buffer: the forwarded ciphertext was
@@ -661,7 +661,7 @@ bool PeerNode::start_tx(net::PeerId requestor, net::PieceIndex piece,
   DonorTx d;
   d.session = std::make_unique<core::DonorSession>(
       tx, ch, opts_.id, requestor, payee, give, prev_donor, prev_piece, data,
-      *ctx_.cipher, keys_);
+      keys_);
   d.chain = ch;
   d.requestor = requestor;
   d.piece = give;

@@ -16,11 +16,12 @@
 // checker can match the delivery that pays for the previous transaction).
 //
 // Key cascade: a banked ciphertext may be re-encrypted and forwarded to
-// the payee as a newcomer's reciprocation. ChaCha20 is an XOR keystream,
-// so layered keys commute: the banked buffer is progressively decrypted by
-// whichever keys arrive, in any order, and completion is detected by the
-// piece hash matching. A forward snapshots the current buffer, so only
-// keys arriving afterwards need to cascade downstream.
+// the payee as a newcomer's reciprocation. This is correct only because
+// crypto::piece_xor is a pure XOR keystream, so layered keys commute: the
+// banked buffer is progressively decrypted by whichever keys arrive, in
+// any order, and completion is detected by the piece hash matching. A
+// forward snapshots the current buffer, so only keys arriving afterwards
+// need to cascade downstream.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@
 #include "src/core/policy.h"
 #include "src/crypto/cipher.h"
 #include "src/net/message.h"
-#include "src/net/tcp.h"
 #include "src/rt/frame_conn.h"
 #include "src/rt/reactor.h"
 #include "src/rt/swarm_context.h"
@@ -188,7 +188,7 @@ class PeerNode : public Reactor::Handler, public FrameConn::Delegate {
   SwarmContext& ctx_;
   Reactor& reactor_;
   Options opts_;
-  net::Listener listener_;
+  Listener listener_;
 
   std::map<FrameConn*, std::unique_ptr<FrameConn>> conns_;
   FrameConn* tracker_ = nullptr;

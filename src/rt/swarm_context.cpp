@@ -34,8 +34,7 @@ SwarmContext::SwarmContext(Reactor& r, obs::Trace* t, SwarmFileMeta m,
     : reactor(r),
       trace(t),
       meta(std::move(m)),
-      swarm_name(std::move(name)),
-      cipher(crypto::make_cipher(crypto::CipherKind::kChaCha20)) {}
+      swarm_name(std::move(name)) {}
 
 void SwarmContext::emit(obs::TraceEvent e) {
   if (trace == nullptr) return;

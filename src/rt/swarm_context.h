@@ -1,19 +1,17 @@
 // Shared single-process state for a localhost swarm: the torrent metadata
-// (deterministic piece data + hashes), the piece cipher, the chain
-// registry, a global transaction-id allocator, and the trace every
-// PeerNode emits into. In a real multi-host deployment each of these has a
-// distributed equivalent (a .torrent file, per-peer tx namespaces, per-peer
-// traces merged offline); keeping them shared here gives src/check a
-// single totally-ordered event stream to verify online.
+// (deterministic piece data + hashes), the chain registry, a global
+// transaction-id allocator, and the trace every PeerNode emits into. In a
+// real multi-host deployment each of these has a distributed equivalent (a
+// .torrent file, per-peer tx namespaces, per-peer traces merged offline);
+// keeping them shared here gives src/check a single totally-ordered event
+// stream to verify online.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/chain_registry.h"
-#include "src/crypto/cipher.h"
 #include "src/crypto/sha256.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
@@ -43,7 +41,6 @@ class SwarmContext {
   obs::Trace* trace;  // may be null (untraced run)
   SwarmFileMeta meta;
   std::string swarm_name;
-  std::unique_ptr<crypto::SymmetricCipher> cipher;
   core::ChainRegistry chains;
 
   net::TxId alloc_tx() { return next_tx_++; }

@@ -10,7 +10,7 @@ namespace tc::rt {
 TrackerService::TrackerService(Reactor& reactor, const Options& opts)
     : reactor_(reactor),
       opts_(opts),
-      listener_(opts.port, /*nonblocking=*/true),
+      listener_(opts.port),
       tracker_(opts.list_size),
       rng_(opts.seed) {
   reactor_.add(listener_.fd(), this);
@@ -32,8 +32,8 @@ void TrackerService::arm_prune_timer() {
 }
 
 void TrackerService::on_readable() {
-  while (auto sock = listener_.try_accept()) {
-    auto conn = std::make_unique<FrameConn>(reactor_, std::move(*sock), this);
+  while (const auto fd = listener_.accept()) {
+    auto conn = std::make_unique<FrameConn>(reactor_, *fd, this);
     FrameConn* raw = conn.get();
     conns_[raw] = std::move(conn);
   }

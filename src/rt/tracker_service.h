@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "src/net/tcp.h"
 #include "src/net/tracker.h"
 #include "src/rt/frame_conn.h"
 #include "src/rt/reactor.h"
@@ -51,7 +50,7 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
 
   Reactor& reactor_;
   Options opts_;
-  net::Listener listener_;
+  Listener listener_;
   net::Tracker tracker_;
   // Listening ports by peer id, kept in lockstep with tracker_ membership.
   std::map<net::PeerId, std::uint16_t> ports_;

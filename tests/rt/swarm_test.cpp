@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <sstream>
 
+#include "src/bt/bitfield.h"
 #include "src/check/invariants.h"
 #include "src/check/replay.h"
 #include "src/obs/export.h"
+#include "src/rt/frame_conn.h"
+#include "src/rt/peer_node.h"
 #include "src/rt/swarm_context.h"
+#include "src/rt/tracker_service.h"
 
 namespace tc::rt {
 namespace {
@@ -112,6 +118,65 @@ TEST(LiveSwarm, DeterministicFileMetaAcrossCalls) {
   EXPECT_EQ(a.hashes, b.hashes);
   const SwarmFileMeta c = SwarmFileMeta::make(4, 1024, 43);
   EXPECT_NE(a.pieces, c.pieces);
+}
+
+// A hand-driven neighbour: handshakes with a node, then sends `bitfield`.
+class RawNeighbour : public FrameConn::Delegate {
+ public:
+  RawNeighbour(net::PeerId id, net::BitfieldMsg bitfield)
+      : id_(id), bitfield_(std::move(bitfield)) {}
+  void on_conn_open(FrameConn& c) override {
+    c.send(net::Message{net::HandshakeMsg{id_, "raw"}});
+    c.send(net::Message{bitfield_});
+  }
+  void on_message(FrameConn& c, net::Message m) override {
+    (void)c;
+    served = served || std::holds_alternative<net::BitfieldMsg>(m);
+    on_change();
+  }
+  void on_conn_closed(FrameConn& c) override {
+    (void)c;
+    closed = true;
+    on_change();
+  }
+  std::function<void()> on_change;
+  bool served = false;  // the node sent its own bitfield
+  bool closed = false;
+
+ private:
+  net::PeerId id_;
+  net::BitfieldMsg bitfield_;
+};
+
+TEST(LiveSwarm, MalformedBitfieldDropsOnlyThatNeighbour) {
+  Reactor reactor;
+  SwarmContext ctx(reactor, nullptr, SwarmFileMeta::make(8, 1024, 1), "raw");
+  TrackerService tracker(reactor, TrackerService::Options{});
+  PeerNode::Options opts;
+  opts.id = 1;
+  opts.seeder = true;
+  opts.tracker_port = tracker.port();
+  PeerNode node(ctx, opts);
+  node.start();
+
+  // The right piece_count, but a bit vector too short to hold it.
+  RawNeighbour bad(50, net::BitfieldMsg{8, {}});
+  RawNeighbour good(51, bt::Bitfield(8).to_message());
+  std::unique_ptr<FrameConn> good_conn;
+  bad.on_change = [&] {
+    if (bad.closed && good_conn == nullptr)
+      good_conn = FrameConn::dial(reactor, "127.0.0.1", node.port(), &good);
+  };
+  good.on_change = [&] {
+    if (good.served) reactor.stop();
+  };
+  const auto bad_conn =
+      FrameConn::dial(reactor, "127.0.0.1", node.port(), &bad);
+  reactor.schedule(10.0, [&] { reactor.stop(); });  // failsafe
+  reactor.run();
+  EXPECT_TRUE(bad.closed);
+  EXPECT_TRUE(good.served);
+  EXPECT_FALSE(good.closed);
 }
 
 }  // namespace
