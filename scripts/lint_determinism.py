@@ -16,6 +16,12 @@ lint bans the constructs that silently break that promise:
     feeding it into output, aggregation, or event scheduling makes runs
     diverge across standard libraries. Iterate a sorted copy or an ordered
     container instead.
+  * sans-IO core                — no file under src/core/ may include
+                                  src/rt/, <sys/socket.h>, <sys/epoll.h>,
+                                  <netinet/...>, <unistd.h> or <chrono>: the
+                                  protocol engine has no clock and no
+                                  socket, so hosts other than the live
+                                  runtime (tests, a simulator) can run it.
 
 Escapes:
   * a `// det-ok` comment on the offending line suppresses it (use for
@@ -63,6 +69,14 @@ RULES = [
     ("steady_clock", re.compile(r"std::chrono::steady_clock|chrono::steady_clock"), "steady_clock timing belongs in whitelisted progress code only"),
     ("mt19937", re.compile(r"\bstd::mt19937(_64)?\b"), "raw std::mt19937 outside util::Rng risks an unseeded engine"),
 ]
+
+# Includes banned under src/core/ (rule "sans-io"): the engine stays free
+# of sockets, the runtime and clocks.
+SANS_IO_DIR = "src/core/"
+SANS_IO_INCLUDE = re.compile(
+    r'#\s*include\s*[<"](src/rt/[^>"]*|sys/socket\.h|sys/epoll\.h|'
+    r'netinet/[^>"]*|unistd\.h|chrono)[>"]'
+)
 
 # Range-for directly over an unordered container member/variable. Two
 # patterns: `for (... : name)` where `name` was declared unordered in the
@@ -129,6 +143,16 @@ def scan_file(path: Path) -> list[str]:
         for rule, pattern, why in RULES:
             if pattern.search(line) and not exempt(rule, lineno):
                 findings.append(f"{rel}:{lineno}: [{rule}] {why}")
+
+    if f"/{SANS_IO_DIR}" in f"/{rel}":
+        for lineno, line in enumerate(code_lines, start=1):
+            m = SANS_IO_INCLUDE.search(line)
+            if m and not exempt("sans-io", lineno):
+                findings.append(
+                    f"{rel}:{lineno}: [sans-io] src/core must stay free of "
+                    f"sockets, the runtime and clocks; <{m.group(1)}> "
+                    f"belongs in src/rt"
+                )
 
     # Pass 2: names declared as unordered containers in this file, then
     # range-for'd. Order-insensitive loops get a `// det-ok`.

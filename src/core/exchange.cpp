@@ -1,6 +1,6 @@
 #include "src/core/exchange.h"
 
-#include <stdexcept>
+#include <utility>
 
 #include "src/crypto/hmac.h"
 
@@ -34,6 +34,14 @@ DonorSession::DonorSession(TxId tx, std::uint64_t chain, PeerId donor,
   offer_.ciphertext = crypto::piece_xor(key_, plaintext);
 }
 
+net::EncryptedPieceMsg DonorSession::take_offer() {
+  util::Bytes ciphertext = std::move(offer_.ciphertext);
+  offer_.ciphertext = {};
+  net::EncryptedPieceMsg m = offer_;
+  m.ciphertext = std::move(ciphertext);
+  return m;
+}
+
 bool DonorSession::accept_receipt(const net::ReceiptMsg& receipt) {
   if (receipted_) return true;
   if (receipt.reciprocated_tx != offer_.tx) return false;
@@ -54,47 +62,6 @@ net::KeyReleaseMsg DonorSession::key_release() const {
   m.piece = offer_.piece;
   m.key = key_.serialize();
   return m;
-}
-
-net::KeyReleaseMsg DonorSession::escrow_for_payee() const {
-  // Same payload; routing (to the payee instead of the requestor) is the
-  // transport's concern.
-  return key_release();
-}
-
-RequestorSession::RequestorSession(net::EncryptedPieceMsg msg)
-    : msg_(std::move(msg)) {}
-
-std::optional<util::Bytes> RequestorSession::complete(
-    const net::KeyReleaseMsg& release,
-    const std::optional<crypto::Digest256>& expected_hash) {
-  if (release.tx != msg_.tx || release.piece != msg_.piece) return std::nullopt;
-  crypto::SymmetricKey key;
-  try {
-    key = crypto::SymmetricKey::deserialize(release.key);
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-  util::Bytes plain = crypto::piece_xor(key, msg_.ciphertext);
-  if (expected_hash) {
-    const auto got = crypto::sha256(plain);
-    if (!crypto::digest_equal(got, *expected_hash)) return std::nullopt;
-  }
-  completed_ = true;
-  return plain;
-}
-
-net::ReceiptMsg PayeeSession::make_receipt(
-    const net::EncryptedPieceMsg& reciprocation, PeerId original_donor,
-    TxId original_tx) {
-  net::ReceiptMsg r;
-  r.reciprocated_tx = original_tx;
-  r.payee = reciprocation.requestor;  // this payee is the new tx's requestor
-  r.requestor = reciprocation.donor;  // who reciprocated
-  r.piece = reciprocation.piece;
-  const auto mac_key = derive_mac_key(original_donor, r.payee);
-  r.mac = net::receipt_mac(mac_key, original_tx, r.payee, r.requestor, r.piece);
-  return r;
 }
 
 }  // namespace tc::core

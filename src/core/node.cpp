@@ -1,0 +1,548 @@
+#include "src/core/node.h"
+
+#include <limits>
+#include <stdexcept>
+#include <variant>
+
+#include "src/core/transaction.h"
+
+namespace tc::core {
+
+using obs::EventKind;
+
+SwarmFileMeta SwarmFileMeta::make(std::uint32_t piece_count,
+                                  std::uint32_t piece_bytes,
+                                  std::uint64_t seed) {
+  SwarmFileMeta m;
+  m.piece_count = piece_count;
+  m.piece_bytes = piece_bytes;
+  m.pieces.reserve(piece_count);
+  m.hashes.reserve(piece_count);
+  util::Rng rng(seed);
+  for (std::uint32_t i = 0; i < piece_count; ++i) {
+    util::Bytes piece(piece_bytes);
+    for (std::size_t off = 0; off < piece.size(); off += 8) {
+      const std::uint64_t word = rng.next_u64();
+      for (std::size_t b = 0; b < 8 && off + b < piece.size(); ++b) {
+        piece[off + b] = static_cast<std::uint8_t>(word >> (8 * b));
+      }
+    }
+    m.hashes.push_back(crypto::sha256(piece));
+    m.pieces.push_back(std::move(piece));
+  }
+  return m;
+}
+
+Node::Node(const SwarmFileMeta& meta, const Options& opts, Effects& out)
+    : meta_(meta),
+      opts_(opts),
+      out_(out),
+      have_(meta.piece_count),
+      store_(meta.piece_count),
+      pending_(opts.pending_cap),
+      rng_(opts.seed),
+      keys_(opts.seed ^ 0x517cc1b727220a95ull) {
+  if (opts_.seeder) {
+    store_ = meta_.pieces;
+    for (std::uint32_t p = 0; p < meta_.piece_count; ++p) have_.set(p);
+  }
+}
+
+std::size_t Node::payload_bytes() const {
+  std::size_t n = 0;
+  for (const auto& [tx, d] : donor_) n += d.session.offer().ciphertext.size();
+  for (const auto& [tx, b] : banked_) n += b.buffer.size();
+  return n;
+}
+
+std::uint64_t Node::next_id(std::uint32_t& counter) const {
+  return (std::uint64_t{opts_.id} << 32) | ++counter;
+}
+
+void Node::emit_donor(EventKind kind, const net::EncryptedPieceMsg& offer,
+                      std::uint8_t aux) {
+  out_.emit({.kind = kind,
+                .aux = aux,
+                .piece = offer.piece,
+                .a = opts_.id,
+                .b = offer.requestor,
+                .ref = offer.tx,
+                .chain = offer.chain});
+}
+
+void Node::break_chain(std::uint64_t chain, obs::ChainBreakCause cause) {
+  out_.emit({.kind = EventKind::kChainBreak,
+                .aux = static_cast<std::uint8_t>(cause),
+                .chain = chain});
+}
+
+Node::Neighbor* Node::neighbor(net::PeerId peer) {
+  const auto it = neighbors_.find(peer);
+  return it == neighbors_.end() ? nullptr : &it->second;
+}
+
+const Node::Neighbor* Node::neighbor(net::PeerId peer) const {
+  const auto it = neighbors_.find(peer);
+  return it == neighbors_.end() ? nullptr : &it->second;
+}
+
+// --- Inputs ---------------------------------------------------------------
+
+void Node::on_neighbor_up(net::PeerId peer) {
+  neighbors_.try_emplace(peer, Neighbor{bt::Bitfield(meta_.piece_count),
+                                        bt::Bitfield(meta_.piece_count)});
+  out_.send(peer, net::Message{have_.to_message()});
+}
+
+void Node::on_neighbor_down(net::PeerId peer) { neighbors_.erase(peer); }
+
+void Node::on_message(net::PeerId from, net::Message m) {
+  if (neighbor(from) == nullptr) return;
+  std::visit([this, from](auto& v) { handle(from, v); }, m);
+}
+
+void Node::on_tick() {
+  for (auto& [tx, b] : banked_) try_reciprocate(tx, b);
+  maybe_start_chains();
+}
+
+void Node::on_watchdog(net::TxId tx) {
+  const auto it = donor_.find(tx);
+  if (it == donor_.end()) return;
+  DonorTx& d = it->second;
+  const net::EncryptedPieceMsg& o = d.session.offer();
+
+  if (d.retries >= opts_.max_retries) {
+    // Final timeout: break the chain, then settle the key gratis if the
+    // requestor is still reachable — a banked buffer whose donor key never
+    // arrives would stay encrypted forever, wedging the swarm.
+    emit_donor(EventKind::kTxTimeout, o);
+    settle_gratis(it, obs::ChainBreakCause::kWatchdog);
+    return;
+  }
+
+  ++d.retries;
+  out_.count("rt.tx_retries");
+  emit_donor(EventKind::kTxRetry, o);
+
+  // §II-B4: re-run payee selection; the designated payee may have finished
+  // or hit the pending cap.
+  const net::PeerId np = select_payee(payee_query(o.requestor, o.piece), rng_);
+  if (np == net::kNoPeer) {
+    settle_gratis(it, obs::ChainBreakCause::kNoPayee);
+    return;
+  }
+  if (np != o.payee) {
+    d.session.reassign_payee(np);
+    notify_payee(o);
+    if (neighbor(o.requestor) != nullptr) {
+      out_.send(o.requestor,
+                   net::Message{net::PayeeReassignMsg{o.tx, np}});
+    }
+  }
+  out_.arm_watchdog(tx);
+}
+
+// --- Neighbour state ------------------------------------------------------
+
+void Node::handle(net::PeerId from, net::BitfieldMsg& m) {
+  if (m.piece_count != meta_.piece_count) return;
+  Neighbor& n = *neighbor(from);
+  n.have = bt::Bitfield::from_message(m);
+  for (const net::PieceIndex p : n.have.to_vector()) n.claimed.set(p);
+}
+
+void Node::handle(net::PeerId from, net::HaveMsg& m) {
+  if (m.piece >= meta_.piece_count) return;
+  Neighbor& n = *neighbor(from);
+  n.have.set(m.piece);
+  n.claimed.set(m.piece);
+}
+
+// --- Requestor side -------------------------------------------------------
+
+template <typename Offer>
+bool Node::accept_offer(net::PeerId from, const Offer& m) {
+  if (m.donor != from || m.piece >= meta_.piece_count) return false;
+  out_.emit({.kind = EventKind::kPieceDelivered,
+                .piece = m.piece,
+                .a = m.donor,
+                .b = opts_.id,
+                .ref = m.tx,
+                .chain = m.chain});
+  // This upload may simultaneously be the reciprocation paying for an
+  // earlier transaction we are payee of.
+  if (m.prev_donor != net::kNoPeer) {
+    match_duty_or_stash(m.donor, m.piece, m.prev_donor, m.prev_piece);
+  }
+  return true;
+}
+
+void Node::handle(net::PeerId from, net::EncryptedPieceMsg& m) {
+  if (!accept_offer(from, m)) return;
+  const auto [it, inserted] = banked_.try_emplace(m.tx);
+  if (!inserted) return;
+  BankedTx& b = it->second;
+  b.chain = m.chain;
+  b.donor = m.donor;
+  b.payee = m.payee;
+  b.piece = m.piece;
+  b.buffer = std::move(m.ciphertext);
+  try_reciprocate(m.tx, b);
+}
+
+void Node::handle(net::PeerId from, net::PlainPieceMsg& m) {
+  if (!accept_offer(from, m)) return;
+  if (crypto::sha256(m.data) == meta_.hashes[m.piece]) {
+    grant_piece(m.piece, std::move(m.data), m.donor);
+  }
+  // Terminal transactions are closed by the receiver, after the delivery
+  // event: closing at send would retire the open upload before the checker
+  // matched the delivery that pays for the previous transaction.
+  break_chain(m.chain, obs::ChainBreakCause::kCompleted);
+  out_.emit({.kind = EventKind::kTxClose,
+                .aux = static_cast<std::uint8_t>(TxState::kTerminal),
+                .piece = m.piece,
+                .a = m.donor,
+                .b = opts_.id,
+                .ref = m.tx,
+                .chain = m.chain});
+}
+
+void Node::handle(net::PeerId from, net::KeyReleaseMsg& m) {
+  const auto it = banked_.find(m.tx);
+  if (it == banked_.end() || it->second.donor != from || it->second.done) {
+    return;
+  }
+  BankedTx& b = it->second;
+  for (const util::Bytes& k : b.applied_keys) {
+    if (k == m.key) return;
+  }
+  crypto::SymmetricKey key;
+  try {
+    key = crypto::SymmetricKey::deserialize(m.key);
+  } catch (const std::invalid_argument&) {
+    return;
+  }
+  // piece_xor layers commute: peel this key off regardless of arrival order.
+  b.buffer = crypto::piece_xor(key, b.buffer);
+  b.applied_keys.push_back(m.key);
+
+  // Cascade to every forward of this buffer: the forwarded ciphertext was
+  // snapshotted before this key arrived, so its holder needs it too.
+  for (const auto& [f, requestor] : b.forwarded_as) {
+    if (neighbor(requestor) == nullptr) continue;
+    out_.send(requestor, net::Message{net::KeyReleaseMsg{f, b.piece, m.key}});
+    out_.count("rt.keys_cascaded");
+  }
+
+  if (crypto::sha256(b.buffer) == meta_.hashes[b.piece]) {
+    b.done = true;
+    grant_piece(b.piece, std::move(b.buffer), b.donor);
+  }
+}
+
+void Node::grant_piece(net::PieceIndex piece, util::Bytes data,
+                       net::PeerId source) {
+  if (have_.get(piece)) return;
+  store_[piece] = std::move(data);
+  have_.set(piece);
+  out_.emit({.kind = EventKind::kPieceGranted,
+                .piece = piece,
+                .a = opts_.id,
+                .b = source});
+  for (const auto& [peer, n] : neighbors_) {
+    out_.send(peer, net::Message{net::HaveMsg{piece}});
+  }
+  if (have_.complete()) {
+    out_.emit({.kind = EventKind::kPeerFinish, .a = opts_.id});
+  }
+}
+
+void Node::handle(net::PeerId from, net::PayeeReassignMsg& m) {
+  const auto it = banked_.find(m.tx);
+  if (it == banked_.end() || it->second.donor != from) return;
+  BankedTx& b = it->second;
+  if (m.new_payee == net::kNoPeer) {
+    b.reciprocated = true;  // gratis settlement: obligation waived
+    return;
+  }
+  b.payee = m.new_payee;
+  try_reciprocate(m.tx, b);
+}
+
+// --- Payee side -----------------------------------------------------------
+
+void Node::handle(net::PeerId from, net::PayeeNotifyMsg& m) {
+  if (m.donor != from) return;
+  // The reciprocation may have raced ahead of this notice (it travels on a
+  // different connection).
+  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
+    if (it->uploader == m.requestor && it->prev_donor == m.donor &&
+        it->prev_piece == m.piece) {
+      const StashedRecip s = *it;
+      stash_.erase(it);
+      send_receipt(m, s.uploader, s.piece);
+      return;
+    }
+  }
+  duties_.push_back(m);
+}
+
+void Node::match_duty_or_stash(net::PeerId uploader, net::PieceIndex piece,
+                               net::PeerId prev_donor,
+                               net::PieceIndex prev_piece) {
+  for (auto it = duties_.begin(); it != duties_.end(); ++it) {
+    if (it->requestor == uploader && it->donor == prev_donor &&
+        it->piece == prev_piece) {
+      const net::PayeeNotifyMsg duty = *it;
+      duties_.erase(it);
+      send_receipt(duty, uploader, piece);
+      return;
+    }
+  }
+  stash_.push_back({uploader, prev_donor, prev_piece, piece});
+}
+
+void Node::send_receipt(const net::PayeeNotifyMsg& duty, net::PeerId uploader,
+                        net::PieceIndex piece_received) {
+  net::ReceiptMsg r;
+  r.reciprocated_tx = duty.tx;
+  r.payee = opts_.id;
+  r.requestor = uploader;
+  r.piece = piece_received;
+  r.mac = net::receipt_mac(derive_mac_key(duty.donor, opts_.id), duty.tx,
+                           opts_.id, uploader, piece_received);
+  out_.count("rt.receipts");
+  if (duty.donor == opts_.id) {
+    handle(opts_.id, r);  // direct reciprocity: donor designated itself
+  } else if (neighbor(duty.donor) != nullptr) {
+    out_.send(duty.donor, net::Message{r});
+  }
+  // Donor unreachable: its watchdog reassigns or settles gratis.
+}
+
+// --- Donor side -----------------------------------------------------------
+
+void Node::handle(net::PeerId from, net::ReceiptMsg& m) {
+  (void)from;  // any payee may deliver it; the MAC authenticates it
+  const auto it = donor_.find(m.reciprocated_tx);
+  if (it == donor_.end() || !it->second.session.accept_receipt(m)) return;
+  release_key(it, /*waive=*/false);
+}
+
+void Node::settle_gratis(DonorIt it, obs::ChainBreakCause cause) {
+  const net::EncryptedPieceMsg& o = it->second.session.offer();
+  // Break first: the checker sanctions a gratis key release only once the
+  // chain is in teardown.
+  break_chain(o.chain, cause);
+  out_.count(neighbor(o.requestor) != nullptr ? "rt.tx_gratis"
+                                                 : "rt.tx_dead");
+  release_key(it, /*waive=*/true);
+}
+
+void Node::release_key(DonorIt it, bool waive) {
+  const net::EncryptedPieceMsg& o = it->second.session.offer();
+  out_.cancel_watchdog(o.tx);
+  TxState end = TxState::kDead;
+  if (neighbor(o.requestor) != nullptr) {
+    emit_donor(EventKind::kKeyDelivered, o);
+    out_.send(o.requestor, net::Message{it->second.session.key_release()});
+    if (waive) {
+      // kNoPeer payee means "settled".
+      out_.send(o.requestor,
+                   net::Message{net::PayeeReassignMsg{o.tx, net::kNoPeer}});
+    }
+    end = TxState::kCompleted;
+  } else {
+    emit_donor(EventKind::kKeyLost, o);
+  }
+  pending_.resolve(o.requestor);
+  emit_donor(EventKind::kTxClose, o, static_cast<std::uint8_t>(end));
+  donor_.erase(it);
+}
+
+void Node::notify_payee(const net::EncryptedPieceMsg& offer) {
+  const net::PayeeNotifyMsg notice{offer.tx, offer.chain, opts_.id,
+                                   offer.requestor, offer.piece};
+  if (offer.payee == opts_.id) {
+    duties_.push_back(notice);
+  } else if (neighbor(offer.payee) != nullptr) {
+    out_.send(offer.payee, net::Message{notice});
+  }
+}
+
+// --- Reciprocation & chain growth ----------------------------------------
+
+void Node::try_reciprocate(net::TxId banked_tx, BankedTx& b) {
+  if (b.reciprocated) return;
+  const Neighbor* p = neighbor(b.payee);
+  if (p == nullptr) return;  // the tick retries; the donor's watchdog reassigns
+
+  // Preferred: a completed piece the payee has not claimed.
+  const net::PieceIndex give = lrf_unclaimed(p->claimed);
+  if (give != net::kNoPiece) {
+    b.reciprocated = start_tx(b.payee, give, b.chain, b.donor, b.piece, 0);
+    return;
+  }
+  // Newcomer bootstrap (§II-D1): nothing completed to offer — forward this
+  // very ciphertext, re-encrypted under a fresh key.
+  if (!b.done && !p->claimed.get(b.piece) &&
+      start_tx(b.payee, b.piece, b.chain, b.donor, b.piece, banked_tx)) {
+    b.reciprocated = true;
+    out_.count("rt.forwards");
+  }
+}
+
+PayeeQuery Node::payee_query(net::PeerId requestor,
+                             net::PieceIndex piece) const {
+  PayeeQuery q;
+  q.donor = opts_.id;
+  q.requestor = requestor;
+  q.donor_is_seeder = opts_.seeder || have_.complete();
+  const Neighbor* rn = neighbor(requestor);
+  q.donor_needs_requestor =
+      !q.donor_is_seeder && rn != nullptr && have_.interested_in(rn->have);
+  for (const auto& [peer, n] : neighbors_) q.donor_neighbors.push_back(peer);
+  q.payee_ok = [this, rn, piece](net::PeerId cand) {
+    const Neighbor* cn = neighbor(cand);
+    if (cn == nullptr || cn->have.complete()) return false;
+    if (!pending_.eligible(cand)) return false;
+    // The candidate must need something the requestor can actually serve:
+    // the piece in flight (forwardable even while still encrypted), or a
+    // piece the requestor holds *decrypted* (its broadcast have set —
+    // banked ciphertexts don't count, the requestor can't re-serve them).
+    if (!cn->claimed.get(piece)) return true;
+    return rn != nullptr && cn->claimed.interested_in(rn->have);
+  };
+  return q;
+}
+
+bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
+                    std::uint64_t chain, net::PeerId prev_donor,
+                    net::PieceIndex prev_piece, net::TxId forward_of) {
+  Neighbor* rn = neighbor(requestor);
+  if (rn == nullptr) return false;
+  // Chain heads are selections and must respect the flow-control cap k.
+  if (chain == 0 && !pending_.eligible(requestor)) return false;
+
+  const PayeeQuery q = payee_query(requestor, piece);
+  const net::PeerId payee = select_payee(q, rng_);
+  // A terminal (unencrypted) gift — Fig 1c — is only possible from
+  // plaintext, and only toward a neighbour with nothing outstanding.
+  if (payee == net::kNoPeer &&
+      (forward_of != 0 || pending_.pending(requestor) != 0)) {
+    return false;
+  }
+
+  // §II-D1: toward an empty-handed requestor with an indirect payee, pick a
+  // piece the payee also lacks, so the requestor can reciprocate by
+  // forwarding it.
+  net::PieceIndex give = piece;
+  if (payee != net::kNoPeer && forward_of == 0 && payee != opts_.id &&
+      rn->have.empty()) {
+    if (const Neighbor* pn = neighbor(payee)) {
+      if (const auto bp =
+              select_bootstrap_piece(have_, rn->claimed, pn->claimed, rng_)) {
+        give = *bp;
+      }
+    }
+  }
+
+  const net::TxId tx = next_id(tx_count_);
+  if (chain == 0) {
+    chain = next_id(chain_count_);
+    out_.emit({.kind = EventKind::kChainStart,
+                  .aux = q.donor_is_seeder ? std::uint8_t{1} : std::uint8_t{0},
+                  .a = opts_.id,
+                  .chain = chain});
+  }
+  out_.emit({.kind = EventKind::kTxOpen,
+                .piece = give,
+                .a = opts_.id,
+                .b = requestor,
+                .c = payee,
+                .ref = tx,
+                .chain = chain});
+  out_.emit({.kind = EventKind::kChainExtend, .ref = tx, .chain = chain});
+  out_.emit({.kind = EventKind::kPieceSent,
+                .piece = give,
+                .a = opts_.id,
+                .b = requestor,
+                .ref = tx,
+                .chain = chain});
+  rn->claimed.set(give);
+
+  if (payee == net::kNoPeer) {
+    out_.send(requestor,
+                 net::Message{net::PlainPieceMsg{tx, chain, opts_.id, give,
+                                                 prev_donor, prev_piece,
+                                                 store_[give]}});
+    out_.count("rt.tx_terminal");
+    return true;
+  }
+
+  pending_.add(requestor);
+  BankedTx* fwd = forward_of != 0 ? &banked_.at(forward_of) : nullptr;
+  DonorSession session(tx, chain, opts_.id, requestor, payee, give,
+                       prev_donor, prev_piece,
+                       fwd != nullptr ? fwd->buffer : store_[give], keys_);
+  out_.send(requestor, net::Message{session.take_offer()});
+  if (fwd != nullptr) fwd->forwarded_as.emplace_back(tx, requestor);
+  const DonorTx& d =
+      donor_.emplace(tx, DonorTx{std::move(session)}).first->second;
+  notify_payee(d.session.offer());
+  out_.arm_watchdog(tx);
+  out_.count("rt.tx_opened");
+  return true;
+}
+
+void Node::maybe_start_chains() {
+  std::size_t budget = opts_.seeder_slots;
+  if (!opts_.seeder && !have_.complete()) {
+    // Opportunistic seeding (§II-D3): at least one completed piece, no
+    // unmet reciprocation obligations, and no upload of our own open.
+    std::size_t unmet = 0;
+    for (const auto& [tx, b] : banked_) {
+      if (!b.reciprocated) ++unmet;
+    }
+    if (!may_opportunistically_seed(have_.count(), unmet)) return;
+    budget = 1;
+  }
+
+  for (std::size_t active = donor_.size(); active < budget; ++active) {
+    std::vector<net::PeerId> cands;
+    for (const auto& [peer, n] : neighbors_) {
+      if (!pending_.eligible(peer)) continue;
+      if (!n.claimed.interested_in(have_)) continue;  // needs nothing of ours
+      cands.push_back(peer);
+    }
+    if (cands.empty()) return;
+    const net::PeerId r = cands[rng_.index(cands.size())];
+    const net::PieceIndex p = lrf_unclaimed(neighbors_.at(r).claimed);
+    if (p == net::kNoPiece) return;
+    if (!start_tx(r, p, 0, net::kNoPeer, net::kNoPiece, 0)) return;
+  }
+}
+
+net::PieceIndex Node::lrf_unclaimed(const bt::Bitfield& claimed) {
+  // Rarest-first with a *random* tie-break: concurrent chains picking the
+  // lowest index would all carry the same piece and collide at the payees.
+  std::vector<net::PieceIndex> best;
+  std::size_t best_rarity = std::numeric_limits<std::size_t>::max();
+  for (const net::PieceIndex p : claimed.missing_from(have_)) {
+    std::size_t rarity = 0;
+    for (const auto& [peer, n] : neighbors_) {
+      if (n.have.get(p)) ++rarity;
+    }
+    if (rarity < best_rarity) {
+      best_rarity = rarity;
+      best.clear();
+    }
+    if (rarity == best_rarity) best.push_back(p);
+  }
+  if (best.empty()) return net::kNoPiece;
+  return best[rng_.index(best.size())];
+}
+
+}  // namespace tc::core

@@ -52,7 +52,7 @@ class KeySource {
 // ciphertext is as long as the plaintext (the paper's "almost complete
 // resource" costs the same bandwidth as the plaintext piece). Being a pure
 // XOR keystream, layers under different keys commute: data encrypted
-// under K1 then K2 decrypts with K1 and K2 in either order. rt::PeerNode's
+// under K1 then K2 decrypts with K1 and K2 in either order. core::Node's
 // §II-D1 key cascade depends on exactly this.
 util::Bytes piece_xor(const SymmetricKey& key, const util::Bytes& data);
 

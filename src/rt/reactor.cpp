@@ -73,7 +73,9 @@ void Reactor::post(std::function<void()> fn) { posted_.push_back(std::move(fn));
 
 void Reactor::fire_due_timers() {
   const double t = now();
-  const auto target = static_cast<std::int64_t>(t / kTickSeconds);
+  // Only fully elapsed ticks: an entry due later in the current tick must
+  // stay for the next pass, not wait a whole wheel rotation.
+  const auto target = static_cast<std::int64_t>(t / kTickSeconds) - 1;
   while (processed_tick_ < target && !stopped_) {
     ++processed_tick_;
     auto& slot = wheel_[static_cast<std::size_t>(processed_tick_) % kWheelSlots];

@@ -28,8 +28,8 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
   if (opts.online_check) trace.set_sink(&checker);
 
   SwarmContext ctx(reactor, &trace,
-                   SwarmFileMeta::make(opts.piece_count, opts.piece_bytes,
-                                       opts.seed),
+                   core::SwarmFileMeta::make(opts.piece_count,
+                                             opts.piece_bytes, opts.seed),
                    "rt-local-swarm");
 
   TrackerService::Options topts;

@@ -1,5 +1,7 @@
 // Byte-level almost-fair exchange: the full Figure 1 triangle executed with
-// real encryption, receipts and key releases.
+// real encryption, receipts and key releases. DonorSession is the donor;
+// the payee's receipt and the requestor's decryption are written out with
+// the same primitives core::Node uses (net::receipt_mac, crypto::piece_xor).
 #include "src/core/exchange.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,27 @@ class ExchangeTest : public ::testing::Test {
     util::Bytes b(len, fill);
     return b;
   }
+
+  // The payee of `original_tx` (by `original_donor`) saw `reciprocation`
+  // arrive: the receipt it sends the donor.
+  static net::ReceiptMsg receipt_for(
+      const net::EncryptedPieceMsg& reciprocation, PeerId original_donor,
+      TxId original_tx) {
+    net::ReceiptMsg r;
+    r.reciprocated_tx = original_tx;
+    r.payee = reciprocation.requestor;
+    r.requestor = reciprocation.donor;
+    r.piece = reciprocation.piece;
+    r.mac = net::receipt_mac(derive_mac_key(original_donor, r.payee),
+                             original_tx, r.payee, r.requestor, r.piece);
+    return r;
+  }
+
+  static util::Bytes decrypt(const net::KeyReleaseMsg& release,
+                             const util::Bytes& ciphertext) {
+    return crypto::piece_xor(crypto::SymmetricKey::deserialize(release.key),
+                             ciphertext);
+  }
 };
 
 TEST_F(ExchangeTest, FullTriangleCompletes) {
@@ -27,8 +50,7 @@ TEST_F(ExchangeTest, FullTriangleCompletes) {
   EXPECT_EQ(donor.offer().ciphertext.size(), p1.size());
   EXPECT_NE(donor.offer().ciphertext, p1);
 
-  RequestorSession requestor(donor.offer());
-  EXPECT_EQ(requestor.payee(), 3u);
+  EXPECT_EQ(donor.offer().payee, 3u);
 
   // B reciprocates: uploads encrypted p2 to C (tx 101).
   const auto p2 = piece(0xb2);
@@ -36,18 +58,35 @@ TEST_F(ExchangeTest, FullTriangleCompletes) {
                           /*prev_donor=*/1, /*prev_piece=*/10, p2, keys);
 
   // C observes the reciprocation and issues the receipt for A.
-  const auto receipt =
-      PayeeSession::make_receipt(b_as_donor.offer(), /*original_donor=*/1,
-                                 /*original_tx=*/100);
+  const auto receipt = receipt_for(b_as_donor.offer(), /*original_donor=*/1,
+                                   /*original_tx=*/100);
   EXPECT_TRUE(donor.accept_receipt(receipt));
   ASSERT_TRUE(donor.receipted());
 
   // A releases the key; B decrypts and verifies the piece hash.
-  const auto expected = crypto::sha256(p1);
-  const auto plain = requestor.complete(donor.key_release(), expected);
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(*plain, p1);
-  EXPECT_TRUE(requestor.completed());
+  const auto release = donor.key_release();
+  EXPECT_EQ(release.tx, 100u);
+  EXPECT_EQ(release.piece, 10u);
+  const auto plain = decrypt(release, donor.offer().ciphertext);
+  EXPECT_EQ(plain, p1);
+  EXPECT_EQ(crypto::sha256(plain), crypto::sha256(p1));
+}
+
+TEST_F(ExchangeTest, TakeOfferLeavesOnlySettlementState) {
+  const auto p1 = piece(0x4d);
+  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
+                     keys);
+  const net::EncryptedPieceMsg sent = donor.take_offer();
+  EXPECT_EQ(sent.ciphertext.size(), p1.size());
+  // The session no longer holds the ciphertext, only the metadata.
+  EXPECT_TRUE(donor.offer().ciphertext.empty());
+  EXPECT_EQ(donor.offer().tx, 100u);
+  EXPECT_EQ(donor.offer().requestor, 2u);
+  EXPECT_EQ(donor.offer().payee, 3u);
+
+  DonorSession recip(101, 1, 2, 3, 4, 11, 1, 10, piece(2), keys);
+  EXPECT_TRUE(donor.accept_receipt(receipt_for(recip.offer(), 1, 100)));
+  EXPECT_EQ(decrypt(donor.key_release(), sent.ciphertext), p1);
 }
 
 TEST_F(ExchangeTest, ForgedReceiptRejected) {
@@ -69,7 +108,7 @@ TEST_F(ExchangeTest, ReceiptForWrongTxRejected) {
   DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece,
                      piece(1), keys);
   DonorSession recip(101, 1, 2, 3, 4, 11, 1, 10, piece(2), keys);
-  const auto receipt = PayeeSession::make_receipt(recip.offer(), 1, /*tx=*/999);
+  const auto receipt = receipt_for(recip.offer(), 1, /*tx=*/999);
   EXPECT_FALSE(donor.accept_receipt(receipt));
 }
 
@@ -82,7 +121,7 @@ TEST_F(ExchangeTest, ReceiptFromWrongPayeeRejected) {
   fake_recip.donor = 2;
   fake_recip.requestor = 5;
   fake_recip.piece = 11;
-  const auto receipt = PayeeSession::make_receipt(fake_recip, 1, 100);
+  const auto receipt = receipt_for(fake_recip, 1, 100);
   EXPECT_FALSE(donor.accept_receipt(receipt));
 }
 
@@ -90,24 +129,26 @@ TEST_F(ExchangeTest, WrongKeyFailsHashCheck) {
   const auto p1 = piece(0x77);
   DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
                      keys);
-  RequestorSession requestor(donor.offer());
   // Attacker hands over some other key.
   net::KeyReleaseMsg bogus;
   bogus.tx = 100;
   bogus.piece = 10;
   bogus.key = keys.next().serialize();
-  const auto out = requestor.complete(bogus, crypto::sha256(p1));
-  EXPECT_FALSE(out.has_value());
-  EXPECT_FALSE(requestor.completed());
+  EXPECT_NE(crypto::sha256(decrypt(bogus, donor.offer().ciphertext)),
+            crypto::sha256(p1));
 }
 
 TEST_F(ExchangeTest, KeyReleaseForWrongTxIgnored) {
-  DonorSession d1(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, piece(1),
-                  keys);
+  // Each release names its own transaction and piece, and another
+  // transaction's key does not open this ciphertext.
+  const auto p1 = piece(1);
+  DonorSession d1(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1, keys);
   DonorSession d2(200, 2, 1, 2, 3, 20, net::kNoPeer, net::kNoPiece, piece(2),
                   keys);
-  RequestorSession requestor(d1.offer());
-  EXPECT_FALSE(requestor.complete(d2.key_release()).has_value());
+  const auto release = d2.key_release();
+  EXPECT_EQ(release.tx, 200u);
+  EXPECT_EQ(release.piece, 20u);
+  EXPECT_NE(decrypt(release, d1.offer().ciphertext), p1);
 }
 
 TEST_F(ExchangeTest, CheatingGainsNothing) {
@@ -116,27 +157,15 @@ TEST_F(ExchangeTest, CheatingGainsNothing) {
   const auto p1 = piece(0x3c);
   DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
                      keys);
-  RequestorSession requestor(donor.offer());
   crypto::KeySource guesser(987654);
   for (int i = 0; i < 10; ++i) {
     net::KeyReleaseMsg guess;
     guess.tx = 100;
     guess.piece = 10;
     guess.key = guesser.next().serialize();
-    EXPECT_FALSE(requestor.complete(guess, crypto::sha256(p1)));
+    EXPECT_NE(crypto::sha256(decrypt(guess, donor.offer().ciphertext)),
+              crypto::sha256(p1));
   }
-}
-
-TEST_F(ExchangeTest, EscrowedKeyDecryptsViaPayeePath) {
-  // §II-B4: donor departs, payee forwards the escrowed key.
-  const auto p1 = piece(0x5e);
-  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
-                     keys);
-  RequestorSession requestor(donor.offer());
-  const auto escrow = donor.escrow_for_payee();
-  const auto plain = requestor.complete(escrow, crypto::sha256(p1));
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(*plain, p1);
 }
 
 }  // namespace

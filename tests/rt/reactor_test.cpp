@@ -7,6 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -74,6 +76,30 @@ TEST(Reactor, ReschedulingFromCallbackWorks) {
   r.schedule(0.005, tick);
   r.run();
   EXPECT_EQ(ticks, 3);
+}
+
+// A timer re-armed from its own callback lands at an arbitrary offset
+// inside a wheel tick. Processing the tick the clock is still in used to
+// park such an entry for a whole rotation (512 x 2 ms), so about half the
+// firings of a periodic timer came ~1 s late.
+TEST(Reactor, RearmedTimerNeverWaitsAWheelRotation) {
+  Reactor r;
+  int fired = 0;
+  double worst_late = 0.0;
+  double due = 0.005;
+  std::function<void()> tick = [&] {
+    worst_late = std::max(worst_late, r.now() - due);
+    if (++fired >= 40) {
+      r.stop();
+      return;
+    }
+    due = r.now() + 0.005;
+    r.schedule(0.005, tick);
+  };
+  r.schedule(0.005, tick);
+  r.run();
+  EXPECT_EQ(fired, 40);
+  EXPECT_LT(worst_late, 0.5);  // a rotation is 1.024 s
 }
 
 class PipeEcho : public Reactor::Handler {

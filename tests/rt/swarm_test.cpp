@@ -111,12 +111,12 @@ TEST(LiveSwarm, MetricsExposeRuntimeCounters) {
 TEST(LiveSwarm, DeterministicFileMetaAcrossCalls) {
   // The swarm content derives from the seed alone; two metas with the same
   // seed are identical (live socket timing must not leak into the data).
-  const SwarmFileMeta a = SwarmFileMeta::make(4, 1024, 42);
-  const SwarmFileMeta b = SwarmFileMeta::make(4, 1024, 42);
+  const auto a = core::SwarmFileMeta::make(4, 1024, 42);
+  const auto b = core::SwarmFileMeta::make(4, 1024, 42);
   ASSERT_EQ(a.pieces.size(), 4u);
   EXPECT_EQ(a.pieces, b.pieces);
   EXPECT_EQ(a.hashes, b.hashes);
-  const SwarmFileMeta c = SwarmFileMeta::make(4, 1024, 43);
+  const auto c = core::SwarmFileMeta::make(4, 1024, 43);
   EXPECT_NE(a.pieces, c.pieces);
 }
 
@@ -150,7 +150,8 @@ class RawNeighbour : public FrameConn::Delegate {
 
 TEST(LiveSwarm, MalformedBitfieldDropsOnlyThatNeighbour) {
   Reactor reactor;
-  SwarmContext ctx(reactor, nullptr, SwarmFileMeta::make(8, 1024, 1), "raw");
+  SwarmContext ctx(reactor, nullptr, core::SwarmFileMeta::make(8, 1024, 1),
+                   "raw");
   TrackerService tracker(reactor, TrackerService::Options{});
   PeerNode::Options opts;
   opts.id = 1;
