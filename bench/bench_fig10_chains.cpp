@@ -8,7 +8,6 @@
 // replacing the registry-side accounting the bench used to read.
 #include "bench/common.h"
 #include "src/obs/chain_view.h"
-#include "src/protocols/tchain.h"
 
 namespace {
 
@@ -18,6 +17,7 @@ struct Census {
   std::vector<tc::obs::CensusPoint> census;
   std::size_t total_created = 0, by_seeder = 0, by_leechers = 0;
   double mean_terminated_length = 0;
+  std::uint64_t lost_events = 0;
 };
 
 // Self-rescheduling sampler: records the active-leecher count every 5 s.
@@ -35,7 +35,8 @@ void attach(tc::bench::RunSpec& spec, Census& out) {
   spec.trace.enabled = true;
   spec.trace.kind_mask = obs::kChainKinds;
   // Roughly 3 chain events per transaction (~one tx per piece delivery)
-  // plus census ticks; generously padded so the ring never wraps.
+  // plus census ticks; generously padded so the ring never wraps (a run
+  // whose ring did wrap is refused, see refuse_lost_chain_events).
   spec.trace.ring_capacity =
       spec.config.piece_count() * (spec.config.leecher_count + 8) * 3 + 65536;
   spec.setup = [&out](bt::Swarm& swarm) {
@@ -43,6 +44,7 @@ void attach(tc::bench::RunSpec& spec, Census& out) {
   };
   spec.inspect = [&out](bt::Swarm& swarm, bt::Protocol&, bench::RunRecord&) {
     const auto view = obs::ChainView::reconstruct(swarm.obs()->events());
+    out.lost_events = bench::lost_chain_events(swarm, view);
     out.census = view.census();
     out.total_created = view.total_created();
     out.by_seeder = view.created_by_seeder();
@@ -109,6 +111,7 @@ int main(int argc, char** argv) {
     attach(s, traced);
   });
   bench::run(bench::concat({&a, &b}), flags);
+  bench::refuse_lost_chain_events(flash.lost_events + traced.lost_events);
 
   print_census("(a) flash crowd", flash, flags);
   print_census("(b) trace-driven arrivals", traced, flags);

@@ -9,7 +9,6 @@
 // --no-oppseed ablates the mechanism to show the utilization gap it closes.
 #include "bench/common.h"
 #include "src/obs/chain_view.h"
-#include "src/protocols/tchain.h"
 
 namespace {
 
@@ -17,26 +16,24 @@ struct ChainStats {
   std::vector<tc::obs::CensusPoint> census;
   std::uint64_t by_seeder = 0, by_leechers = 0;
   double opp_fraction = 0;
+  std::uint64_t lost_events = 0;
 };
 
-// Cumulative creation counts come from the obs::ChainView reconstruction
-// of the run's chain trace; the opportunistic fraction still reads the
-// registry scalar (it is not census-derived).
+// Every number comes from the obs::ChainView reconstruction of the run's
+// chain trace.
 void read_chains(tc::bench::RunSpec& spec, ChainStats& out) {
   spec.trace.enabled = true;
   spec.trace.kind_mask = tc::obs::kChainKinds;
   spec.trace.ring_capacity =
       spec.config.piece_count() * (spec.config.leecher_count + 8) * 3 + 65536;
-  spec.inspect = [&out](tc::bt::Swarm& swarm, tc::bt::Protocol& proto,
+  spec.inspect = [&out](tc::bt::Swarm& swarm, tc::bt::Protocol&,
                         tc::bench::RunRecord&) {
-    const auto* tchain =
-        dynamic_cast<const tc::protocols::TChainProtocol*>(&proto);
-    if (tchain == nullptr) return;
     const auto view = tc::obs::ChainView::reconstruct(swarm.obs()->events());
+    out.lost_events = tc::bench::lost_chain_events(swarm, view);
     out.census = view.census();
     out.by_seeder = view.created_by_seeder();
     out.by_leechers = view.created_by_leechers();
-    out.opp_fraction = tchain->chains().opportunistic_fraction();
+    out.opp_fraction = view.opportunistic_fraction();
   };
 }
 
@@ -86,6 +83,9 @@ int main(int argc, char** argv) {
   b.for_each([&](bench::RunSpec& s) { read_chains(s, traced.at(slot++)); });
 
   const auto records = bench::run(bench::concat({&a, &b}), flags);
+  std::uint64_t lost = flash.lost_events;
+  for (const auto& t : traced) lost += t.lost_events;
+  bench::refuse_lost_chain_events(lost);
 
   {
     util::AsciiTable t({"time (s)", "cumulative by seeder",

@@ -35,6 +35,7 @@
 #include "src/analysis/metrics.h"
 #include "src/bt/swarm.h"
 #include "src/exp/runner.h"
+#include "src/obs/chain_view.h"
 #include "src/protocols/registry.h"
 #include "src/trace/arrival.h"
 #include "src/util/flags.h"
@@ -47,10 +48,6 @@ using F = analysis::SwarmMetrics::PeerFilter;
 using exp::RunRecord;
 using exp::RunSpec;
 using exp::Sweep;
-
-// Kept as an alias so downstream code keeps compiling; the type itself
-// lives in the library now (src/exp/results.h).
-using RunResult = exp::RunResult;
 
 // Base config shared by the paper benches. Piece size is left at its
 // default here: Sweep::build() sets it per protocol (§IV-A), or pin it
@@ -167,6 +164,25 @@ inline std::vector<RunRecord> run(std::vector<RunSpec> specs,
 inline std::vector<RunRecord> run(const Sweep& sweep,
                                   const util::Flags& flags) {
   return run(sweep.build(), flags);
+}
+
+// Chain events a ChainView replay of `swarm`'s trace is missing: those the
+// ring overwrote plus those whose chain start it overwrote.
+inline std::uint64_t lost_chain_events(const bt::Swarm& swarm,
+                                       const obs::ChainView& view) {
+  return swarm.obs()->ring().dropped() + view.orphan_events();
+}
+
+// Figures 10 and 11 print only what the chain trace holds, so a lossy
+// replay would print a truncated census. Such a bench is refused the way
+// --check refuses a violation: a message on stderr and exit 2, before any
+// table is printed.
+inline void refuse_lost_chain_events(std::uint64_t lost) {
+  if (lost == 0) return;
+  std::cerr << "[trace] " << lost
+            << " chain event(s) lost to ring wraparound; refusing to print "
+               "a truncated census (raise --trace-limit)\n";
+  std::exit(2);
 }
 
 inline void print_table(const util::AsciiTable& t, const util::Flags& flags) {

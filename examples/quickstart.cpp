@@ -1,12 +1,15 @@
 // Quickstart: simulate one T-Chain swarm (flash crowd, no free-riders) and
 // print the headline numbers — mean download completion time, uplink
-// utilization, chain census, and exchange-protocol statistics.
+// utilization, chain census, and exchange-protocol statistics. The chain
+// and exchange counts are read from the run's trace (obs::ChainView plus
+// the trace's per-kind and registry counters).
 //
 // Usage: quickstart [--leechers N] [--file-mb M] [--seed S] [--freeriders F]
 #include <iostream>
 
 #include "src/analysis/metrics.h"
 #include "src/bt/swarm.h"
+#include "src/obs/chain_view.h"
 #include "src/protocols/tchain.h"
 #include "src/util/flags.h"
 #include "src/util/table.h"
@@ -25,7 +28,15 @@ int main(int argc, char** argv) {
   cfg.piece_bytes = tchain.default_piece_bytes();
 
   tc::bt::Swarm swarm(cfg, tchain);
+  tc::obs::TraceConfig tcfg;
+  tcfg.kind_mask = tc::obs::kChainAnalysisKinds |
+                   tc::obs::kind_bit(tc::obs::EventKind::kKeyDelivered);
+  // ~4 recorded events per transaction (~one per piece delivery), padded.
+  tcfg.ring_capacity = cfg.piece_count() * (cfg.leecher_count + 8) * 4 + 65536;
+  swarm.enable_obs(tcfg);
   swarm.run();
+  tc::obs::Trace& trace = *swarm.obs();
+  const auto chains = tc::obs::ChainView::reconstruct(trace.events());
 
   const auto& m = swarm.metrics();
   using F = tc::analysis::SwarmMetrics::PeerFilter;
@@ -54,20 +65,28 @@ int main(int argc, char** argv) {
   t.add_row({"free-riders unfinished",
              std::to_string(m.unfinished_count(F::kFreeRiders))});
 
-  const auto& chains = tchain.chains();
   t.add_row({"chains created (seeder)", std::to_string(chains.created_by_seeder())});
   t.add_row({"chains created (leechers)",
              std::to_string(chains.created_by_leechers())});
   t.add_row({"mean chain length",
              tc::util::format_double(chains.mean_terminated_length(), 1)});
 
-  const auto& st = tchain.stats();
-  t.add_row({"encrypted uploads", std::to_string(st.encrypted_uploads)});
-  t.add_row({"terminal (plain) uploads", std::to_string(st.terminal_uploads)});
-  t.add_row({"keys released", std::to_string(st.keys_released)});
-  t.add_row({"direct payees", std::to_string(st.direct_payees)});
-  t.add_row({"indirect payees", std::to_string(st.indirect_payees)});
-  t.add_row({"bootstrap forwards", std::to_string(st.bootstrap_forwards)});
+  t.add_row({"encrypted txs opened",
+             std::to_string(chains.direct_txs() + chains.indirect_txs())});
+  t.add_row({"terminal (plain) txs opened",
+             std::to_string(chains.terminal_txs())});
+  t.add_row({"keys released",
+             std::to_string(trace.count(tc::obs::EventKind::kKeyDelivered))});
+  t.add_row({"direct-reciprocity txs", std::to_string(chains.direct_txs())});
+  t.add_row({"indirect-reciprocity txs",
+             std::to_string(chains.indirect_txs())});
+  t.add_row({"bootstrap forwards",
+             std::to_string(trace.registry()
+                                .counter("tchain.bootstrap_forwards")
+                                .value())});
   t.print(std::cout);
+  if (trace.ring().dropped() > 0) {
+    std::cerr << "warning: trace ring wrapped; chain rows are truncated\n";
+  }
   return 0;
 }

@@ -215,8 +215,6 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
         if (it == flows_.end()) return;
         FlowInfo info = std::move(it->second);
         flows_.erase(it);
-        auto& v = flows_to_[info.to];
-        v.erase(std::remove(v.begin(), v.end(), fid), v.end());
 
         auto& up = metrics_.record(info.from);
         up.pieces_uploaded += 1;
@@ -236,7 +234,6 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
       },
       weight);
   flows_[id] = FlowInfo{from, to, piece, std::move(on_done)};
-  flows_to_[to].push_back(id);
   if (obs_ != nullptr) {
     obs_->emit({.t = sim_.now(),
                 .kind = obs::EventKind::kPieceSent,
@@ -435,6 +432,36 @@ void Swarm::finish_peer(PeerId id) {
   check_done();
 }
 
+void Swarm::cut_off(PeerId id) {
+  const std::vector<PeerId> nbrs = peer(id)->neighbors;
+  for (PeerId n : nbrs) disconnect(id, n);
+
+  // Abort transfers in both directions.
+  std::vector<sim::FlowId> dead;
+  for (const auto& [fid, info] : flows_) {
+    if (info.from == id || info.to == id) dead.push_back(fid);
+  }
+  for (sim::FlowId fid : dead) {
+    auto it = flows_.find(fid);
+    if (it == flows_.end()) continue;
+    FlowInfo info = std::move(it->second);
+    flows_.erase(it);
+    bw_.cancel_flow(fid);
+    if (Peer* dst = peer(info.to); dst && !dst->have.get(info.piece)) {
+      dst->requested.clear(info.piece);  // allow a re-fetch elsewhere
+    }
+    if (obs_ != nullptr) {
+      obs_->emit({.t = sim_.now(),
+                  .kind = obs::EventKind::kPieceAborted,
+                  .piece = info.piece,
+                  .a = info.from,
+                  .b = info.to,
+                  .ref = fid});
+    }
+    if (info.on_done) info.on_done(info.from, info.to, info.piece, false);
+  }
+}
+
 void Swarm::depart(PeerId id, DepartKind kind) {
   Peer* p = peer(id);
   if (!p || !p->active) return;
@@ -455,36 +482,7 @@ void Swarm::depart(PeerId id, DepartKind kind) {
     }
   }
 
-  const std::vector<PeerId> nbrs = p->neighbors;
-  for (PeerId n : nbrs) disconnect(id, n);
-
-  // Abort transfers in both directions.
-  std::vector<sim::FlowId> dead;
-  for (const auto& [fid, info] : flows_) {
-    if (info.from == id || info.to == id) dead.push_back(fid);
-  }
-  for (sim::FlowId fid : dead) {
-    auto it = flows_.find(fid);
-    if (it == flows_.end()) continue;
-    FlowInfo info = std::move(it->second);
-    flows_.erase(it);
-    auto& v = flows_to_[info.to];
-    v.erase(std::remove(v.begin(), v.end(), fid), v.end());
-    bw_.cancel_flow(fid);
-    if (Peer* dst = peer(info.to); dst && !dst->have.get(info.piece)) {
-      dst->requested.clear(info.piece);  // allow a re-fetch elsewhere
-    }
-    if (obs_ != nullptr) {
-      obs_->emit({.t = sim_.now(),
-                  .kind = obs::EventKind::kPieceAborted,
-                  .piece = info.piece,
-                  .a = info.from,
-                  .b = info.to,
-                  .ref = fid});
-    }
-    if (info.on_done) info.on_done(info.from, info.to, info.piece, false);
-  }
-  flows_to_.erase(id);
+  cut_off(id);
 
   if (obs_ != nullptr) {
     obs_->emit({.t = sim_.now(),
@@ -508,35 +506,7 @@ PeerId Swarm::whitewash(PeerId id) {
   if (!p || !p->active || p->seeder) return id;
   TC_DEBUG("whitewash: " << id);
 
-  const std::vector<PeerId> nbrs = p->neighbors;
-  for (PeerId n : nbrs) disconnect(id, n);
-
-  std::vector<sim::FlowId> dead;
-  for (const auto& [fid, info] : flows_) {
-    if (info.from == id || info.to == id) dead.push_back(fid);
-  }
-  for (sim::FlowId fid : dead) {
-    auto it = flows_.find(fid);
-    if (it == flows_.end()) continue;
-    FlowInfo info = std::move(it->second);
-    flows_.erase(it);
-    auto& v = flows_to_[info.to];
-    v.erase(std::remove(v.begin(), v.end(), fid), v.end());
-    bw_.cancel_flow(fid);
-    if (Peer* dst = peer(info.to); dst && !dst->have.get(info.piece)) {
-      dst->requested.clear(info.piece);
-    }
-    if (obs_ != nullptr) {
-      obs_->emit({.t = sim_.now(),
-                  .kind = obs::EventKind::kPieceAborted,
-                  .piece = info.piece,
-                  .a = info.from,
-                  .b = info.to,
-                  .ref = fid});
-    }
-    if (info.on_done) info.on_done(info.from, info.to, info.piece, false);
-  }
-  flows_to_.erase(id);
+  cut_off(id);
 
   proto_.on_peer_depart(id);
   tracker_.depart(id);

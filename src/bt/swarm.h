@@ -135,6 +135,10 @@ class Swarm {
   void schedule_maintenance(PeerId id);
   void maintenance_tick(PeerId id);
   void finish_peer(PeerId id);
+  // Leave path shared by depart() and whitewash(): disconnects every
+  // neighbour, then aborts every flow to or from `id` (each flow's on_done
+  // sees ok == false).
+  void cut_off(PeerId id);
   void check_done();
   void add_availability(Peer& p, const Bitfield& bits, int sign);
 
@@ -166,7 +170,6 @@ class Swarm {
     TransferFn on_done;
   };
   std::unordered_map<sim::FlowId, FlowInfo> flows_;
-  std::unordered_map<PeerId, std::vector<sim::FlowId>> flows_to_;
 
   std::vector<SimTime> arrivals_;
   std::size_t arrivals_started_ = 0;

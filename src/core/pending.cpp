@@ -8,24 +8,13 @@ PendingTracker::PendingTracker(int cap) : cap_(cap) {
   if (cap < 1) throw std::invalid_argument("pending cap must be >= 1");
 }
 
-void PendingTracker::add(PeerId n) {
-  ++counts_[n];
-  ++total_;
-}
+void PendingTracker::add(PeerId n) { ++counts_[n]; }
 
 void PendingTracker::resolve(PeerId n) {
   const auto it = counts_.find(n);
   if (it == counts_.end() || it->second == 0) return;  // idempotent
   --it->second;
-  --total_;
   if (it->second == 0) counts_.erase(it);
-}
-
-void PendingTracker::forget(PeerId n) {
-  const auto it = counts_.find(n);
-  if (it == counts_.end()) return;
-  total_ -= static_cast<std::size_t>(it->second);
-  counts_.erase(it);
 }
 
 int PendingTracker::pending(PeerId n) const {

@@ -8,7 +8,6 @@
 // monitoring or information sharing.
 #pragma once
 
-#include <cstddef>
 #include <unordered_map>
 
 #include "src/net/peer_id.h"
@@ -27,21 +26,14 @@ class PendingTracker {
   void add(PeerId n);
   // `n` reciprocated one piece (or the obligation died with the tx).
   void resolve(PeerId n);
-  // Neighbor gone: drop all local history (a whitewasher's fresh identity
-  // deliberately starts clean — that is the attack, not a bug here).
-  void forget(PeerId n);
 
   int pending(PeerId n) const;
   // Paper: banned while pending >= k... "more than k" with k = 2 buffered;
   // we use pending < cap as eligibility, i.e. at most `cap` outstanding.
   bool eligible(PeerId n) const { return pending(n) < cap_; }
 
-  std::size_t total_pending() const { return total_; }
-  std::size_t tracked_neighbors() const { return counts_.size(); }
-
  private:
   int cap_;
-  std::size_t total_ = 0;
   std::unordered_map<PeerId, int> counts_;
 };
 

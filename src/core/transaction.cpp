@@ -5,17 +5,6 @@
 
 namespace tc::core {
 
-const char* tx_state_name(TxState s) {
-  switch (s) {
-    case TxState::kUploading: return "uploading";
-    case TxState::kAwaitKey: return "await-key";
-    case TxState::kCompleted: return "completed";
-    case TxState::kTerminal: return "terminal";
-    case TxState::kDead: return "dead";
-  }
-  return "?";
-}
-
 Transaction& TransactionTable::create(ChainId chain, PeerId donor,
                                       PeerId requestor, PeerId payee,
                                       PieceIndex piece, TxId prev,

@@ -32,8 +32,6 @@ enum class TxState : std::uint8_t {
   kDead,        // aborted: departure, free-riding sink, no payee
 };
 
-const char* tx_state_name(TxState s);
-
 struct Transaction {
   TxId id = 0;
   ChainId chain = 0;

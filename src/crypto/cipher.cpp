@@ -5,10 +5,6 @@
 
 namespace tc::crypto {
 
-std::string SymmetricKey::fingerprint() const {
-  return util::to_hex(key.data(), 4);
-}
-
 util::Bytes SymmetricKey::serialize() const {
   util::Bytes out;
   out.reserve(key.size() + nonce.size());

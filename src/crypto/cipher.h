@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "src/crypto/chacha20.h"
 #include "src/crypto/sha256.h"
@@ -26,9 +25,6 @@ struct SymmetricKey {
 
   bool operator==(const SymmetricKey&) const = default;
 
-  // Short fingerprint for logs ("K[ab12cd34]").
-  std::string fingerprint() const;
-
   util::Bytes serialize() const;
   static SymmetricKey deserialize(const util::Bytes& data);
 };
@@ -40,7 +36,6 @@ class KeySource {
  public:
   explicit KeySource(std::uint64_t seed);
   SymmetricKey next();
-  std::uint64_t keys_issued() const { return issued_; }
 
  private:
   util::Rng rng_;

@@ -254,8 +254,4 @@ std::vector<RunRecord> run_all(const std::vector<RunSpec>& specs,
   return records;
 }
 
-std::vector<RunRecord> run_sweep(const Sweep& sweep, const RunnerOptions& opts) {
-  return run_all(sweep.build(), opts);
-}
-
 }  // namespace tc::exp

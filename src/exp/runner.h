@@ -70,8 +70,4 @@ RunRecord run_one(const RunSpec& spec, std::size_t index = 0);
 std::vector<RunRecord> run_all(const std::vector<RunSpec>& specs,
                                const RunnerOptions& opts = {});
 
-// Convenience: build + run.
-std::vector<RunRecord> run_sweep(const Sweep& sweep,
-                                 const RunnerOptions& opts = {});
-
 }  // namespace tc::exp

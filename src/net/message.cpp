@@ -10,23 +10,6 @@ MsgType message_type(const Message& m) {
   return static_cast<MsgType>(m.index() + 1);
 }
 
-const char* message_type_name(MsgType t) {
-  switch (t) {
-    case MsgType::kHandshake: return "handshake";
-    case MsgType::kBitfield: return "bitfield";
-    case MsgType::kHave: return "have";
-    case MsgType::kEncryptedPiece: return "encrypted-piece";
-    case MsgType::kPlainPiece: return "plain-piece";
-    case MsgType::kReceipt: return "receipt";
-    case MsgType::kKeyRelease: return "key-release";
-    case MsgType::kPayeeReassign: return "payee-reassign";
-    case MsgType::kAnnounce: return "announce";
-    case MsgType::kPeerList: return "peer-list";
-    case MsgType::kPayeeNotify: return "payee-notify";
-  }
-  return "?";
-}
-
 namespace {
 
 void encode_body(util::ByteWriter& w, const HandshakeMsg& m) {

@@ -158,7 +158,6 @@ enum class MsgType : std::uint8_t {
 };
 
 MsgType message_type(const Message& m);
-const char* message_type_name(MsgType t);
 
 util::Bytes encode_message(const Message& m);
 // Throws std::out_of_range / std::invalid_argument on malformed input.

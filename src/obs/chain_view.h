@@ -2,13 +2,13 @@
 // stream (src/obs/trace.h).
 //
 // The protocol emits kChainStart / kChainExtend / kChainBreak / kTxOpen
-// events plus periodic kCensusTick markers; replaying them in emission
-// order rebuilds, exactly, the chain bookkeeping the protocol maintained
-// live — chain-length distributions, the active-chain census series behind
-// Figure 10, cumulative seeder-vs-leecher creation counts behind Figure 11,
+// events plus periodic kCensusTick markers and keeps no chain tally of its
+// own; replaying the events in emission order is the simulator's one
+// chain-analytics path — chain-length distributions, the active-chain
+// census series behind Figure 10, cumulative seeder-vs-leecher creation
+// counts and the opportunistic fraction behind Figure 11,
 // direct-vs-indirect reciprocity ratios, and broken-chain causes
-// attributable to sim/faults injections. A cross-check test asserts the
-// reconstruction matches core::ChainRegistry's live counters bit-for-bit.
+// attributable to sim/faults injections.
 //
 // Replay tolerates a wrapped (lossy) ring: events referring to chains whose
 // start was overwritten are counted in orphan_events() rather than applied,
@@ -37,7 +37,6 @@ struct ChainRecord {
 };
 
 // One kCensusTick replayed: the live chain population at that instant.
-// Field-compatible with what core::ChainRegistry::sample() used to record.
 struct CensusPoint {
   util::SimTime t = 0.0;
   std::size_t active_chains = 0;

@@ -23,11 +23,6 @@ bool TChainProtocol::is_seeder(PeerId id) const {
   return p != nullptr && p->seeder;
 }
 
-int TChainProtocol::pending_of(PeerId donor, PeerId neighbor) const {
-  const auto it = peers_.find(donor);
-  return it == peers_.end() ? 0 : it->second.pending.pending(neighbor);
-}
-
 void TChainProtocol::on_run_start() {
   if (obs::Trace* tr = swarm_->obs()) {
     txs_.set_trace(tr, [this] { return swarm_->simulator().now(); });
@@ -68,7 +63,6 @@ void TChainProtocol::handle_exit(PeerId id, bool crashed) {
         // Donor hands the key to the payee on its way out; the payee will
         // release it upon reciprocation.
         tx->key_escrowed = true;
-        ++stats_.keys_escrowed;
         if (obs::Trace* tr = swarm_->obs()) {
           tr->emit({.t = swarm_->simulator().now(),
                     .kind = obs::EventKind::kKeyEscrowed,
@@ -116,15 +110,17 @@ void TChainProtocol::census_loop() {
 }
 
 void TChainProtocol::break_chain(ChainId id, obs::ChainBreakCause cause) {
-  const bool was_active = chains_.is_active(id);
-  chains_.terminate(id, swarm_->simulator().now());
-  if (!was_active) return;
+  if (live_chains_.erase(id) == 0) return;
   if (obs::Trace* tr = swarm_->obs()) {
     tr->emit({.t = swarm_->simulator().now(),
               .kind = obs::EventKind::kChainBreak,
               .aux = static_cast<std::uint8_t>(cause),
               .chain = id});
   }
+}
+
+void TChainProtocol::count(const char* name) {
+  if (obs::Trace* tr = swarm_->obs()) tr->registry().counter(name).inc();
 }
 
 void TChainProtocol::opp_loop(PeerId id) {
@@ -198,8 +194,8 @@ bool TChainProtocol::initiate_chain(PeerId donor, bool by_seeder) {
   }
   if (requestor == net::kNoPeer) return false;
 
-  const ChainId chain =
-      chains_.create(donor, by_seeder, swarm_->simulator().now());
+  const ChainId chain = next_chain_++;
+  live_chains_.insert(chain);
   if (obs::Trace* tr = swarm_->obs()) {
     tr->emit({.t = swarm_->simulator().now(),
               .kind = obs::EventKind::kChainStart,
@@ -238,13 +234,7 @@ PeerId TChainProtocol::choose_payee(PeerId donor, PeerId requestor,
     return piece != net::kNoPiece && !np->requested.get(piece);
   };
 
-  const PeerId p = core::select_payee(q, swarm_->rng());
-  if (p == donor) {
-    ++stats_.direct_payees;
-  } else if (p != net::kNoPeer) {
-    ++stats_.indirect_payees;
-  }
-  return p;
+  return core::select_payee(q, swarm_->rng());
 }
 
 bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,
@@ -299,12 +289,10 @@ bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,
     // pieces — so an unproven stranger asking for unencrypted pieces is
     // indistinguishable from a whitewashed free-rider and gets none.
     if (!sole_neighbor && !proven_.count(requestor)) return false;
-    ++ds.gifts[requestor];
   }
 
   Transaction& tx = txs_.create(chain, donor, requestor, payee, piece, prev,
                                 swarm_->simulator().now());
-  chains_.extend(chain);
   if (obs::Trace* tr = swarm_->obs()) {
     tr->emit({.t = swarm_->simulator().now(),
               .kind = obs::EventKind::kChainExtend,
@@ -314,12 +302,7 @@ bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,
 
   PeerState& ds = state(donor);
   ++ds.active_uploads;
-  if (tx.encrypted()) {
-    ds.pending.add(requestor);
-    ++stats_.encrypted_uploads;
-  } else {
-    ++stats_.terminal_uploads;
-  }
+  if (tx.encrypted()) ds.pending.add(requestor);
   if (prev != 0) {
     if (Transaction* p = txs_.get(prev)) p->next = tx.id;
   }
@@ -373,8 +356,7 @@ void TChainProtocol::on_upload_done(TxId txid, bool ok) {
     break_chain(chain, obs::ChainBreakCause::kCompleted);
     if (prev != 0) {
       if (Transaction* pv = txs_.get(prev)) pv->next_delivered = true;
-      swarm_->send_control(
-          [this, prev] { process_receipt(prev, /*false_receipt=*/false); });
+      swarm_->send_control([this, prev] { process_receipt(prev); });
     }
     txs_.erase(txid);
   }
@@ -394,8 +376,7 @@ void TChainProtocol::handle_encrypted_delivery(Transaction& tx) {
   if (tx.prev != 0) {
     const TxId prev = tx.prev;
     if (Transaction* pv = txs_.get(prev)) pv->next_delivered = true;
-    swarm_->send_control(
-        [this, prev] { process_receipt(prev, /*false_receipt=*/false); });
+    swarm_->send_control([this, prev] { process_receipt(prev); });
   }
 
   const bt::Peer* r = swarm_->peer(tx.requestor);
@@ -409,9 +390,8 @@ void TChainProtocol::handle_encrypted_delivery(Transaction& tx) {
       // §III-A4 / §IV-D: the colluding payee lies to the donor, claiming
       // reciprocation happened; the donor releases the key "for free".
       const TxId id = tx.id;
-      ++stats_.false_receipts;
-      swarm_->send_control(
-          [this, id] { process_receipt(id, /*false_receipt=*/true); });
+      count("tchain.false_receipts");
+      swarm_->send_control([this, id] { process_receipt(id); });
     } else {
       // The free-rider banks the useless ciphertext and never reciprocates;
       // the donor's pending count against it stays up (the §II-D2 ban), and
@@ -436,10 +416,9 @@ void TChainProtocol::handle_encrypted_delivery(Transaction& tx) {
   continue_chain(tx.id);
 }
 
-void TChainProtocol::process_receipt(TxId prev_id, bool false_receipt) {
+void TChainProtocol::process_receipt(TxId prev_id) {
   Transaction* prev = txs_.get(prev_id);
   if (prev == nullptr || prev->state != TxState::kAwaitKey) return;
-  ++stats_.receipts;
 
   // Resolve the donor's flow-control pending slot for this requestor, and
   // remember it as a proven reciprocator (eligible for endgame gifts).
@@ -451,7 +430,6 @@ void TChainProtocol::process_receipt(TxId prev_id, bool false_receipt) {
   // too — the attack's whole point (§III-A4).
   proven_.insert(prev->requestor);
 
-  const PeerId releaser = prev->key_escrowed ? prev->payee : prev->donor;
   if (!prev->key_escrowed && !swarm_->is_active(prev->donor)) {
     // Donor gone without escrow: key lost; the requestor re-fetches the
     // piece elsewhere.
@@ -460,20 +438,18 @@ void TChainProtocol::process_receipt(TxId prev_id, bool false_receipt) {
     return;
   }
   if (prev->key_escrowed) {
-    ++stats_.keys_escrow_released;
     ++swarm_->metrics().resilience().keys_escrow_recovered;
   }
-  (void)false_receipt;
-  release_key(*prev, releaser);
+  // The escrowing payee or the donor releases the key; the latency is the
+  // same either way in the simulator.
+  release_key(*prev);
 }
 
-void TChainProtocol::release_key(Transaction& tx, PeerId releaser) {
-  (void)releaser;  // latency identical either way in the simulator
+void TChainProtocol::release_key(Transaction& tx) {
   const TxId txid = tx.id;
   const PeerId requestor = tx.requestor;
   const PeerId donor = tx.donor;
   const PieceIndex piece = tx.piece;
-  ++stats_.keys_released;
   if (obs::Trace* tr = swarm_->obs()) {
     const util::SimTime now = swarm_->simulator().now();
     tr->emit({.t = now,
@@ -500,7 +476,6 @@ void TChainProtocol::release_key(Transaction& tx, PeerId releaser) {
         // The key-release message itself was lost. The requestor's wait
         // times out; it abandons the ciphertext and re-requests the piece
         // from another donor.
-        ++stats_.keys_lost;
         ++swarm_->metrics().resilience().keys_lost;
         if (obs::Trace* tr = swarm_->obs()) {
           tr->emit({.t = swarm_->simulator().now(),
@@ -514,7 +489,6 @@ void TChainProtocol::release_key(Transaction& tx, PeerId releaser) {
         if (r != nullptr && r->active && !r->have.get(piece) &&
             r->requested.get(piece)) {
           r->requested.clear(piece);
-          ++stats_.piece_refetches;
           ++swarm_->metrics().resilience().piece_refetches;
         }
       });
@@ -559,7 +533,7 @@ void TChainProtocol::continue_chain(TxId txid) {
       settle_free(*tx);
       return;
     }
-    ++stats_.payee_reassignments;
+    count("tchain.payee_reassignments");
     txs_.set_payee(txid, new_payee);
   }
   if (Transaction* tx = txs_.get(txid);
@@ -585,7 +559,7 @@ bool TChainProtocol::try_start_reciprocation(Transaction& tx) {
     // forward the encrypted piece just received (§II-D1).
     if (!pp->requested.get(tx.piece)) {
       forced = tx.piece;
-      ++stats_.bootstrap_forwards;
+      count("tchain.bootstrap_forwards");
     } else {
       return false;
     }
@@ -597,12 +571,11 @@ void TChainProtocol::settle_free(Transaction& tx) {
   // No qualified payee exists anywhere: the exchange degenerates to an
   // altruistic upload — the donor releases the key and the chain ends
   // (the same situation that makes termination uploads unencrypted).
-  ++stats_.free_key_settlements;
   if (auto it = peers_.find(tx.donor); it != peers_.end()) {
     it->second.pending.resolve(tx.requestor);
   }
   break_chain(tx.chain, obs::ChainBreakCause::kNoPayee);
-  release_key(tx, tx.donor);
+  release_key(tx);
 }
 
 void TChainProtocol::kill_tx(TxId txid, bool terminate_chain,
@@ -618,7 +591,6 @@ void TChainProtocol::kill_tx(TxId txid, bool terminate_chain,
     // A delivered ciphertext dies un-keyed: the key is lost to this
     // requestor however the transaction got here (donor crash, departed
     // payee, watchdog giving up).
-    ++stats_.keys_lost;
     ++swarm_->metrics().resilience().keys_lost;
     if (obs::Trace* tr = swarm_->obs()) {
       tr->emit({.t = swarm_->simulator().now(),
@@ -636,10 +608,7 @@ void TChainProtocol::kill_tx(TxId txid, bool terminate_chain,
     if (bt::Peer* r = swarm_->peer(tx->requestor);
         r != nullptr && !r->have.get(tx->piece)) {
       r->requested.clear(tx->piece);
-      if (r->active) {
-        ++stats_.piece_refetches;
-        ++swarm_->metrics().resilience().piece_refetches;
-      }
+      if (r->active) ++swarm_->metrics().resilience().piece_refetches;
     }
   }
   if (terminate_chain) break_chain(tx->chain, cause);
@@ -673,7 +642,6 @@ void TChainProtocol::watchdog_fire(TxId txid, int retries) {
   }
 
   if (retries < swarm_->config().tx_max_retries) {
-    ++stats_.tx_retries;
     if (obs::Trace* tr = swarm_->obs()) {
       tr->emit({.t = swarm_->simulator().now(),
                 .kind = obs::EventKind::kTxRetry,
@@ -686,9 +654,7 @@ void TChainProtocol::watchdog_fire(TxId txid, int retries) {
     if (tx->next_delivered) {
       // The reciprocation piece arrived but our receipt evidently did not:
       // the payee re-sends it (receipt retransmission).
-      ++stats_.receipts_resent;
-      swarm_->send_control(
-          [this, txid] { process_receipt(txid, /*false_receipt=*/false); });
+      swarm_->send_control([this, txid] { process_receipt(txid); });
     } else {
       // Reciprocation never got going — lost reassignment trigger, payee
       // gone, aborted upload. Re-kick the chain continuation.
@@ -700,7 +666,6 @@ void TChainProtocol::watchdog_fire(TxId txid, int retries) {
 
   // Retries exhausted: tear the exchange down. Pending counts resolve, the
   // requestor's claim clears, and the piece is re-requested elsewhere.
-  ++stats_.tx_timeouts;
   ++swarm_->metrics().resilience().transactions_timed_out;
   if (obs::Trace* tr = swarm_->obs()) {
     tr->emit({.t = swarm_->simulator().now(),

@@ -21,7 +21,6 @@
 
 #include "src/bt/protocol.h"
 #include "src/bt/swarm.h"
-#include "src/core/chain_registry.h"
 #include "src/core/pending.h"
 #include "src/core/transaction.h"
 
@@ -44,42 +43,16 @@ class TChainProtocol : public bt::Protocol {
   void on_peer_depart(PeerId id) override;
   void on_peer_crash(PeerId id) override;
 
-  // --- Introspection for benches/tests -------------------------------------
-  const core::ChainRegistry& chains() const { return chains_; }
-  core::ChainRegistry& chains() { return chains_; }
+  // Introspection for tests. Every count the run produces lives in the
+  // trace (obs::Trace::count, obs::ChainView, "tchain.*" registry
+  // counters), so enable tracing to read them.
   const core::TransactionTable& transactions() const { return txs_; }
-
-  struct Stats {
-    std::uint64_t encrypted_uploads = 0;
-    std::uint64_t terminal_uploads = 0;   // unencrypted (chain termination)
-    std::uint64_t receipts = 0;
-    std::uint64_t false_receipts = 0;     // collusion attack
-    std::uint64_t keys_released = 0;
-    std::uint64_t keys_escrowed = 0;      // donor departed, payee held key
-    std::uint64_t keys_escrow_released = 0;  // ... and the payee released it
-    std::uint64_t keys_lost = 0;          // AwaitKey died: key never arrived
-    std::uint64_t bootstrap_forwards = 0; // newcomer forwarded its pending piece
-    std::uint64_t payee_reassignments = 0;
-    std::uint64_t free_key_settlements = 0;  // no payee found: key gratis
-    std::uint64_t direct_payees = 0;
-    std::uint64_t indirect_payees = 0;
-    // Per-transaction watchdog (cfg.tx_timeout > 0).
-    std::uint64_t tx_retries = 0;         // stalled exchange re-kicked
-    std::uint64_t tx_timeouts = 0;        // retries exhausted, tx torn down
-    std::uint64_t receipts_resent = 0;    // receipt presumed lost, re-sent
-    std::uint64_t piece_refetches = 0;    // abandoned ciphertext re-requested
-  };
-  const Stats& stats() const { return stats_; }
-
-  int pending_of(PeerId donor, PeerId neighbor) const;
 
  private:
   struct PeerState {
     core::PendingTracker pending;
     std::size_t obligations = 0;     // encrypted pieces not yet reciprocated
     std::size_t active_uploads = 0;  // flows this peer is sourcing
-    // Terminal (unencrypted) gifts handed to each neighbor.
-    std::unordered_map<PeerId, int> gifts;
     explicit PeerState(int cap) : pending(cap) {}
   };
 
@@ -104,7 +77,7 @@ class TChainProtocol : public bt::Protocol {
 
   void on_upload_done(TxId txid, bool ok);
   void handle_encrypted_delivery(core::Transaction& tx);
-  void process_receipt(TxId prev_id, bool false_receipt);
+  void process_receipt(TxId prev_id);
 
   // Shared graceful/crash departure settlement; a crash forfeits the
   // §II-B4 escrow handoff (the donor is not around to hand the key over).
@@ -128,21 +101,25 @@ class TChainProtocol : public bt::Protocol {
   // observability is on; ignored otherwise.
   void kill_tx(TxId txid, bool terminate_chain,
                obs::ChainBreakCause cause = obs::ChainBreakCause::kAborted);
-  void release_key(core::Transaction& tx, PeerId releaser);
+  void release_key(core::Transaction& tx);
 
-  // chains_.terminate plus a kChainBreak trace event (first termination
-  // only — terminate is idempotent and so is the event).
+  // Retires a live chain with a kChainBreak trace event; later calls for
+  // the same chain are no-ops, so each chain breaks exactly once.
   void break_chain(ChainId id, obs::ChainBreakCause cause);
 
+  // Bumps a "tchain.*" registry counter for a fact with no event kind.
+  // Tracing off: no-op.
+  void count(const char* name);
+
   core::TransactionTable txs_;
-  core::ChainRegistry chains_;
+  ChainId next_chain_ = 1;
+  std::unordered_set<ChainId> live_chains_;
   std::unordered_map<PeerId, PeerState> peers_;
   // Identities that have been observed reciprocating at least once.
   // Conceptually this is per-donor local history plus what a peer observes
   // as a payee; we pool it for simulation efficiency — the distinction
   // only affects how fast gift eligibility is learned, not who earns it.
   std::unordered_set<PeerId> proven_;
-  Stats stats_;
   double census_period_ = 5.0;
 };
 

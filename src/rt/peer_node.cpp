@@ -65,13 +65,13 @@ void PeerNode::announce_tick() {
   tracker_->send(net::Message{net::AnnounceMsg{
       opts_.id, ctx_.swarm_name, listener_.port(), net::kAnnounceRenew}});
   announce_timer_ =
-      reactor_.schedule(opts_.announce_interval, [this] { announce_tick(); });
+      reactor_.schedule(kAnnounceInterval, [this] { announce_tick(); });
 }
 
 void PeerNode::tick() {
   node_.on_tick();
   for (const auto& [peer, port] : endpoints_) maybe_dial(peer, port);
-  tick_timer_ = reactor_.schedule(opts_.tick_interval, [this] { tick(); });
+  tick_timer_ = reactor_.schedule(kTickInterval, [this] { tick(); });
 }
 
 // --- Connections ----------------------------------------------------------

@@ -26,8 +26,6 @@ class PeerNode : public Reactor::Handler,
  public:
   struct Options : core::Node::Options {
     std::uint16_t tracker_port = 0;
-    double announce_interval = 0.1;
-    double tick_interval = 0.02;
     // Donor-side per-transaction watchdog: a receipt not in by then makes
     // the engine reassign the payee or settle gratis.
     double watchdog_seconds = 0.2;
@@ -67,6 +65,11 @@ class PeerNode : public Reactor::Handler,
   void cancel_watchdog(net::TxId tx) override;
   void emit(const obs::TraceEvent& e) override;
   void count(const char* name) override;
+
+  // Tracker re-announce period; well inside TrackerService's prune window.
+  static constexpr double kAnnounceInterval = 0.1;
+  // Engine tick (chain starts, opportunistic seeding) and re-dial period.
+  static constexpr double kTickInterval = 0.02;
 
   void announce_tick();
   void tick();

@@ -18,14 +18,13 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
 
   obs::TraceConfig tcfg;
   tcfg.enabled = true;
-  tcfg.ring_capacity = opts.ring_capacity;
   tcfg.kind_mask = obs::kAllKinds;
   obs::Trace trace(tcfg);
 
   check::CheckerOptions copts;
   copts.pending_cap = opts.pending_cap;
   check::Checker checker(copts);
-  if (opts.online_check) trace.set_sink(&checker);
+  trace.set_sink(&checker);
 
   SwarmContext ctx(reactor, &trace,
                    core::SwarmFileMeta::make(opts.piece_count,
@@ -33,7 +32,6 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
                    "rt-local-swarm");
 
   TrackerService::Options topts;
-  topts.prune_window = opts.tracker_prune_window;
   topts.seed = opts.seed ^ 0x9e3779b97f4a7c15ull;
   TrackerService tracker(reactor, topts);
 
@@ -66,8 +64,6 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
     popts.id = static_cast<net::PeerId>(i + 1);
     popts.seeder = (i == 0);
     popts.tracker_port = tracker.port();
-    popts.announce_interval = opts.announce_interval;
-    popts.tick_interval = opts.tick_interval;
     popts.watchdog_seconds = opts.watchdog_seconds;
     popts.max_retries = opts.max_retries;
     popts.pending_cap = opts.pending_cap;
@@ -107,11 +103,7 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
   res.events_recorded = trace.ring().recorded();
   res.events_dropped = trace.ring().dropped();
   res.metrics = trace.snapshot();
-  if (opts.online_check) {
-    res.check = checker.finish();
-  } else {
-    res.check = check::check_events(res.events, res.events_dropped, copts);
-  }
+  res.check = checker.finish();
   return res;
 }
 

@@ -3,7 +3,9 @@
 // T-Chain protocol over real loopback sockets until every leecher holds
 // the full file (or a wall-clock deadline expires), and returns per-peer
 // completion times together with the invariant checker's verdict over the
-// run's full trace.
+// run's full trace. The checker is attached as a live sink, so the verdict
+// is sound even if the trace ring (obs::TraceConfig's default capacity)
+// wraps.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +27,7 @@ struct SwarmOptions {
   std::size_t seeder_slots = 8;
   double watchdog_seconds = 0.2;
   int max_retries = 2;
-  double announce_interval = 0.1;
-  double tick_interval = 0.02;
   double deadline_seconds = 30.0;
-  double tracker_prune_window = 2.0;
-  std::size_t ring_capacity = std::size_t{1} << 20;
-  // Attach the checker as a live sink (lossless => sound verdict even if
-  // the ring wraps). Off: the report is computed from the ring snapshot.
-  bool online_check = true;
 };
 
 struct PeerStat {

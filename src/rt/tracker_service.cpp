@@ -26,7 +26,6 @@ void TrackerService::arm_prune_timer() {
   prune_timer_ = reactor_.schedule(opts_.prune_window / 2, [this] {
     const auto stale = tracker_.prune(reactor_.now(), opts_.prune_window);
     for (const net::PeerId p : stale) ports_.erase(p);
-    pruned_ += stale.size();
     arm_prune_timer();
   });
 }

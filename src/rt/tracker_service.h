@@ -35,8 +35,6 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
   TrackerService& operator=(const TrackerService&) = delete;
 
   std::uint16_t port() const { return listener_.port(); }
-  std::size_t swarm_size() const { return tracker_.size(); }
-  std::size_t pruned_total() const { return pruned_; }
 
   // Reactor::Handler (listening socket).
   void on_readable() override;
@@ -57,7 +55,6 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
   std::map<FrameConn*, std::unique_ptr<FrameConn>> conns_;
   util::Rng rng_;
   Reactor::TimerId prune_timer_ = 0;
-  std::size_t pruned_ = 0;
 };
 
 }  // namespace tc::rt

@@ -58,7 +58,7 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// Lowercase hex encoding (debugging, key fingerprints).
+// Lowercase hex encoding (debugging).
 std::string to_hex(const Bytes& b);
 std::string to_hex(const std::uint8_t* data, std::size_t len);
 Bytes from_hex(std::string_view hex);  // throws std::invalid_argument

@@ -92,6 +92,4 @@ std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   return all;
 }
 
-Rng Rng::fork() { return Rng(next_u64()); }
-
 }  // namespace tc::util

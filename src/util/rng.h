@@ -68,10 +68,6 @@ class Rng {
   // (k is clamped to n). Order is random.
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
-  // Derive an independent child generator; convenient for giving every
-  // simulated peer its own stream while remaining reproducible.
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
 };

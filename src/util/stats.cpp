@@ -51,11 +51,6 @@ void Distribution::add(double x) {
   sorted_ = false;
 }
 
-void Distribution::add_all(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_ = false;
-}
-
 void Distribution::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
@@ -80,47 +75,5 @@ double Distribution::percentile(double p) const {
   if (i + 1 >= samples_.size()) return samples_.back();
   return samples_[i] * (1.0 - frac) + samples_[i + 1] * frac;
 }
-
-double Distribution::cdf_at(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
-std::vector<std::pair<double, double>> Distribution::cdf_points(
-    std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points == 0) return out;
-  ensure_sorted();
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double p = static_cast<double>(i + 1) / static_cast<double>(points);
-    out.emplace_back(percentile(p), p);
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("bad histogram range");
-}
-
-void Histogram::add(double x) {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto i = static_cast<std::ptrdiff_t>((x - lo_) / w);
-  i = std::clamp<std::ptrdiff_t>(i, 0,
-                                 static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(i);
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
 
 }  // namespace tc::util

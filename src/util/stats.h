@@ -1,6 +1,6 @@
-// Streaming statistics, confidence intervals, CDFs and histograms used by
-// the evaluation harness to report means with 95% confidence intervals the
-// way the paper's figures do.
+// Streaming statistics, confidence intervals and empirical distributions
+// used by the evaluation harness to report means with 95% confidence
+// intervals the way the paper's figures do.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +40,6 @@ double t_quantile_975(std::size_t df);
 class Distribution {
  public:
   void add(double x);
-  void add_all(const std::vector<double>& xs);
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
@@ -49,38 +48,12 @@ class Distribution {
   double percentile(double p) const;
   double median() const { return percentile(0.5); }
 
-  // Evaluate the empirical CDF at x: fraction of samples <= x.
-  double cdf_at(double x) const;
-
-  // (value, cumulative fraction) pairs at `points` evenly spaced sample
-  // quantiles — the series the paper's CDF figures plot.
-  std::vector<std::pair<double, double>> cdf_points(std::size_t points) const;
-
   const std::vector<double>& samples() const { return samples_; }
 
  private:
   void ensure_sorted() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// edge bins so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace tc::util

@@ -13,13 +13,6 @@ void AsciiTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void AsciiTable::add_row_numeric(const std::vector<double>& row, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) cells.push_back(format_double(v, precision));
-  add_row(std::move(cells));
-}
-
 void AsciiTable::print(std::ostream& os) const {
   std::vector<std::size_t> width(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
@@ -65,12 +58,6 @@ void AsciiTable::print_csv(std::ostream& os) const {
 std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
-std::string format_sci(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*e", precision, v);
   return buf;
 }
 

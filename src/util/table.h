@@ -13,8 +13,6 @@ class AsciiTable {
   explicit AsciiTable(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> row);
-  // Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::vector<double>& row, int precision = 1);
 
   void print(std::ostream& os) const;
   void print_csv(std::ostream& os) const;
@@ -26,8 +24,7 @@ class AsciiTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// snprintf-based helpers (GCC 12 has no std::format).
+// snprintf-based helper (GCC 12 has no std::format).
 std::string format_double(double v, int precision);
-std::string format_sci(double v, int precision);
 
 }  // namespace tc::util

@@ -9,7 +9,6 @@ TEST(PendingTracker, StartsEmptyAndEligible) {
   PendingTracker t(2);
   EXPECT_EQ(t.pending(5), 0);
   EXPECT_TRUE(t.eligible(5));
-  EXPECT_EQ(t.total_pending(), 0u);
 }
 
 TEST(PendingTracker, BansAtCap) {
@@ -27,7 +26,8 @@ TEST(PendingTracker, ResolveIsIdempotentAtZero) {
   PendingTracker t(2);
   t.resolve(7);  // never added
   EXPECT_EQ(t.pending(7), 0);
-  EXPECT_EQ(t.total_pending(), 0u);
+  t.add(7);  // the no-op resolve left no debt behind
+  EXPECT_EQ(t.pending(7), 1);
 }
 
 TEST(PendingTracker, PerNeighborIndependence) {
@@ -35,19 +35,6 @@ TEST(PendingTracker, PerNeighborIndependence) {
   t.add(1);
   EXPECT_FALSE(t.eligible(1));
   EXPECT_TRUE(t.eligible(2));
-  EXPECT_EQ(t.total_pending(), 1u);
-}
-
-TEST(PendingTracker, ForgetClearsHistory) {
-  PendingTracker t(2);
-  t.add(5);
-  t.add(5);
-  t.add(6);
-  EXPECT_EQ(t.total_pending(), 3u);
-  t.forget(5);  // the whitewash reset
-  EXPECT_TRUE(t.eligible(5));
-  EXPECT_EQ(t.total_pending(), 1u);
-  EXPECT_EQ(t.tracked_neighbors(), 1u);
 }
 
 TEST(PendingTracker, CapValidation) {

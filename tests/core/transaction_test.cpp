@@ -81,13 +81,5 @@ TEST(TransactionTable, InvolvingWithManyTransactions) {
   EXPECT_EQ(t.involving(10).size(), 9u);
 }
 
-TEST(TxState, Names) {
-  EXPECT_STREQ(tx_state_name(TxState::kUploading), "uploading");
-  EXPECT_STREQ(tx_state_name(TxState::kAwaitKey), "await-key");
-  EXPECT_STREQ(tx_state_name(TxState::kCompleted), "completed");
-  EXPECT_STREQ(tx_state_name(TxState::kTerminal), "terminal");
-  EXPECT_STREQ(tx_state_name(TxState::kDead), "dead");
-}
-
 }  // namespace
 }  // namespace tc::core

@@ -5,6 +5,7 @@
 
 #include "src/analysis/metrics.h"
 #include "src/bt/swarm.h"
+#include "src/obs/chain_view.h"
 #include "src/protocols/registry.h"
 #include "src/protocols/tchain.h"
 
@@ -108,6 +109,7 @@ TEST(Scenarios, TChainSurvivesSeederlessPeriodDepartures) {
   protocols::TChainProtocol proto;
   auto cfg = scenario_config(proto, 30);
   bt::Swarm swarm(cfg, proto);
+  swarm.enable_obs(obs::TraceConfig{});
   for (int k = 1; k <= 10; ++k) {
     swarm.simulator().schedule_at(8.0 * k, [&swarm] {
       bt::PeerId best = net::kNoPeer;
@@ -126,9 +128,10 @@ TEST(Scenarios, TChainSurvivesSeederlessPeriodDepartures) {
   swarm.run();
   // No dangling transactions at the end.
   EXPECT_EQ(proto.transactions().size(), 0u);
-  // Chain census was maintained consistently (active never negative etc.
-  // enforced by types; check it drained).
-  EXPECT_EQ(proto.chains().active_count(), 0u);
+  // Every chain the run started was broken: the census drained.
+  ASSERT_EQ(swarm.obs()->ring().dropped(), 0u);
+  EXPECT_EQ(obs::ChainView::reconstruct(swarm.obs()->events()).active_at_end(),
+            0u);
 }
 
 TEST(Scenarios, MixedBandwidthClassesFinishInOrder) {

@@ -82,7 +82,6 @@ TEST(Message, TypeTags) {
   EXPECT_EQ(message_type(Message{HandshakeMsg{}}), MsgType::kHandshake);
   EXPECT_EQ(message_type(Message{EncryptedPieceMsg{}}), MsgType::kEncryptedPiece);
   EXPECT_EQ(message_type(Message{ReceiptMsg{}}), MsgType::kReceipt);
-  EXPECT_STREQ(message_type_name(MsgType::kKeyRelease), "key-release");
 }
 
 TEST(Message, DecodeRejectsUnknownType) {

@@ -1,12 +1,12 @@
 // ChainView reconstruction: synthetic event streams with known answers,
-// lossy-ring orphan handling, and the cross-check that a reconstruction
-// from a real T-Chain run matches core::ChainRegistry's live bookkeeping
-// chain by chain.
+// lossy-ring orphan handling, and the consistency of a reconstruction from
+// a real T-Chain run, whose trace is the simulator's only chain record.
 #include "src/obs/chain_view.h"
 
 #include <gtest/gtest.h>
 
 #include "src/bt/swarm.h"
+#include "src/check/invariants.h"
 #include "src/protocols/tchain.h"
 
 namespace tc::obs {
@@ -123,10 +123,32 @@ TEST(ChainView, DoubleBreakIsIdempotent) {
   EXPECT_EQ(view.chain(1)->cause, ChainBreakCause::kCompleted);
 }
 
-// The satellite cross-check: reconstructing from a real run's trace must
-// reproduce the live ChainRegistry — same totals, and the same per-chain
-// creation/termination times and lengths for every chain id.
-TEST(ChainView, MatchesLiveChainRegistryOnRealRun) {
+// The census series behind Figures 10/11: each kCensusTick samples the
+// live chain population and the cumulative creation counts.
+TEST(ChainView, CensusTimeSeriesFromEventStream) {
+  std::vector<TraceEvent> ev;
+  ev.push_back(tick(0.0));
+  ev.push_back(start(1, true, 0.5));
+  ev.push_back(start(2, false, 0.6));
+  ev.push_back(tick(1.0));
+  ev.push_back(brk(1, ChainBreakCause::kCompleted, 1.5));
+  ev.push_back(tick(2.0));
+
+  const auto view = ChainView::reconstruct(ev);
+  const auto& census = view.census();
+  ASSERT_EQ(census.size(), 3u);
+  EXPECT_EQ(census[0].active_chains, 0u);
+  EXPECT_EQ(census[1].active_chains, 2u);
+  EXPECT_EQ(census[2].active_chains, 1u);
+  EXPECT_EQ(census[2].cumulative_seeder, 1u);
+  EXPECT_EQ(census[2].cumulative_leecher, 1u);
+  EXPECT_EQ(view.active_at_end(), 1u);
+}
+
+// A real run's trace replays into a self-consistent view: nothing lost,
+// every chain started once and broken once with a cause, and the
+// reciprocity split covering every opened transaction.
+TEST(ChainView, ConsistentOnRealRun) {
   protocols::TChainProtocol proto;
   bt::SwarmConfig cfg;
   cfg.leecher_count = 16;
@@ -138,34 +160,38 @@ TEST(ChainView, MatchesLiveChainRegistryOnRealRun) {
   TraceConfig tc;
   tc.kind_mask = kChainAnalysisKinds;
   swarm.enable_obs(tc);
+  check::CheckerOptions copts;
+  copts.pending_cap = cfg.pending_cap;
+  check::Checker checker(copts);
+  swarm.obs()->set_sink(&checker);
   swarm.run();
+  swarm.obs()->set_sink(nullptr);
 
-  ASSERT_EQ(swarm.obs()->ring().dropped(), 0u) << "ring sized too small";
-  const auto view = ChainView::reconstruct(swarm.obs()->events());
-  const auto& reg = proto.chains();
+  const Trace& trace = *swarm.obs();
+  ASSERT_EQ(trace.ring().dropped(), 0u) << "ring sized too small";
+  const auto view = ChainView::reconstruct(trace.events());
+  EXPECT_EQ(view.orphan_events(), 0u);
 
   EXPECT_GT(view.total_created(), 0u);
-  EXPECT_EQ(view.total_created(), reg.total_created());
-  EXPECT_EQ(view.created_by_seeder(), reg.created_by_seeder());
-  EXPECT_EQ(view.created_by_leechers(), reg.created_by_leechers());
-  EXPECT_EQ(view.active_at_end(), reg.active_count());
-  EXPECT_DOUBLE_EQ(view.opportunistic_fraction(), reg.opportunistic_fraction());
-  EXPECT_NEAR(view.mean_terminated_length(), reg.mean_terminated_length(),
-              1e-12);
-
+  EXPECT_EQ(view.total_created(), trace.count(EventKind::kChainStart));
+  std::uint64_t lengths = 0;
   for (const auto& rec : view.chains()) {
-    const auto* info = reg.info(rec.id);
-    ASSERT_NE(info, nullptr) << "chain " << rec.id;
-    EXPECT_EQ(rec.initiator, info->initiator);
-    EXPECT_EQ(rec.by_seeder, info->by_seeder);
-    EXPECT_EQ(rec.length, info->length);
-    EXPECT_DOUBLE_EQ(rec.created, info->created);
-    EXPECT_DOUBLE_EQ(rec.terminated, info->terminated);
+    lengths += rec.length;
+    EXPECT_TRUE(rec.broken()) << "chain " << rec.id;
+    EXPECT_NE(rec.cause, ChainBreakCause::kNone) << "chain " << rec.id;
   }
+  EXPECT_EQ(lengths, trace.count(EventKind::kChainExtend));
+  EXPECT_EQ(view.active_at_end(), 0u);
+
   // Every encrypted transaction is direct or indirect; terminal uploads are
   // neither. The split must cover all opened transactions.
   EXPECT_EQ(view.direct_txs() + view.indirect_txs() + view.terminal_txs(),
-            swarm.obs()->count(EventKind::kTxOpen));
+            trace.count(EventKind::kTxOpen));
+
+  const auto& report = checker.finish();
+  EXPECT_EQ(report.by_class[static_cast<std::size_t>(
+                check::Invariant::kChainShape)],
+            0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // §II-B4 departure handling, exercised deterministically against the live
 // protocol: donors leaving mid-exchange (key escrow), payees leaving
-// (reassignment), and requestors leaving (obligation death).
+// (reassignment), and requestors leaving (obligation death). Counts come
+// from the run's trace, which never perturbs the run.
 #include <gtest/gtest.h>
 
 #include "src/analysis/metrics.h"
 #include "src/bt/swarm.h"
+#include "src/obs/chain_view.h"
 #include "src/protocols/tchain.h"
 
 namespace tc::protocols {
@@ -27,6 +29,7 @@ TEST(TChainDepartures, RandomDeparturesNeverWedgeTheSwarm) {
     TChainProtocol proto;
     auto cfg = cfg_for(24, seed);
     bt::Swarm swarm(cfg, proto);
+    swarm.enable_obs(obs::TraceConfig{});
     util::Rng chaos(seed * 1337);
     // Remove a random active leecher every 7 s for a while — donors,
     // requestors and payees alike get yanked.
@@ -51,7 +54,10 @@ TEST(TChainDepartures, RandomDeparturesNeverWedgeTheSwarm) {
     }
     EXPECT_EQ(stayed_unfinished, 0u) << "seed " << seed;
     EXPECT_EQ(proto.transactions().size(), 0u) << "seed " << seed;
-    EXPECT_EQ(proto.chains().active_count(), 0u) << "seed " << seed;
+    ASSERT_EQ(swarm.obs()->ring().dropped(), 0u) << "seed " << seed;
+    EXPECT_EQ(obs::ChainView::reconstruct(swarm.obs()->events()).active_at_end(),
+              0u)
+        << "seed " << seed;
   }
 }
 
@@ -62,6 +68,7 @@ TEST(TChainDepartures, KeyEscrowHappensWhenDonorsLeave) {
   TChainProtocol proto;
   auto cfg = cfg_for(30, 5);
   bt::Swarm swarm(cfg, proto);
+  swarm.enable_obs(obs::TraceConfig{});
   for (int k = 1; k <= 12; ++k) {
     swarm.simulator().schedule_at(4.0 * k, [&swarm] {
       // Depart the peer with the most pieces (the busiest donor).
@@ -81,7 +88,9 @@ TEST(TChainDepartures, KeyEscrowHappensWhenDonorsLeave) {
   swarm.run();
   // The mechanism exists and fired (or the run legitimately avoided it,
   // which at this departure pressure is not plausible).
-  EXPECT_GT(proto.stats().keys_escrowed + proto.stats().payee_reassignments,
+  obs::Trace& trace = *swarm.obs();
+  EXPECT_GT(trace.count(obs::EventKind::kKeyEscrowed) +
+                trace.registry().counter("tchain.payee_reassignments").value(),
             0u);
   EXPECT_EQ(proto.transactions().size(), 0u);
 }
@@ -90,6 +99,7 @@ TEST(TChainDepartures, ReassignmentKeepsChainsAlive) {
   TChainProtocol proto;
   auto cfg = cfg_for(30, 6);
   bt::Swarm swarm(cfg, proto);
+  swarm.enable_obs(obs::TraceConfig{});
   // Departure chaos targeting random peers (payees among them).
   util::Rng chaos(99);
   for (int k = 1; k <= 10; ++k) {
@@ -103,7 +113,9 @@ TEST(TChainDepartures, ReassignmentKeepsChainsAlive) {
     });
   }
   swarm.run();
-  EXPECT_GT(proto.stats().payee_reassignments, 0u);
+  EXPECT_GT(
+      swarm.obs()->registry().counter("tchain.payee_reassignments").value(),
+      0u);
   // Everyone who wasn't forcibly departed finished.
   std::size_t stayed_unfinished = 0;
   for (const auto* rec : swarm.metrics().all()) {

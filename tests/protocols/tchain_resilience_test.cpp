@@ -1,7 +1,8 @@
 // Fault-injection resilience: T-Chain under control-message loss, abrupt
 // crashes, graceful churn and upload outages — plus the determinism guard
 // (faults draw only from the seeded fault stream, never wall clock) and
-// focused coverage of the §II-B4 escrow path.
+// focused coverage of the §II-B4 escrow path. Protocol counts come from the
+// run's trace, which never perturbs the run.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,6 +10,7 @@
 
 #include "src/analysis/metrics.h"
 #include "src/bt/swarm.h"
+#include "src/obs/chain_view.h"
 #include "src/protocols/tchain.h"
 
 namespace tc::protocols {
@@ -37,8 +39,8 @@ bt::SwarmConfig faulty_cfg(std::uint64_t seed) {
 }
 
 // Serializes everything a run produced, bit-exactly (hexfloat), so two
-// runs can be compared byte for byte.
-std::string fingerprint(const bt::Swarm& swarm, const TChainProtocol& proto) {
+// runs can be compared byte for byte. Needs tracing on.
+std::string fingerprint(const bt::Swarm& swarm) {
   std::ostringstream os;
   os << std::hexfloat;
   for (const auto* r : swarm.metrics().all()) {
@@ -56,12 +58,9 @@ std::string fingerprint(const bt::Swarm& swarm, const TChainProtocol& proto) {
      << " keys_lost=" << rs.keys_lost
      << " escrow_recovered=" << rs.keys_escrow_recovered
      << " refetches=" << rs.piece_refetches << '\n';
-  const auto& st = proto.stats();
-  os << st.encrypted_uploads << ' ' << st.terminal_uploads << ' '
-     << st.receipts << ' ' << st.keys_released << ' ' << st.keys_escrowed
-     << ' ' << st.keys_escrow_released << ' ' << st.keys_lost << ' '
-     << st.tx_retries << ' ' << st.tx_timeouts << ' ' << st.receipts_resent
-     << ' ' << st.piece_refetches << ' ' << st.payee_reassignments << '\n';
+  for (const auto& [key, value] : swarm.obs()->snapshot()) {
+    os << key << '=' << value << '\n';
+  }
   os << "end=" << swarm.end_time() << '\n';
   return os.str();
 }
@@ -69,8 +68,9 @@ std::string fingerprint(const bt::Swarm& swarm, const TChainProtocol& proto) {
 std::string run_fingerprint(const bt::SwarmConfig& cfg) {
   TChainProtocol proto;
   bt::Swarm swarm(cfg, proto);
+  swarm.enable_obs(obs::TraceConfig{});
   swarm.run();
-  return fingerprint(swarm, proto);
+  return fingerprint(swarm);
 }
 
 TEST(TChainResilience, SameSeedSamePlanIsByteIdentical) {
@@ -96,7 +96,9 @@ TEST(TChainResilience, LossAndCrashesStillComplete) {
     auto cfg = faulty_cfg(seed);
     cfg.faults.crash_fraction = 1.0;  // every churn exit is a crash
     bt::Swarm swarm(cfg, proto);
+    swarm.enable_obs(obs::TraceConfig{});
     swarm.run();
+    const obs::Trace& trace = *swarm.obs();
 
     // No survivor is left unfinished.
     std::size_t stayed_unfinished = 0;
@@ -108,12 +110,15 @@ TEST(TChainResilience, LossAndCrashesStillComplete) {
     EXPECT_EQ(stayed_unfinished, 0u) << "seed " << seed;
     // No leaked transactions or chains.
     EXPECT_EQ(proto.transactions().size(), 0u) << "seed " << seed;
-    EXPECT_EQ(proto.chains().active_count(), 0u) << "seed " << seed;
+    ASSERT_EQ(trace.ring().dropped(), 0u) << "seed " << seed;
+    EXPECT_EQ(obs::ChainView::reconstruct(trace.events()).active_at_end(), 0u)
+        << "seed " << seed;
     // The run actually suffered: faults fired and were absorbed.
     const auto& rs = swarm.metrics().resilience();
     EXPECT_GT(rs.control_dropped, 0u) << "seed " << seed;
     total_crashes += rs.crashes;
-    total_timeouts += proto.stats().tx_timeouts + proto.stats().tx_retries;
+    total_timeouts += trace.count(obs::EventKind::kTxTimeout) +
+                      trace.count(obs::EventKind::kTxRetry);
     total_refetch += rs.piece_refetches;
   }
   EXPECT_GT(total_crashes, 0u);
@@ -155,27 +160,32 @@ TEST(TChainResilience, CrashForfeitsEscrowGracefulGrantsIt) {
       cfg.seed = seed;
       cfg.max_sim_time = 20'000.0;
       bt::Swarm swarm(cfg, proto);
+      swarm.enable_obs(obs::TraceConfig{});
+      const obs::Trace& trace = *swarm.obs();
       bool probed = false;
       for (int k = 1; k <= 20 ; ++k) {
         swarm.simulator().schedule_at(
-            2.0 * k, [&swarm, &proto, &probed, crash] {
+            2.0 * k, [&swarm, &proto, &trace, &probed, crash] {
               if (probed) return;
               const core::TxId txid = find_escrowable_tx(swarm, proto);
               if (txid == 0) return;
               const core::Transaction* tx = proto.transactions().get(txid);
               const bt::PeerId donor = tx->donor;
-              const auto escrowed_before = proto.stats().keys_escrowed;
-              const auto lost_before = proto.stats().keys_lost;
+              const auto escrowed_before =
+                  trace.count(obs::EventKind::kKeyEscrowed);
+              const auto lost_before = trace.count(obs::EventKind::kKeyLost);
               swarm.depart(donor, crash ? bt::DepartKind::kCrash
                                         : bt::DepartKind::kGraceful);
               if (crash) {
                 // No goodbye: the key dies with the donor.
-                EXPECT_EQ(proto.stats().keys_escrowed, escrowed_before);
-                EXPECT_GT(proto.stats().keys_lost, lost_before);
+                EXPECT_EQ(trace.count(obs::EventKind::kKeyEscrowed),
+                          escrowed_before);
+                EXPECT_GT(trace.count(obs::EventKind::kKeyLost), lost_before);
                 EXPECT_EQ(proto.transactions().get(txid), nullptr);
               } else {
                 // Handoff: the payee now holds the key.
-                EXPECT_GT(proto.stats().keys_escrowed, escrowed_before);
+                EXPECT_GT(trace.count(obs::EventKind::kKeyEscrowed),
+                          escrowed_before);
                 const core::Transaction* still = proto.transactions().get(txid);
                 ASSERT_NE(still, nullptr);
                 EXPECT_TRUE(still->key_escrowed);
@@ -218,7 +228,7 @@ TEST(TChainEscrow, GracefulDonorDepartureEscrowsAndPayeeReleases) {
   // Depart the most-complete leechers (the busiest donors) gracefully and
   // often: their AwaitKey transactions must escrow with payees, and at
   // least some escrowed keys must be released on reciprocation.
-  std::uint64_t escrowed = 0, released = 0, recovered_metric = 0;
+  std::uint64_t escrowed = 0, released = 0;
   for (std::uint64_t seed : {5ull, 6ull, 7ull}) {
     TChainProtocol proto;
     bt::SwarmConfig cfg;
@@ -228,6 +238,7 @@ TEST(TChainEscrow, GracefulDonorDepartureEscrowsAndPayeeReleases) {
     cfg.seed = seed;
     cfg.max_sim_time = 20'000.0;
     bt::Swarm swarm(cfg, proto);
+    swarm.enable_obs(obs::TraceConfig{});
     for (int k = 1; k <= 12; ++k) {
       swarm.simulator().schedule_at(4.0 * k, [&swarm] {
         bt::PeerId best = net::kNoPeer;
@@ -244,21 +255,22 @@ TEST(TChainEscrow, GracefulDonorDepartureEscrowsAndPayeeReleases) {
       });
     }
     swarm.run();
-    escrowed += proto.stats().keys_escrowed;
-    released += proto.stats().keys_escrow_released;
-    recovered_metric += swarm.metrics().resilience().keys_escrow_recovered;
+    const obs::Trace& trace = *swarm.obs();
+    const std::uint64_t run_escrowed =
+        trace.count(obs::EventKind::kKeyEscrowed);
+    const std::uint64_t run_released =
+        swarm.metrics().resilience().keys_escrow_recovered;
+    escrowed += run_escrowed;
+    released += run_released;
     // Released keys are a subset of escrowed ones, and both count as
     // regular key releases too.
-    EXPECT_LE(proto.stats().keys_escrow_released, proto.stats().keys_escrowed)
-        << "seed " << seed;
-    EXPECT_LE(proto.stats().keys_escrow_released, proto.stats().keys_released)
+    EXPECT_LE(run_released, run_escrowed) << "seed " << seed;
+    EXPECT_LE(run_released, trace.count(obs::EventKind::kKeyDelivered))
         << "seed " << seed;
     EXPECT_EQ(proto.transactions().size(), 0u) << "seed " << seed;
   }
   EXPECT_GT(escrowed, 0u);
   EXPECT_GT(released, 0u) << "no payee ever released an escrowed key";
-  EXPECT_EQ(released, recovered_metric)
-      << "protocol stat and resilience metric disagree";
 }
 
 }  // namespace

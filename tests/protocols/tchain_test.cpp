@@ -1,5 +1,7 @@
 // End-to-end T-Chain protocol behaviour on small swarms: the paper's core
-// claims as executable properties.
+// claims as executable properties. Counts come from the run's trace
+// (obs::Trace::count, obs::ChainView, "tchain.*" registry counters);
+// tracing never perturbs a run, so the traced run is the run under test.
 #include "src/protocols/tchain.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,24 @@ bt::SwarmConfig small_config(std::size_t leechers, double freeriders = 0.0) {
   return cfg;
 }
 
+// A swarm with tracing on (all kinds, default ring).
+struct TracedSwarm {
+  bt::Swarm swarm;
+  TracedSwarm(const bt::SwarmConfig& cfg, TChainProtocol& proto)
+      : swarm(cfg, proto) {
+    swarm.enable_obs(obs::TraceConfig{});
+    swarm.run();
+  }
+  obs::Trace& trace() { return *swarm.obs(); }
+  obs::ChainView view() {
+    EXPECT_EQ(trace().ring().dropped(), 0u) << "ring sized too small";
+    return obs::ChainView::reconstruct(trace().events());
+  }
+  std::uint64_t counter(const char* name) {
+    return trace().registry().counter(name).value();
+  }
+};
+
 TEST(TChain, AllCompliantLeechersFinish) {
   TChainProtocol proto;
   bt::Swarm swarm(small_config(30), proto);
@@ -34,14 +54,14 @@ TEST(TChain, AllCompliantLeechersFinish) {
 
 TEST(TChain, PieceAccountingBalances) {
   TChainProtocol proto;
-  bt::Swarm swarm(small_config(20), proto);
-  swarm.run();
-  const auto& st = proto.stats();
+  TracedSwarm run(small_config(20), proto);
+  const auto view = run.view();
+  const std::uint64_t keys = run.trace().count(obs::EventKind::kKeyDelivered);
   // Every piece any leecher completed arrived either encrypted (then a key
   // was released) or as a terminal plain upload.
-  EXPECT_EQ(st.keys_released + st.terminal_uploads, 20u * 32u);
-  EXPECT_EQ(st.keys_released,
-            st.encrypted_uploads);  // no encrypted upload left unpaid
+  EXPECT_EQ(keys + view.terminal_txs(), 20u * 32u);
+  // No encrypted upload left unpaid.
+  EXPECT_EQ(keys, view.direct_txs() + view.indirect_txs());
 }
 
 TEST(TChain, FreeRidersNeverComplete) {
@@ -79,15 +99,15 @@ TEST(TChain, CollusionLetsFreeRidersProgressSlowly) {
   cfg.freerider_collude = true;
   cfg.freerider_whitewash = false;
   cfg.freerider_stall_timeout = 2000.0;
-  bt::Swarm swarm(cfg, proto);
-  swarm.run();
+  TracedSwarm run(cfg, proto);
+  const bt::Swarm& swarm = run.swarm;
   // With false receipts, colluders DO decrypt some pieces (§IV-D)...
   std::int64_t colluder_pieces = 0;
   for (const auto* rec : swarm.metrics().all()) {
     if (rec->freerider) colluder_pieces += rec->pieces_downloaded;
   }
   EXPECT_GT(colluder_pieces, 0);
-  EXPECT_GT(proto.stats().false_receipts, 0u);
+  EXPECT_GT(run.counter("tchain.false_receipts"), 0u);
   // ...but compliant leechers all finish regardless.
   EXPECT_EQ(swarm.metrics().completion_times(F::kCompliant).count(), 18u);
 }
@@ -99,81 +119,72 @@ TEST(TChain, ChainsFormAndTerminate) {
   tc.kind_mask = obs::kChainKinds;
   swarm.enable_obs(tc);
   swarm.run();
-  const auto& chains = proto.chains();
-  EXPECT_GT(chains.total_created(), 0u);
-  EXPECT_GT(chains.mean_terminated_length(), 1.0);  // chains actually grow
-  // At the end all leechers are gone: no chain can still be active.
-  EXPECT_EQ(chains.active_count(), 0u);
-  // The census series is reconstructed from trace events and agrees with
-  // the live registry's final counters.
+  ASSERT_EQ(swarm.obs()->ring().dropped(), 0u);
   const auto view = obs::ChainView::reconstruct(swarm.obs()->events());
+  EXPECT_GT(view.total_created(), 0u);
+  EXPECT_GT(view.mean_terminated_length(), 1.0);  // chains actually grow
+  // At the end all leechers are gone: no chain can still be active.
+  EXPECT_EQ(view.active_at_end(), 0u);
   EXPECT_GT(view.census().size(), 2u);
-  EXPECT_EQ(view.total_created(), chains.total_created());
-  EXPECT_EQ(view.active_at_end(), chains.active_count());
-  EXPECT_NEAR(view.mean_terminated_length(), chains.mean_terminated_length(),
-              1e-12);
 }
 
 TEST(TChain, OpportunisticSeedingCreatesLeecherChains) {
   TChainProtocol proto;
-  bt::Swarm swarm(small_config(30), proto);
-  swarm.run();
-  EXPECT_GT(proto.chains().created_by_leechers(), 0u);
-  EXPECT_GT(proto.chains().created_by_seeder(), 0u);
+  TracedSwarm run(small_config(30), proto);
+  const auto view = run.view();
+  EXPECT_GT(view.created_by_leechers(), 0u);
+  EXPECT_GT(view.created_by_seeder(), 0u);
 }
 
 TEST(TChain, DisablingOpportunisticSeedingStillCompletes) {
   TChainProtocol proto;
   auto cfg = small_config(20);
   cfg.opportunistic_seeding = false;
-  bt::Swarm swarm(cfg, proto);
-  swarm.run();
-  EXPECT_EQ(swarm.metrics().unfinished_count(F::kCompliant), 0u);
-  EXPECT_EQ(proto.chains().created_by_leechers(), 0u);
+  TracedSwarm run(cfg, proto);
+  EXPECT_EQ(run.swarm.metrics().unfinished_count(F::kCompliant), 0u);
+  EXPECT_EQ(run.view().created_by_leechers(), 0u);
 }
 
 TEST(TChain, IndirectOnlyAblationStillCompletes) {
   TChainProtocol proto;
   auto cfg = small_config(20);
   cfg.allow_direct_reciprocity = false;
-  bt::Swarm swarm(cfg, proto);
-  swarm.run();
-  EXPECT_EQ(swarm.metrics().unfinished_count(F::kCompliant), 0u);
-  EXPECT_EQ(proto.stats().direct_payees, 0u);
-  EXPECT_GT(proto.stats().indirect_payees, 0u);
+  TracedSwarm run(cfg, proto);
+  EXPECT_EQ(run.swarm.metrics().unfinished_count(F::kCompliant), 0u);
+  const auto view = run.view();
+  EXPECT_EQ(view.direct_txs(), 0u);
+  EXPECT_GT(view.indirect_txs(), 0u);
 }
 
 TEST(TChain, DirectAndIndirectBothOccurByDefault) {
   TChainProtocol proto;
-  bt::Swarm swarm(small_config(20), proto);
-  swarm.run();
-  EXPECT_GT(proto.stats().direct_payees, 0u);
-  EXPECT_GT(proto.stats().indirect_payees, 0u);
+  TracedSwarm run(small_config(20), proto);
+  const auto view = run.view();
+  EXPECT_GT(view.direct_txs(), 0u);
+  EXPECT_GT(view.indirect_txs(), 0u);
 }
 
 TEST(TChain, NewcomerBootstrapForwardsHappen) {
   TChainProtocol proto;
-  bt::Swarm swarm(small_config(30), proto);
-  swarm.run();
-  EXPECT_GT(proto.stats().bootstrap_forwards, 0u);
+  TracedSwarm run(small_config(30), proto);
+  EXPECT_GT(run.counter("tchain.bootstrap_forwards"), 0u);
 }
 
 TEST(TChain, SingleLeecherDegeneratesToPlainSeeding) {
   // §II-B3 extreme case: one seeder + one leecher => unencrypted uploads.
   TChainProtocol proto;
-  bt::Swarm swarm(small_config(1), proto);
-  swarm.run();
-  EXPECT_EQ(swarm.metrics().unfinished_count(F::kCompliant), 0u);
-  EXPECT_EQ(proto.stats().encrypted_uploads, 0u);
-  EXPECT_EQ(proto.stats().terminal_uploads, 32u);
+  TracedSwarm run(small_config(1), proto);
+  EXPECT_EQ(run.swarm.metrics().unfinished_count(F::kCompliant), 0u);
+  const auto view = run.view();
+  EXPECT_EQ(view.direct_txs() + view.indirect_txs(), 0u);
+  EXPECT_EQ(view.terminal_txs(), 32u);
 }
 
 TEST(TChain, TwoLeechersUseDirectReciprocity) {
   TChainProtocol proto;
-  bt::Swarm swarm(small_config(2), proto);
-  swarm.run();
-  EXPECT_EQ(swarm.metrics().unfinished_count(F::kCompliant), 0u);
-  EXPECT_GT(proto.stats().direct_payees, 0u);
+  TracedSwarm run(small_config(2), proto);
+  EXPECT_EQ(run.swarm.metrics().unfinished_count(F::kCompliant), 0u);
+  EXPECT_GT(run.view().direct_txs(), 0u);
 }
 
 TEST(TChain, DeterministicGivenSeed) {

@@ -125,15 +125,6 @@ TEST(Rng, SampleIndicesIsUniform) {
   for (int c : counts) EXPECT_NEAR(c, 6000, 300);
 }
 
-TEST(Rng, ForkIndependence) {
-  Rng a(47);
-  Rng b = a.fork();
-  // Child stream differs from the parent's continued stream.
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (a.next_u64() == b.next_u64());
-  EXPECT_LT(same, 2);
-}
-
 TEST(Rng, PickReturnsElement) {
   Rng r(53);
   const std::vector<int> v{10, 20, 30};

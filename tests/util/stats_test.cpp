@@ -57,14 +57,15 @@ TEST(TQuantile, KnownValues) {
 
 TEST(Distribution, MeanAndMedian) {
   Distribution d;
-  d.add_all({1, 2, 3, 4, 100});
+  for (double x : {1, 2, 3, 4, 100}) d.add(x);
   EXPECT_DOUBLE_EQ(d.mean(), 22.0);
   EXPECT_DOUBLE_EQ(d.median(), 3.0);
 }
 
 TEST(Distribution, PercentileInterpolates) {
   Distribution d;
-  d.add_all({0, 10});
+  d.add(0);
+  d.add(10);
   EXPECT_DOUBLE_EQ(d.percentile(0.5), 5.0);
   EXPECT_DOUBLE_EQ(d.percentile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(d.percentile(1.0), 10.0);
@@ -75,26 +76,6 @@ TEST(Distribution, PercentileOfEmptyThrows) {
   EXPECT_THROW(d.percentile(0.5), std::out_of_range);
 }
 
-TEST(Distribution, CdfAt) {
-  Distribution d;
-  d.add_all({1, 2, 3, 4});
-  EXPECT_DOUBLE_EQ(d.cdf_at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(d.cdf_at(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(d.cdf_at(10.0), 1.0);
-}
-
-TEST(Distribution, CdfPointsMonotone) {
-  Distribution d;
-  for (int i = 0; i < 57; ++i) d.add((i * 37) % 100);
-  const auto pts = d.cdf_points(20);
-  ASSERT_EQ(pts.size(), 20u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_GE(pts[i].first, pts[i - 1].first);
-    EXPECT_GT(pts[i].second, pts[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
-}
-
 TEST(Distribution, InterleavedAddAndQuery) {
   Distribution d;
   d.add(5);
@@ -102,26 +83,6 @@ TEST(Distribution, InterleavedAddAndQuery) {
   d.add(1);
   d.add(9);
   EXPECT_DOUBLE_EQ(d.median(), 5.0);  // re-sorts after mutation
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 4
-  h.add(-3);    // clamps to bin 0
-  h.add(42);    // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
-}
-
-TEST(Histogram, InvalidRangeThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

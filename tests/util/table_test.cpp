@@ -28,14 +28,6 @@ TEST(AsciiTable, ShortRowsArePadded) {
   EXPECT_EQ(t.rows(), 1u);
 }
 
-TEST(AsciiTable, NumericRow) {
-  AsciiTable t({"a", "b"});
-  t.add_row_numeric({1.2345, 2.0}, 2);
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1.23,2.00\n");
-}
-
 TEST(AsciiTable, CsvEscapesNothingButIsStable) {
   AsciiTable t({"h1", "h2"});
   t.add_row({"v1", "v2"});
@@ -47,10 +39,6 @@ TEST(AsciiTable, CsvEscapesNothingButIsStable) {
 TEST(Format, Double) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-0.5, 0), "-0");
-}
-
-TEST(Format, Scientific) {
-  EXPECT_EQ(format_sci(12345.0, 2), "1.23e+04");
 }
 
 }  // namespace
