@@ -38,12 +38,11 @@ Node::Node(const SwarmFileMeta& meta, const Options& opts, Effects& out)
       opts_(opts),
       out_(out),
       have_(meta.piece_count),
-      store_(meta.piece_count),
+      store_(opts.seeder ? 0 : meta.piece_count),
       pending_(opts.pending_cap),
       rng_(opts.seed),
       keys_(opts.seed ^ 0x517cc1b727220a95ull) {
   if (opts_.seeder) {
-    store_ = meta_.pieces;
     for (std::uint32_t p = 0; p < meta_.piece_count; ++p) have_.set(p);
   }
 }
@@ -225,7 +224,7 @@ void Node::handle(net::PeerId from, net::KeyReleaseMsg& m) {
     return;
   }
   // piece_xor layers commute: peel this key off regardless of arrival order.
-  b.buffer = crypto::piece_xor(key, b.buffer);
+  b.buffer = crypto::piece_xor(key, std::move(b.buffer));
   b.applied_keys.push_back(m.key);
 
   // Cascade to every forward of this buffer: the forwarded ciphertext was
@@ -477,7 +476,7 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
     out_.send(requestor,
                  net::Message{net::PlainPieceMsg{tx, chain, opts_.id, give,
                                                  prev_donor, prev_piece,
-                                                 store_[give]}});
+                                                 this->piece(give)}});
     out_.count("rt.tx_terminal");
     return true;
   }
@@ -486,7 +485,7 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
   BankedTx* fwd = forward_of != 0 ? &banked_.at(forward_of) : nullptr;
   DonorSession session(tx, chain, opts_.id, requestor, payee, give,
                        prev_donor, prev_piece,
-                       fwd != nullptr ? fwd->buffer : store_[give], keys_);
+                       fwd != nullptr ? fwd->buffer : this->piece(give), keys_);
   out_.send(requestor, net::Message{session.take_offer()});
   if (fwd != nullptr) fwd->forwarded_as.emplace_back(tx, requestor);
   const DonorTx& d =

@@ -119,7 +119,9 @@ class Node {
 
   bool complete() const { return have_.complete(); }
   // Plaintext of a held piece (empty while missing).
-  const util::Bytes& piece(net::PieceIndex p) const { return store_[p]; }
+  const util::Bytes& piece(net::PieceIndex p) const {
+    return opts_.seeder ? meta_.pieces[p] : store_[p];
+  }
   // Donor transactions still awaiting settlement.
   std::size_t open_donor_txs() const { return donor_.size(); }
   // Ciphertext bytes held in transaction state (outside the piece store).
@@ -220,7 +222,9 @@ class Node {
 
   std::map<net::PeerId, Neighbor> neighbors_;
   bt::Bitfield have_;
-  std::vector<util::Bytes> store_;  // plaintext pieces (empty = missing)
+  // Plaintext pieces a leecher holds (empty = missing); a seeder serves
+  // meta_.pieces and keeps this empty.
+  std::vector<util::Bytes> store_;
   PendingTracker pending_;
   std::map<net::TxId, DonorTx> donor_;
   std::map<net::TxId, BankedTx> banked_;

@@ -14,13 +14,15 @@ namespace tc::crypto {
 using ChaChaKey = std::array<std::uint8_t, 32>;
 using ChaChaNonce = std::array<std::uint8_t, 12>;
 
-// Encrypts/decrypts in place semantics are symmetric: applying the
-// keystream twice restores the plaintext.
+// Returns `input` XORed with the keystream from block `initial_counter`
+// on; encryption and decryption are the same call. A copy of `input` runs
+// through the in-place 4-lane kernel that crypto::piece_xor uses.
 util::Bytes chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                          std::uint32_t initial_counter,
                          const util::Bytes& input);
 
-// One 64-byte keystream block; exposed for test vectors.
+// One 64-byte keystream block, computed one word at a time: the kernel's
+// tail and the tests' reference.
 std::array<std::uint8_t, 64> chacha20_block(const ChaChaKey& key,
                                             const ChaChaNonce& nonce,
                                             std::uint32_t counter);

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/crypto/kernels.h"
+
 namespace tc::crypto {
 
 util::Bytes SymmetricKey::serialize() const {
@@ -42,8 +44,10 @@ SymmetricKey KeySource::next() {
   return k;
 }
 
-util::Bytes piece_xor(const SymmetricKey& key, const util::Bytes& data) {
-  return chacha20_xor(key.key, key.nonce, 1, data);
+util::Bytes piece_xor(const SymmetricKey& key, util::Bytes data) {
+  detail::chacha20_xor_inplace(key.key, key.nonce, 1, data.data(),
+                               data.size());
+  return data;
 }
 
 }  // namespace tc::crypto

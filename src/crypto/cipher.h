@@ -48,7 +48,8 @@ class KeySource {
 // resource" costs the same bandwidth as the plaintext piece). Being a pure
 // XOR keystream, layers under different keys commute: data encrypted
 // under K1 then K2 decrypts with K1 and K2 in either order. core::Node's
-// §II-D1 key cascade depends on exactly this.
-util::Bytes piece_xor(const SymmetricKey& key, const util::Bytes& data);
+// §II-D1 key cascade depends on exactly this. `data` is XORed in place and
+// returned: move a buffer in to avoid a copy.
+util::Bytes piece_xor(const SymmetricKey& key, util::Bytes data);
 
 }  // namespace tc::crypto

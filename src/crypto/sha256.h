@@ -1,7 +1,10 @@
 // SHA-256 (FIPS 180-4), implemented from scratch so the library has no
 // external crypto dependency. Used for piece integrity hashes (the usual
 // BitTorrent mechanism the paper assumes detects corrupted pieces) and as
-// the compression function behind HMAC receipts.
+// the compression function behind HMAC receipts. update() compresses whole
+// blocks straight from the caller's buffer; the compression function runs
+// on the x86 SHA extensions when the CPU has them (chosen once, on first
+// use) and is portable C++ otherwise.
 #pragma once
 
 #include <array>
@@ -29,8 +32,6 @@ class Sha256 {
   Digest256 finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, 64> buf_;
   std::size_t buf_len_ = 0;

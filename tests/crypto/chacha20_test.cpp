@@ -68,5 +68,28 @@ TEST(ChaCha20, NonAlignedLengths) {
   }
 }
 
+TEST(ChaCha20, MultiBlockMatchesBlockFunction) {
+  // The 4-lane kernel against the one-block reference, across its 256-byte
+  // step, the scalar tail and a counter that wraps mod 2^32 mid-step.
+  const ChaChaNonce nonce{0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 1};
+  for (const std::uint32_t counter : {0u, 1u, 0xfffffffcu}) {
+    for (const std::size_t len : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u,
+                                  511u, 513u, 4103u, 262144u}) {
+      util::Bytes data(len);
+      for (std::size_t i = 0; i < len; ++i)
+        data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+      util::Bytes expected = data;
+      for (std::size_t i = 0; i < len; i += 64) {
+        const auto block = chacha20_block(
+            test_key(), nonce, counter + static_cast<std::uint32_t>(i / 64));
+        for (std::size_t j = 0; j < 64 && i + j < len; ++j)
+          expected[i + j] ^= block[j];
+      }
+      EXPECT_EQ(chacha20_xor(test_key(), nonce, counter, data), expected)
+          << "counter=" << counter << " len=" << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tc::crypto

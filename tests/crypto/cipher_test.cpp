@@ -90,5 +90,18 @@ TEST(Cipher, LayeredKeysPeelInEitherOrder) {
   EXPECT_EQ(piece_xor(k1, piece_xor(k2, layered)), plain);
 }
 
+TEST(Cipher, PieceXorIsChaCha20FromBlockOne) {
+  // piece_xor runs the in-place kernel on the buffer it is given; the bytes
+  // are chacha20_xor's at block counter 1 (RFC 8439 §2.4).
+  KeySource ks(10);
+  const auto key = ks.next();
+  util::Bytes plain(5000);
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    plain[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  const auto expected = chacha20_xor(key.key, key.nonce, 1, plain);
+  EXPECT_EQ(piece_xor(key, plain), expected);
+  EXPECT_EQ(piece_xor(key, util::Bytes(plain)), expected);
+}
+
 }  // namespace
 }  // namespace tc::crypto

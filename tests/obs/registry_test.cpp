@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -90,7 +91,11 @@ TEST(Registry, LookupCreatesOnceAndReferencesAreStable) {
   Counter& a = r.counter("x");
   a.inc();
   // Creating unrelated metrics must not invalidate `a` (node-based map).
-  for (int i = 0; i < 100; ++i) r.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    r.counter(name);
+  }
   r.counter("x").inc();
   EXPECT_EQ(a.value(), 2u);
 }

@@ -19,10 +19,10 @@ namespace tc::rt {
 namespace {
 
 util::Bytes frame_bytes(std::uint32_t len, const util::Bytes& body) {
-  util::Bytes wire = {static_cast<std::uint8_t>(len >> 24),
-                      static_cast<std::uint8_t>(len >> 16),
-                      static_cast<std::uint8_t>(len >> 8),
-                      static_cast<std::uint8_t>(len)};
+  util::Bytes wire;
+  wire.reserve(4 + body.size());
+  for (int shift = 24; shift >= 0; shift -= 8)
+    wire.push_back(static_cast<std::uint8_t>(len >> shift));
   wire.insert(wire.end(), body.begin(), body.end());
   return wire;
 }
