@@ -34,6 +34,7 @@ Swarm::Swarm(SwarmConfig cfg, Protocol& proto, std::vector<SimTime> arrival_time
     for (auto& t : arrivals_) t = rng_.uniform(0.0, 10.0);
     std::sort(arrivals_.begin(), arrivals_.end());
   }
+  if (arrivals_.empty()) throw std::invalid_argument("no leechers");
   cfg_.leecher_count = arrivals_.size();
 
   // Exactly round(fraction * N) free-riders, spread uniformly.
@@ -381,7 +382,6 @@ void Swarm::finish_peer(PeerId id) {
   const bool compliant = !p->freerider;
   const bool replace = cfg_.replace_on_finish && sim_.now() < cfg_.max_sim_time;
   const double kbps = p->upload_kbps;
-  const bool was_freerider = p->freerider;
   depart(id);
   if (compliant) {
     assert(compliant_outstanding_ > 0);
@@ -394,40 +394,9 @@ void Swarm::finish_peer(PeerId id) {
   }
   if (replace) {
     // Figure 13's churn model: an identical newcomer takes the slot.
-    const PeerId fresh = allocate_id();
-    auto np = std::make_unique<Peer>();
-    np->id = fresh;
-    np->freerider = was_freerider;
-    np->colluder = was_freerider && cfg_.freerider_collude;
-    np->upload_kbps = kbps;
-    np->have = Bitfield(piece_count_);
-    np->requested = Bitfield(piece_count_);
-    np->join_time = sim_.now();
-    avail_[fresh].assign(piece_count_, 0);
-    auto& rec = metrics_.record(fresh);
-    rec.seeder = false;
-    rec.freerider = np->freerider;
-    rec.colluder = np->colluder;
-    rec.upload_kbps = kbps;
-    rec.join_time = sim_.now();
-    bw_.set_capacity(fresh, np->freerider ? 0.0
-                                          : util::kbps_to_bytes_per_sec(kbps));
-    peers_[fresh] = std::move(np);
-    tracker_.announce(fresh);
-    ++active_leechers_;
-    if (!was_freerider) ++compliant_outstanding_;
-    if (obs_ != nullptr) {
-      std::uint8_t flags = 0;
-      if (was_freerider) flags |= obs::kPeerFlagFreerider;
-      if (was_freerider && cfg_.freerider_collude) flags |= obs::kPeerFlagColluder;
-      obs_->emit({.t = sim_.now(),
-                  .kind = obs::EventKind::kPeerJoin,
-                  .aux = flags,
-                  .a = fresh});
-    }
-    setup_peer_links(fresh);
-    proto_.on_peer_join(fresh);
-    arm_faults(fresh);
+    if (compliant) ++compliant_outstanding_;
+    add_leecher(allocate_id(), kbps, !compliant, Bitfield(piece_count_),
+                sim_.now());
   }
   check_done();
 }
@@ -596,52 +565,59 @@ void Swarm::maintenance_tick(PeerId id) {
 
 void Swarm::join_leecher(std::size_t arrival_index, SimTime now) {
   const PeerId id = allocate_id();
-  auto p = std::make_unique<Peer>();
-  p->id = id;
-  p->upload_kbps =
+  const double kbps =
       cfg_.leecher_upload_kbps[arrival_index % cfg_.leecher_upload_kbps.size()];
-  p->freerider = std::binary_search(freerider_arrival_index_.begin(),
-                                    freerider_arrival_index_.end(),
-                                    arrival_index);
-  p->colluder = p->freerider && cfg_.freerider_collude;
-  p->have = Bitfield(piece_count_);
-  p->requested = Bitfield(piece_count_);
-  p->join_time = now;
+  const bool freerider = std::binary_search(freerider_arrival_index_.begin(),
+                                            freerider_arrival_index_.end(),
+                                            arrival_index);
 
   // Fig 6(b): pre-populate a fraction of random pieces (never all).
+  Bitfield have(piece_count_);
   if (cfg_.initial_piece_fraction > 0.0) {
     auto want = static_cast<std::size_t>(cfg_.initial_piece_fraction *
                                          static_cast<double>(piece_count_));
     want = std::min(want, piece_count_ - 1);
     for (std::size_t i : rng_.sample_indices(piece_count_, want)) {
-      p->have.set(static_cast<PieceIndex>(i));
-      p->requested.set(static_cast<PieceIndex>(i));
+      have.set(static_cast<PieceIndex>(i));
     }
   }
 
-  auto& rec = metrics_.record(id);
-  rec.freerider = p->freerider;
-  rec.colluder = p->colluder;
-  rec.upload_kbps = p->upload_kbps;
-  rec.join_time = now;
-  rec.pieces_downloaded = static_cast<std::int64_t>(p->have.count());
-
-  if (trace_extremes_ && !p->freerider) {
+  if (trace_extremes_ && !freerider) {
     const auto& classes = cfg_.leecher_upload_kbps;
     const double lo = *std::min_element(classes.begin(), classes.end());
     const double hi = *std::max_element(classes.begin(), classes.end());
-    if (traced_slow_ == net::kNoPeer && p->upload_kbps == lo) {
+    if (traced_slow_ == net::kNoPeer && kbps == lo) {
       traced_slow_ = id;
       metrics_.enable_piece_trace(id);
-    } else if (traced_fast_ == net::kNoPeer && p->upload_kbps == hi) {
+    } else if (traced_fast_ == net::kNoPeer && kbps == hi) {
       traced_fast_ = id;
       metrics_.enable_piece_trace(id);
     }
   }
 
-  bw_.set_capacity(id, p->freerider
-                           ? 0.0
-                           : util::kbps_to_bytes_per_sec(p->upload_kbps));
+  add_leecher(id, kbps, freerider, std::move(have), now);
+}
+
+void Swarm::add_leecher(PeerId id, double upload_kbps, bool freerider,
+                        Bitfield have, SimTime now) {
+  auto p = std::make_unique<Peer>();
+  p->id = id;
+  p->upload_kbps = upload_kbps;
+  p->freerider = freerider;
+  p->colluder = freerider && cfg_.freerider_collude;
+  p->requested = have;
+  p->have = std::move(have);
+  p->join_time = now;
+
+  auto& rec = metrics_.record(id);
+  rec.freerider = p->freerider;
+  rec.colluder = p->colluder;
+  rec.upload_kbps = upload_kbps;
+  rec.join_time = now;
+  rec.pieces_downloaded = static_cast<std::int64_t>(p->have.count());
+
+  bw_.set_capacity(
+      id, freerider ? 0.0 : util::kbps_to_bytes_per_sec(upload_kbps));
   avail_[id].assign(piece_count_, 0);
   if (obs_ != nullptr) {
     std::uint8_t flags = 0;

@@ -124,6 +124,11 @@ class Swarm {
  private:
   PeerId allocate_id() { return next_id_++; }
   void join_leecher(std::size_t arrival_index, SimTime now);
+  // The one leecher-construction path (arrivals and Fig 13's replacements):
+  // builds the Peer and its record, its upload pipe and availability row,
+  // emits kPeerJoin, announces it to the tracker and links it in.
+  void add_leecher(PeerId id, double upload_kbps, bool freerider,
+                   Bitfield have, SimTime now);
   // Arms the per-peer fault machinery (session clock, outage process) for
   // a freshly joined identity. No-op when the plan has them off.
   void arm_faults(PeerId id);

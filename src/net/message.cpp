@@ -69,7 +69,6 @@ void encode_body(util::ByteWriter& w, const AnnounceMsg& m) {
   w.u32(m.peer);
   w.str(m.swarm);
   w.u16(m.port);
-  w.u8(m.event);
 }
 
 void encode_body(util::ByteWriter& w, const PeerListMsg& m) {
@@ -160,7 +159,6 @@ AnnounceMsg decode_announce(util::ByteReader& r) {
   m.peer = r.u32();
   m.swarm = r.str();
   m.port = r.u16();
-  m.event = r.u8();
   return m;
 }
 

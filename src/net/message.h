@@ -100,15 +100,13 @@ struct PayeeReassignMsg {
   bool operator==(const PayeeReassignMsg&) const = default;
 };
 
-// Peer -> tracker: join/renew (kAnnounceRenew) or leave (kAnnounceDepart)
-// the swarm. `port` is where the peer's own listener accepts connections.
-inline constexpr std::uint8_t kAnnounceRenew = 0;
-inline constexpr std::uint8_t kAnnounceDepart = 1;
+// Peer -> tracker: join the swarm. The peer stays a member while this
+// connection is open; closing it is the depart. `port` is where the
+// peer's own listener accepts connections.
 struct AnnounceMsg {
   PeerId peer = kNoPeer;
   std::string swarm;  // infohash-like swarm name
   std::uint16_t port = 0;
-  std::uint8_t event = kAnnounceRenew;
   bool operator==(const AnnounceMsg&) const = default;
 };
 
@@ -118,7 +116,9 @@ struct PeerEndpoint {
   bool operator==(const PeerEndpoint&) const = default;
 };
 
-// Tracker -> peer: reply to a renew announce, excluding the requester.
+// Tracker -> peer: the reply to an announce lists every other member,
+// sorted by id; afterwards the tracker pushes each later joiner as a
+// one-entry list.
 struct PeerListMsg {
   std::vector<PeerEndpoint> peers;
   bool operator==(const PeerListMsg&) const = default;

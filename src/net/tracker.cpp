@@ -4,35 +4,16 @@
 
 namespace tc::net {
 
-void Tracker::announce(PeerId peer, double now) {
-  if (members_.insert(peer).second) {
-    dense_.push_back(peer);
-  }
-  last_announce_[peer] = now;
+void Tracker::announce(PeerId peer) {
+  if (members_.insert(peer).second) dense_.push_back(peer);
 }
 
 void Tracker::depart(PeerId peer) {
   if (members_.erase(peer) > 0) dense_dirty_ = true;
-  last_announce_.erase(peer);
-}
-
-std::vector<PeerId> Tracker::prune(double now, double window) {
-  std::vector<PeerId> stale;
-  for (const auto& [peer, seen] : last_announce_) {  // det-ok: collected then sorted
-    if (now - seen > window) stale.push_back(peer);
-  }
-  std::sort(stale.begin(), stale.end());
-  for (PeerId p : stale) depart(p);
-  return stale;
 }
 
 std::vector<PeerId> Tracker::neighbor_list(PeerId requester,
                                            util::Rng& rng) const {
-  return neighbor_list(requester, rng, list_size_);
-}
-
-std::vector<PeerId> Tracker::neighbor_list(PeerId requester, util::Rng& rng,
-                                           std::size_t count) const {
   if (dense_dirty_) {
     // Compact out departed members lazily so departures stay O(1).
     auto* self = const_cast<Tracker*>(this);
@@ -46,7 +27,7 @@ std::vector<PeerId> Tracker::neighbor_list(PeerId requester, util::Rng& rng,
   std::vector<PeerId> out;
   const std::size_t eligible =
       dense_.size() - (members_.count(requester) ? 1 : 0);
-  const std::size_t want = std::min(count, eligible);
+  const std::size_t want = std::min(list_size_, eligible);
   if (want == 0) return out;
   out.reserve(want);
 

@@ -1,11 +1,13 @@
-// BitTorrent-style tracker: keeps the swarm membership and answers
-// neighbor-list requests with up to `list_size` randomly selected members
-// (50 in the paper's setup). Purely a rendezvous service — it plays no role
-// in incentive enforcement, matching T-Chain's no-trusted-third-party goal.
+// BitTorrent-style tracker for the simulator: keeps the swarm membership
+// and answers neighbor-list requests with up to `list_size` randomly
+// selected members (50 in the paper's setup). Purely a rendezvous service —
+// it plays no role in incentive enforcement, matching T-Chain's
+// no-trusted-third-party goal. The live runtime's tracker
+// (rt::TrackerService) needs no sampling: its membership is the set of
+// open announce connections.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -18,31 +20,20 @@ class Tracker {
  public:
   explicit Tracker(std::size_t list_size = 50) : list_size_(list_size) {}
 
-  // `now` stamps the membership for prune(); callers without a clock (the
-  // simulator's rendezvous path) use the default and never prune.
-  void announce(PeerId peer, double now = 0.0);
+  void announce(PeerId peer);
   void depart(PeerId peer);
   bool contains(PeerId peer) const { return members_.count(peer) > 0; }
   std::size_t size() const { return members_.size(); }
 
-  // Drops every member whose last announce is older than `window` seconds
-  // before `now`, so restarts and crashes don't leave dead peers in the
-  // neighbor lists forever. Returns the pruned ids (ascending, for
-  // deterministic logging/tests).
-  std::vector<PeerId> prune(double now, double window);
-
   // Up to list_size() random members, excluding the requester itself.
   // The requester need not be announced (a newcomer's first request).
   std::vector<PeerId> neighbor_list(PeerId requester, util::Rng& rng) const;
-  std::vector<PeerId> neighbor_list(PeerId requester, util::Rng& rng,
-                                    std::size_t count) const;
 
   std::size_t list_size() const { return list_size_; }
 
  private:
   std::size_t list_size_;
   std::unordered_set<PeerId> members_;
-  std::unordered_map<PeerId, double> last_announce_;
   // Dense mirror of members_ for O(k) sampling.
   std::vector<PeerId> dense_;
   mutable bool dense_dirty_ = false;

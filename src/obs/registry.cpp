@@ -66,18 +66,15 @@ double LogHistogram::percentile(double p) const {
 
 Counter& Registry::counter(const std::string& name) { return counters_[name]; }
 
-Gauge& Registry::gauge(const std::string& name) { return gauges_[name]; }
-
 LogHistogram& Registry::histogram(const std::string& name) {
   return histograms_.try_emplace(name).first->second;
 }
 
 std::vector<std::pair<std::string, double>> Registry::snapshot() const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(counters_.size() + gauges_.size() + 6 * histograms_.size());
+  out.reserve(counters_.size() + 6 * histograms_.size());
   for (const auto& [name, c] : counters_)
     out.emplace_back(name, static_cast<double>(c.value()));
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g.value());
   for (const auto& [name, h] : histograms_) {
     out.emplace_back(name + ".count", static_cast<double>(h.count()));
     out.emplace_back(name + ".mean", h.mean());

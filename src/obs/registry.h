@@ -1,4 +1,4 @@
-// Named metric registry: counters, gauges, and log-bucketed histograms
+// Named metric registry: counters and log-bucketed histograms
 // with percentile queries. A Registry is the per-run metric store of the
 // observability layer (src/obs/trace.h embeds one); it is snapshotted into
 // exp::RunRecord::extra at the end of a traced run.
@@ -23,16 +23,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
 };
 
 // Log-spaced histogram: `per_decade` buckets per factor of 10 covering
@@ -79,20 +69,18 @@ class Registry {
   // Look up or create. References stay valid for the Registry's lifetime
   // (node-based containers).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   LogHistogram& histogram(const std::string& name);
 
   bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
+    return counters_.empty() && histograms_.empty();
   }
 
-  // Flat, deterministic (name-sorted per kind) view: counters and gauges
-  // as-is, histograms expanded to <name>.count/.mean/.p50/.p90/.p99/.max.
+  // Flat, deterministic (name-sorted per kind) view: counters as-is,
+  // histograms expanded to <name>.count/.mean/.p50/.p90/.p99/.max.
   std::vector<std::pair<std::string, double>> snapshot() const;
 
  private:
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, LogHistogram> histograms_;
 };
 

@@ -13,7 +13,6 @@ PeerNode::PeerNode(SwarmContext& ctx, const Options& opts)
       node_(ctx.meta, opts, *this) {}
 
 PeerNode::~PeerNode() {
-  reactor_.cancel(announce_timer_);
   reactor_.cancel(tick_timer_);
   for (const auto& [tx, timer] : watchdogs_) reactor_.cancel(timer);
   reactor_.remove(listener_.fd());
@@ -25,7 +24,12 @@ void PeerNode::start() {
                                  : std::uint8_t{0},
              .a = opts_.id});
   reactor_.add(listener_.fd(), this);
-  announce_tick();
+  auto conn =
+      FrameConn::dial(reactor_, "127.0.0.1", opts_.tracker_port, this);
+  conn->send(net::Message{
+      net::AnnounceMsg{opts_.id, ctx_.swarm_name, listener_.port()}});
+  tracker_ = conn.get();
+  conns_[tracker_] = std::move(conn);
   tick();
 }
 
@@ -60,17 +64,8 @@ void PeerNode::count(const char* name) {
 
 // --- Timers ---------------------------------------------------------------
 
-void PeerNode::announce_tick() {
-  if (tracker_ == nullptr) dial_tracker();
-  tracker_->send(net::Message{net::AnnounceMsg{
-      opts_.id, ctx_.swarm_name, listener_.port(), net::kAnnounceRenew}});
-  announce_timer_ =
-      reactor_.schedule(kAnnounceInterval, [this] { announce_tick(); });
-}
-
 void PeerNode::tick() {
   node_.on_tick();
-  for (const auto& [peer, port] : endpoints_) maybe_dial(peer, port);
   tick_timer_ = reactor_.schedule(kTickInterval, [this] { tick(); });
 }
 
@@ -85,16 +80,10 @@ void PeerNode::on_readable() {
   }
 }
 
-void PeerNode::dial_tracker() {
-  auto conn =
-      FrameConn::dial(reactor_, "127.0.0.1", opts_.tracker_port, this);
-  tracker_ = conn.get();
-  conns_[tracker_] = std::move(conn);
-}
-
 void PeerNode::maybe_dial(net::PeerId peer, std::uint16_t port) {
   // Dial discipline: the higher id dials, so each pair keeps exactly one
-  // connection (no simultaneous-open dedup needed).
+  // connection (no simultaneous-open dedup needed). This also skips our
+  // own id and kNoPeer.
   if (peer >= opts_.id) return;
   if (neighbors_.count(peer) != 0 || dialing_.count(peer) != 0) return;
   auto conn = FrameConn::dial(reactor_, "127.0.0.1", port, this);
@@ -128,11 +117,8 @@ void PeerNode::on_message(FrameConn& c, net::Message m) {
     return;
   }
   if (const auto* pl = std::get_if<net::PeerListMsg>(&m)) {
-    for (const net::PeerEndpoint& ep : pl->peers) {
-      if (ep.peer == opts_.id || ep.peer == net::kNoPeer) continue;
-      endpoints_[ep.peer] = ep.port;
-      maybe_dial(ep.peer, ep.port);
-    }
+    if (&c != tracker_) return;  // only the tracker names peers to dial
+    for (const net::PeerEndpoint& ep : pl->peers) maybe_dial(ep.peer, ep.port);
     return;
   }
   // Everything else is protocol traffic from an identified neighbour.

@@ -1,9 +1,11 @@
 // A live T-Chain peer: the socket shell around one core::Node. The engine
 // holds all protocol state and decides; this shell does the IO work — the
-// listener, dial discipline, tracker announces, the FrameConn per
+// listener, the one tracker announce, dial discipline, the FrameConn per
 // neighbour, and the reactor timers (tick, per-transaction watchdogs) that
-// feed the engine. It handles handshakes itself and hands every other
-// message from an identified neighbour to the engine.
+// feed the engine. The tracker's peer lists (the announce reply, then one
+// push per later joiner) are the only dial trigger. The shell handles
+// handshakes itself and hands every other message from an identified
+// neighbour to the engine.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,8 @@ class PeerNode : public Reactor::Handler,
   PeerNode(const PeerNode&) = delete;
   PeerNode& operator=(const PeerNode&) = delete;
 
-  // Joins the swarm: emits kPeerJoin, dials the tracker, arms timers.
+  // Joins the swarm: emits kPeerJoin, announces to the tracker, arms the
+  // tick.
   void start();
 
   net::PeerId id() const { return opts_.id; }
@@ -66,14 +69,10 @@ class PeerNode : public Reactor::Handler,
   void emit(const obs::TraceEvent& e) override;
   void count(const char* name) override;
 
-  // Tracker re-announce period; well inside TrackerService's prune window.
-  static constexpr double kAnnounceInterval = 0.1;
-  // Engine tick (chain starts, opportunistic seeding) and re-dial period.
+  // Engine tick (chain starts, opportunistic seeding).
   static constexpr double kTickInterval = 0.02;
 
-  void announce_tick();
   void tick();
-  void dial_tracker();
   void maybe_dial(net::PeerId peer, std::uint16_t port);
   void handle_handshake(FrameConn& c, const net::HandshakeMsg& m);
 
@@ -85,11 +84,9 @@ class PeerNode : public Reactor::Handler,
   std::map<FrameConn*, std::unique_ptr<FrameConn>> conns_;
   FrameConn* tracker_ = nullptr;
   std::map<net::PeerId, FrameConn*> neighbors_;  // handshake completed
-  std::map<net::PeerId, std::uint16_t> endpoints_;
   std::set<net::PeerId> dialing_;
   std::map<net::TxId, Reactor::TimerId> watchdogs_;
 
-  Reactor::TimerId announce_timer_ = 0;
   Reactor::TimerId tick_timer_ = 0;
   double finish_t_ = -1.0;
   core::Node node_;

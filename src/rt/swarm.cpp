@@ -31,9 +31,7 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
                                              opts.piece_bytes, opts.seed),
                    "rt-local-swarm");
 
-  TrackerService::Options topts;
-  topts.seed = opts.seed ^ 0x9e3779b97f4a7c15ull;
-  TrackerService tracker(reactor, topts);
+  TrackerService tracker(reactor, TrackerService::Options{});
 
   const std::size_t leechers = opts.peers > 0 ? opts.peers - 1 : 0;
   std::size_t completed = 0;

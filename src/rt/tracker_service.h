@@ -1,19 +1,19 @@
-// Tracker hosted on the reactor: accepts peer connections, answers
-// announce/renew with a randomized neighbor list (peer id + listening
-// port), and prunes members that miss their re-announce window so crashed
-// peers drop out of circulation (satellite of the live-runtime PR; the
-// membership logic itself lives in net::Tracker).
+// Tracker hosted on the reactor: the live swarm's rendezvous point. A peer
+// is a member while its announce connection is open. An announce is
+// answered with every other member's endpoint (peer id + listening port,
+// sorted by id), and the newcomer's endpoint is pushed to every other
+// member, so each peer learns each other peer exactly once. Closing the
+// connection is the depart. Nothing is polled: there are no re-announces,
+// no timers and no random sampling.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 
-#include "src/net/tracker.h"
+#include "src/net/peer_id.h"
 #include "src/rt/frame_conn.h"
 #include "src/rt/reactor.h"
-#include "src/util/rng.h"
 
 namespace tc::rt {
 
@@ -21,11 +21,6 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
  public:
   struct Options {
     std::uint16_t port = 0;  // 0 = ephemeral
-    // A peer missing re-announces for this long is pruned (its announce
-    // interval is much shorter, so only dead peers age out).
-    double prune_window = 2.0;
-    std::size_t list_size = 64;
-    std::uint64_t seed = 1;
   };
 
   TrackerService(Reactor& reactor, const Options& opts);
@@ -44,17 +39,15 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
   void on_conn_closed(FrameConn& c) override;
 
  private:
-  void arm_prune_timer();
+  struct Member {
+    FrameConn* conn = nullptr;
+    std::uint16_t port = 0;
+  };
 
   Reactor& reactor_;
-  Options opts_;
   Listener listener_;
-  net::Tracker tracker_;
-  // Listening ports by peer id, kept in lockstep with tracker_ membership.
-  std::map<net::PeerId, std::uint16_t> ports_;
+  std::map<net::PeerId, Member> members_;  // id order is the reply order
   std::map<FrameConn*, std::unique_ptr<FrameConn>> conns_;
-  util::Rng rng_;
-  Reactor::TimerId prune_timer_ = 0;
 };
 
 }  // namespace tc::rt

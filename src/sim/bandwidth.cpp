@@ -123,33 +123,6 @@ bool BandwidthModel::cancel_flow(FlowId id) {
   return true;
 }
 
-bool BandwidthModel::set_flow_weight(FlowId id, double weight) {
-  if (weight <= 0) throw std::invalid_argument("flow weight must be positive");
-  const auto owner = flow_owner_.find(id);
-  if (owner == flow_owner_.end()) return false;
-  const NodeId src = owner->second;
-  auto& u = uploaders_[src];
-  settle(src, u);
-  auto& u2 = uploaders_[src];
-  auto it = std::find_if(u2.flows.begin(), u2.flows.end(),
-                         [&](const Flow& f) { return f.id == id; });
-  if (it == u2.flows.end()) return false;
-  it->weight = weight;
-  reschedule(src, u2);
-  return true;
-}
-
-void BandwidthModel::cancel_flows_from(NodeId src) {
-  auto it = uploaders_.find(src);
-  if (it == uploaders_.end()) return;
-  settle(src, it->second);
-  auto again = uploaders_.find(src);
-  if (again == uploaders_.end()) return;
-  for (const auto& f : again->second.flows) flow_owner_.erase(f.id);
-  again->second.flows.clear();
-  reschedule(src, again->second);
-}
-
 std::size_t BandwidthModel::active_flow_count(NodeId src) const {
   const auto it = uploaders_.find(src);
   return it == uploaders_.end() ? 0 : it->second.flows.size();

@@ -44,12 +44,6 @@ class BandwidthModel {
   // (already completed or never existed).
   bool cancel_flow(FlowId id);
 
-  // Re-weights an in-flight flow (PropShare adjusts shares every round).
-  bool set_flow_weight(FlowId id, double weight);
-
-  // Cancels all flows from `src` (peer departure).
-  void cancel_flows_from(NodeId src);
-
   std::size_t active_flow_count(NodeId src) const;
   bool flow_active(FlowId id) const { return flow_owner_.count(id) > 0; }
 

@@ -52,7 +52,7 @@ class Simulator {
   }
   std::uint64_t events_processed() const { return processed_; }
   // High-water mark of the heap (tombstones included): how deep the event
-  // queue ever got. Surfaced as an obs gauge by exp::run_one.
+  // queue ever got. Surfaced as obs.sim.peak_pending by exp::run_one.
   std::size_t peak_pending() const { return peak_heap_; }
   std::uint64_t cancelled_total() const { return cancelled_total_; }
 

@@ -227,6 +227,12 @@ TEST(Swarm, InitialPieceFractionPrepopulates) {
   }
 }
 
+TEST(Swarm, RejectsEmptyLeecherSet) {
+  // The run's end-of-arrivals bookkeeping needs at least one leecher.
+  NullProtocol proto;
+  EXPECT_THROW(Swarm(tiny_config(0), proto), std::invalid_argument);
+}
+
 TEST(Swarm, ControlMessageLatency) {
   NullProtocol proto;
   Swarm swarm(tiny_config(2), proto);

@@ -67,65 +67,6 @@ TEST(Tracker, EmptySwarm) {
   EXPECT_TRUE(t.neighbor_list(1, rng).empty());  // only the requester
 }
 
-TEST(Tracker, ExplicitCountOverride) {
-  Tracker t(50);
-  util::Rng rng(6);
-  for (PeerId p = 1; p <= 100; ++p) t.announce(p);
-  EXPECT_EQ(t.neighbor_list(1, rng, 5).size(), 5u);
-  EXPECT_EQ(t.neighbor_list(1, rng, 1000).size(), 99u);
-}
-
-TEST(Tracker, PruneDropsStaleMembersOnly) {
-  Tracker t(50);
-  t.announce(1, 0.0);
-  t.announce(2, 5.0);
-  t.announce(3, 9.5);
-  const auto pruned = t.prune(/*now=*/10.0, /*window=*/2.0);
-  EXPECT_EQ(pruned, (std::vector<PeerId>{1, 2}));
-  EXPECT_FALSE(t.contains(1));
-  EXPECT_FALSE(t.contains(2));
-  EXPECT_TRUE(t.contains(3));
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(Tracker, RenewRefreshesPruneTimestamp) {
-  Tracker t(50);
-  t.announce(1, 0.0);
-  t.announce(1, 9.0);  // renewal: only the latest announce counts
-  EXPECT_TRUE(t.prune(10.0, 2.0).empty());
-  EXPECT_TRUE(t.contains(1));
-}
-
-TEST(Tracker, PrunedPeerLeavesNeighborLists) {
-  Tracker t(50);
-  util::Rng rng(8);
-  for (PeerId p = 1; p <= 10; ++p) t.announce(p, p <= 5 ? 0.0 : 8.0);
-  const auto pruned = t.prune(10.0, 5.0);
-  EXPECT_EQ(pruned.size(), 5u);
-  for (int trial = 0; trial < 20; ++trial) {
-    for (PeerId p : t.neighbor_list(99, rng)) EXPECT_GT(p, 5u);
-  }
-}
-
-TEST(Tracker, PruneReturnsAscendingAndIsIdempotent) {
-  Tracker t(50);
-  for (PeerId p : {7u, 3u, 9u, 1u}) t.announce(p, 0.0);
-  const auto first = t.prune(10.0, 1.0);
-  EXPECT_EQ(first, (std::vector<PeerId>{1, 3, 7, 9}));
-  EXPECT_TRUE(t.prune(10.0, 1.0).empty());
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(Tracker, ReannounceAfterPruneRejoins) {
-  Tracker t(50);
-  t.announce(1, 0.0);
-  (void)t.prune(10.0, 2.0);
-  EXPECT_FALSE(t.contains(1));
-  t.announce(1, 10.5);
-  EXPECT_TRUE(t.contains(1));
-  EXPECT_TRUE(t.prune(11.0, 2.0).empty());
-}
-
 TEST(Tracker, SamplingIsRoughlyUniform) {
   Tracker t(10);
   util::Rng rng(7);

@@ -1,4 +1,4 @@
-// Counter/gauge semantics, log-histogram percentile accuracy against the
+// Counter semantics, log-histogram percentile accuracy against the
 // exact util::Distribution, and snapshot determinism.
 #include "src/obs/registry.h"
 
@@ -19,13 +19,6 @@ TEST(Counter, IncrementsByDelta) {
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(Gauge, SetAndAdd) {
-  Gauge g;
-  g.set(2.5);
-  g.add(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
 }
 
 TEST(LogHistogram, EmptyStateIsAllZeros) {
@@ -102,28 +95,28 @@ TEST(Registry, LookupCreatesOnceAndReferencesAreStable) {
 
 TEST(Registry, SnapshotIsNameSortedAndExpandsHistograms) {
   Registry r;
-  r.counter("b.count").inc(7);
-  r.gauge("a.gauge").set(1.5);
+  r.counter("m.count").inc(7);
+  r.counter("b.count").inc(2);
   auto& h = r.histogram("lat");
   for (double v : {1.0, 2.0, 4.0}) h.add(v);
 
   const auto snap = r.snapshot();
   std::vector<std::string> keys;
   for (const auto& [k, v] : snap) keys.push_back(k);
-  // Counters, then gauges, then histogram expansions; sorted within kind.
+  // Counters, then histogram expansions; sorted within kind.
   const std::vector<std::string> want = {
-      "b.count", "a.gauge",  "lat.count", "lat.mean",
-      "lat.p50", "lat.p90",  "lat.p99",   "lat.max"};
+      "b.count", "m.count", "lat.count", "lat.mean",
+      "lat.p50", "lat.p90", "lat.p99",   "lat.max"};
   EXPECT_EQ(keys, want);
-  EXPECT_EQ(snap[0].second, 7.0);
-  EXPECT_EQ(snap[2].second, 3.0);          // lat.count
+  EXPECT_EQ(snap[1].second, 7.0);             // m.count
+  EXPECT_EQ(snap[2].second, 3.0);             // lat.count
   EXPECT_DOUBLE_EQ(snap[3].second, 7.0 / 3);  // lat.mean is exact
 }
 
 TEST(Registry, EmptyReflectsContents) {
   Registry r;
   EXPECT_TRUE(r.empty());
-  r.gauge("g");
+  r.histogram("h");
   EXPECT_FALSE(r.empty());
 }
 

@@ -9,6 +9,9 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/bt/bitfield.h"
 #include "src/check/invariants.h"
@@ -21,6 +24,14 @@
 
 namespace tc::rt {
 namespace {
+
+double metric(const std::vector<std::pair<std::string, double>>& metrics,
+              const std::string& name) {
+  for (const auto& [key, value] : metrics) {
+    if (key == name) return value;
+  }
+  return -1.0;
+}
 
 SwarmOptions small_swarm() {
   SwarmOptions opts;
@@ -52,6 +63,10 @@ TEST(LiveSwarm, FourPeersCompleteAndVerifySound) {
   EXPECT_STREQ(res.check.verdict(), "PASS");
   EXPECT_EQ(res.events_dropped, 0u);
   EXPECT_GT(res.events_recorded, 0u);
+
+  // Each pair dials exactly once, from the tracker's lists alone.
+  EXPECT_EQ(metric(res.metrics, "rt.dials"), 6.0);
+  EXPECT_EQ(metric(res.metrics, "rt.conns_accepted"), 6.0);
 }
 
 TEST(LiveSwarm, TraceRoundTripsThroughCsvToSameVerdict) {
@@ -98,14 +113,7 @@ TEST(LiveSwarm, TraceContainsTheLiveProtocolVocabulary) {
 
 TEST(LiveSwarm, MetricsExposeRuntimeCounters) {
   const SwarmResult res = run_local_swarm(small_swarm());
-  bool saw_tx_opened = false;
-  for (const auto& [name, value] : res.metrics) {
-    if (name == "rt.tx_opened") {
-      saw_tx_opened = true;
-      EXPECT_GT(value, 0.0);
-    }
-  }
-  EXPECT_TRUE(saw_tx_opened);
+  EXPECT_GT(metric(res.metrics, "rt.tx_opened"), 0.0);
 }
 
 TEST(LiveSwarm, DeterministicFileMetaAcrossCalls) {
@@ -118,6 +126,54 @@ TEST(LiveSwarm, DeterministicFileMetaAcrossCalls) {
   EXPECT_EQ(a.hashes, b.hashes);
   const auto c = core::SwarmFileMeta::make(4, 1024, 43);
   EXPECT_NE(a.pieces, c.pieces);
+}
+
+TEST(LiveSwarm, ReverseStartOrderFormsFullMeshAndCompletes) {
+  // Peers start 3, 2, 1. The higher id dials, so when the announces reach
+  // the tracker in that order no announce reply names a peer to dial:
+  // every link comes from a later joiner pushed to an earlier member.
+  Reactor reactor;
+  obs::Trace trace(obs::TraceConfig{});
+  check::Checker checker;
+  trace.set_sink(&checker);
+  SwarmContext ctx(reactor, &trace, core::SwarmFileMeta::make(8, 1024, 3),
+                   "reverse");
+  TrackerService tracker(reactor, TrackerService::Options{});
+
+  std::vector<std::unique_ptr<PeerNode>> nodes;
+  int completed = 0;
+  // Once both leechers hold the file, wait for donor transactions to
+  // settle so the checker sees closed escrows.
+  std::function<void()> drain = [&] {
+    std::size_t open = 0;
+    for (const auto& n : nodes) open += n->open_donor_txs();
+    if (open == 0) {
+      reactor.stop();
+      return;
+    }
+    reactor.schedule(0.01, drain);
+  };
+  for (net::PeerId id = 1; id <= 3; ++id) {
+    PeerNode::Options opts;
+    opts.id = id;
+    opts.seeder = (id == 1);
+    opts.tracker_port = tracker.port();
+    opts.seed = id;
+    opts.on_complete = [&](net::PeerId) {
+      if (++completed == 2) drain();
+    };
+    nodes.push_back(std::make_unique<PeerNode>(ctx, opts));
+  }
+  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) (*it)->start();
+  reactor.schedule(30.0, [&] { reactor.stop(); });  // failsafe
+  reactor.run();
+  trace.set_sink(nullptr);
+
+  for (const auto& n : nodes) EXPECT_TRUE(n->complete()) << "peer " << n->id();
+  const auto metrics = trace.snapshot();
+  EXPECT_EQ(metric(metrics, "rt.dials"), 3.0);
+  EXPECT_EQ(metric(metrics, "rt.conns_accepted"), 3.0);
+  EXPECT_STREQ(checker.finish().verdict(), "PASS");
 }
 
 // A hand-driven neighbour: handshakes with a node, then sends `bitfield`.

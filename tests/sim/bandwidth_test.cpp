@@ -115,31 +115,6 @@ TEST_F(BandwidthTest, CompletionCallbackCanStartNextFlow) {
   EXPECT_NEAR(times[2], 3.0, 1e-9);
 }
 
-TEST_F(BandwidthTest, CancelFlowsFromClearsEverything) {
-  bw.set_capacity(1, 100.0);
-  int fired = 0;
-  bw.start_flow(1, 2, 1000.0, [&](FlowId) { ++fired; });
-  bw.start_flow(1, 3, 1000.0, [&](FlowId) { ++fired; });
-  sim.schedule_at(1.0, [&] { bw.cancel_flows_from(1); });
-  sim.run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(bw.active_flow_count(1), 0u);
-}
-
-TEST_F(BandwidthTest, SetFlowWeightRebalances) {
-  bw.set_capacity(1, 100.0);
-  double t2 = -1, t3 = -1;
-  const FlowId a = bw.start_flow(1, 2, 200.0, [&](FlowId) { t2 = sim.now(); });
-  bw.start_flow(1, 3, 200.0, [&](FlowId) { t3 = sim.now(); });
-  sim.schedule_at(2.0, [&] { EXPECT_TRUE(bw.set_flow_weight(a, 3.0)); });
-  sim.run();
-  // Until t=2: both 50 B/s -> 100 left each. Then a:75 B/s, b:25 B/s.
-  // a done at 2 + 100/75 = 3.333; b has 100 - 1.333*25 = 66.67 left at
-  // full rate -> 3.333 + 0.667 = 4.0.
-  EXPECT_NEAR(t2, 2.0 + 100.0 / 75.0, 1e-9);
-  EXPECT_NEAR(t3, 4.0, 1e-9);
-}
-
 TEST_F(BandwidthTest, ConservationOfBytes) {
   bw.set_capacity(1, 77.0);
   bw.set_capacity(2, 133.0);
