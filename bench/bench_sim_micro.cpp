@@ -1,5 +1,6 @@
 // Simulator micro-costs (infrastructure bench): event-queue throughput,
-// fluid bandwidth-model updates, bitfield/LRF selection, tracker sampling.
+// fluid bandwidth-model updates, bitfield/LRF selection, availability
+// updates, tracker sampling.
 #include <benchmark/benchmark.h>
 
 #include "src/bt/bitfield.h"
@@ -72,6 +73,26 @@ void BM_BitfieldMissingFrom(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitfieldMissingFrom)->Arg(512)->Arg(2048);
+
+// Swarm::connect/disconnect's availability update: one neighbour's have
+// set added into a per-piece counter row, walking the words in place.
+void BM_AvailabilityWalk(benchmark::State& state) {
+  const auto pieces = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(3);
+  bt::Bitfield have(pieces);
+  for (std::size_t i = 0; i < pieces; ++i) {
+    if (rng.bernoulli(0.5)) have.set(static_cast<bt::PieceIndex>(i));
+  }
+  std::vector<std::uint32_t> row(pieces, 0);
+  for (auto _ : state) {
+    have.for_each([&row](bt::PieceIndex i) { ++row[i]; });
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(have.count()));
+}
+BENCHMARK(BM_AvailabilityWalk)->Arg(256)->Arg(1024)->Arg(2048);
 
 void BM_TrackerNeighborList(benchmark::State& state) {
   net::Tracker tracker(50);

@@ -69,14 +69,7 @@ std::vector<PieceIndex> Bitfield::missing_from(const Bitfield& other) const {
 std::vector<PieceIndex> Bitfield::to_vector() const {
   std::vector<PieceIndex> out;
   out.reserve(count_);
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t bits = words_[w];
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      out.push_back(static_cast<PieceIndex>(w * 64 + static_cast<std::size_t>(b)));
-      bits &= bits - 1;
-    }
-  }
+  for_each([&out](PieceIndex i) { out.push_back(i); });
   return out;
 }
 

@@ -2,6 +2,7 @@
 // peer's completed-piece set and for interest / Local-Rarest-First queries.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,18 @@ class Bitfield {
 
   // All set pieces.
   std::vector<PieceIndex> to_vector() const;
+
+  // Calls fn(i) for every set piece in ascending order, walking the 64-bit
+  // words in place: to_vector() without the allocation.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<PieceIndex>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+    }
+  }
 
   // Wire encoding (bit i = byte i/8, LSB first) for BitfieldMsg.
   net::BitfieldMsg to_message() const;

@@ -3,10 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/logging.h"
 
 namespace tc::bt {
+namespace {
+
+bool erase_neighbor(Peer& p, PeerId x) {
+  const auto it = std::find(p.neighbors.begin(), p.neighbors.end(), x);
+  if (it == p.neighbors.end()) return false;
+  p.neighbors.erase(it);
+  return true;
+}
+
+}  // namespace
 
 Swarm::Swarm(SwarmConfig cfg, Protocol& proto, std::vector<SimTime> arrival_times)
     : cfg_(std::move(cfg)),
@@ -57,13 +68,11 @@ void Swarm::enable_obs(const obs::TraceConfig& cfg) {
 }
 
 Peer* Swarm::peer(PeerId id) {
-  const auto it = peers_.find(id);
-  return it == peers_.end() ? nullptr : it->second.get();
+  return id < slots_.size() ? slots_[id].peer.get() : nullptr;
 }
 
 const Peer* Swarm::peer(PeerId id) const {
-  const auto it = peers_.find(id);
-  return it == peers_.end() ? nullptr : it->second.get();
+  return id < slots_.size() ? slots_[id].peer.get() : nullptr;
 }
 
 bool Swarm::is_active(PeerId id) const {
@@ -72,20 +81,19 @@ bool Swarm::is_active(PeerId id) const {
 }
 
 std::vector<PeerId> Swarm::active_peers() const {
-  std::vector<PeerId> out;
-  out.reserve(peers_.size());
-  for (const auto& [id, p] : peers_) {
-    if (p->active) out.push_back(id);
+  std::vector<PeerId> out;  // ascending: deterministic for RNG consumers
+  out.reserve(active_leechers_ + 1);
+  for (PeerId id = 0; id < slots_.size(); ++id) {
+    const Peer* p = slots_[id].peer.get();
+    if (p != nullptr && p->active) out.push_back(id);
   }
-  std::sort(out.begin(), out.end());  // deterministic order for RNG consumers
   return out;
 }
 
-void Swarm::add_availability(Peer& p, const Bitfield& bits, int sign) {
-  auto& av = avail_[p.id];
-  for (PieceIndex i : bits.to_vector()) {
-    av[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(av[i]) + sign);
-  }
+void Swarm::add_availability(std::vector<std::uint32_t>& row,
+                             const Bitfield& bits, int sign) {
+  const auto delta = static_cast<std::uint32_t>(sign);  // wraps for -1
+  bits.for_each([&row, delta](PieceIndex i) { row[i] += delta; });
 }
 
 bool Swarm::connect(PeerId a, PeerId b) {
@@ -93,7 +101,6 @@ bool Swarm::connect(PeerId a, PeerId b) {
   Peer* pa = peer(a);
   Peer* pb = peer(b);
   if (!pa || !pb || !pa->active || !pb->active) return false;
-  if (pa->is_neighbor(b)) return false;
 
   const auto over_cap = [&](const Peer& p) {
     if (p.neighbors.size() < cfg_.max_neighbors) return false;
@@ -101,11 +108,17 @@ bool Swarm::connect(PeerId a, PeerId b) {
     return !(p.freerider && cfg_.freerider_large_view);
   };
   if (over_cap(*pa) || over_cap(*pb)) return false;
+  // Links are symmetric, so scan the shorter list: a large-view free-rider
+  // holds a few hundred neighbours.
+  if (pa->neighbors.size() <= pb->neighbors.size() ? pa->is_neighbor(b)
+                                                   : pb->is_neighbor(a)) {
+    return false;
+  }
 
   pa->neighbors.push_back(b);
   pb->neighbors.push_back(a);
-  add_availability(*pa, pb->have, +1);
-  add_availability(*pb, pa->have, +1);
+  add_availability(slots_[a].avail, pb->have, +1);
+  add_availability(slots_[b].avail, pa->have, +1);
   proto_.on_neighbor_added(a, b);
   return true;
 }
@@ -114,16 +127,10 @@ void Swarm::disconnect(PeerId a, PeerId b) {
   Peer* pa = peer(a);
   Peer* pb = peer(b);
   if (!pa || !pb) return;
-  const auto erase_from = [](Peer& p, PeerId x) {
-    auto it = std::find(p.neighbors.begin(), p.neighbors.end(), x);
-    if (it == p.neighbors.end()) return false;
-    p.neighbors.erase(it);
-    return true;
-  };
-  if (!erase_from(*pa, b)) return;
-  erase_from(*pb, a);
-  add_availability(*pa, pb->have, -1);
-  add_availability(*pb, pa->have, -1);
+  if (!erase_neighbor(*pa, b)) return;
+  erase_neighbor(*pb, a);
+  add_availability(slots_[a].avail, pb->have, -1);
+  add_availability(slots_[b].avail, pa->have, -1);
   proto_.on_neighbor_removed(a, b);
 }
 
@@ -150,9 +157,9 @@ std::vector<PieceIndex> Swarm::needed_pieces(PeerId chooser, PeerId owner) const
 }
 
 std::uint32_t Swarm::availability(PeerId p, PieceIndex i) const {
-  const auto it = avail_.find(p);
-  if (it == avail_.end() || i >= it->second.size()) return 0;
-  return it->second[i];
+  if (p >= slots_.size()) return 0;
+  const auto& av = slots_[p].avail;
+  return i < av.size() ? av[i] : 0;
 }
 
 std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
@@ -173,7 +180,7 @@ std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
       if (c >= playhead && c < window_end) windowed.push_back(c);
     }
     if (!windowed.empty()) {
-      const auto& av = avail_[chooser];
+      const auto& av = slots_[chooser].avail;
       PieceIndex best = windowed.front();
       for (PieceIndex c : windowed) {
         if (av[c] < av[best] || (av[c] == av[best] && c < best)) best = c;
@@ -182,7 +189,7 @@ std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
     }
   }
 
-  const auto& av = avail_[chooser];
+  const auto& av = slots_[chooser].avail;
   PieceIndex best = candidates.front();
   std::uint32_t best_avail = av[best];
   std::size_t ties = 1;
@@ -267,10 +274,7 @@ void Swarm::grant_piece(PeerId to, PieceIndex piece, PeerId from) {
   }
 
   // HAVE broadcast: neighbors' availability counters pick up the piece.
-  for (PeerId n : t->neighbors) {
-    auto it = avail_.find(n);
-    if (it != avail_.end()) ++it->second[piece];
-  }
+  for (PeerId n : t->neighbors) ++slots_[n].avail[piece];
 
   proto_.on_piece_complete(to, piece, from);
 
@@ -402,10 +406,24 @@ void Swarm::finish_peer(PeerId id) {
 }
 
 void Swarm::cut_off(PeerId id) {
-  const std::vector<PeerId> nbrs = peer(id)->neighbors;
-  for (PeerId n : nbrs) disconnect(id, n);
+  Peer& leaver = *slots_[id].peer;
+  std::vector<PeerId> nbrs;
+  nbrs.swap(leaver.neighbors);
+  // Subtracting every neighbour's have set would leave the leaver's row
+  // all zero; clear it once instead.
+  std::fill(slots_[id].avail.begin(), slots_[id].avail.end(), 0);
+  for (PeerId n : nbrs) {
+    Slot& s = slots_[n];
+    erase_neighbor(*s.peer, id);
+    add_availability(s.avail, leaver.have, -1);
+    proto_.on_neighbor_removed(id, n);
+  }
 
-  // Abort transfers in both directions.
+  // Abort transfers in both directions, in flows_' (hash) iteration order.
+  // The order is observable: each abort callback may draw from rng_ or
+  // start flows, and aborting in FlowId order changes the runs' output.
+  // Switching to FlowId order waits for a change allowed to move bench
+  // numbers (ROADMAP, one T-Chain engine).
   std::vector<sim::FlowId> dead;
   for (const auto& [fid, info] : flows_) {
     if (info.from == id || info.to == id) dead.push_back(fid);
@@ -480,16 +498,14 @@ PeerId Swarm::whitewash(PeerId id) {
   proto_.on_peer_depart(id);
   tracker_.depart(id);
 
-  // Re-key: same logical peer, fresh identity, download state kept.
+  // Re-key: same logical peer, fresh identity, download state kept. The
+  // slot moves whole (cut_off left its row all zero) and the retired id's
+  // slot is left empty, its row freed.
   const PeerId fresh = allocate_id();
-  auto node = peers_.extract(id);
-  node.key() = fresh;
-  peers_.insert(std::move(node));
-  Peer& moved = *peers_[fresh];
+  slots_[fresh] = std::exchange(slots_[id], Slot{});
+  Peer& moved = *slots_[fresh].peer;
   moved.id = fresh;
   moved.requested = moved.have;  // in-flight claims die with the identity
-  avail_.erase(id);
-  avail_[fresh].assign(piece_count_, 0);
   metrics_.rekey(id, fresh);
   // If the old identity was mid-outage, the fresh one starts with the
   // real (pre-outage) capacity; the pending end-outage event dies.
@@ -618,14 +634,14 @@ void Swarm::add_leecher(PeerId id, double upload_kbps, bool freerider,
 
   bw_.set_capacity(
       id, freerider ? 0.0 : util::kbps_to_bytes_per_sec(upload_kbps));
-  avail_[id].assign(piece_count_, 0);
+  slots_[id].avail.assign(piece_count_, 0);
   if (obs_ != nullptr) {
     std::uint8_t flags = 0;
     if (p->freerider) flags |= obs::kPeerFlagFreerider;
     if (p->colluder) flags |= obs::kPeerFlagColluder;
     obs_->emit({.t = now, .kind = obs::EventKind::kPeerJoin, .aux = flags, .a = id});
   }
-  peers_[id] = std::move(p);
+  slots_[id].peer = std::move(p);
   tracker_.announce(id);
   ++active_leechers_;
 
@@ -672,8 +688,8 @@ void Swarm::run() {
     rec.upload_kbps = cfg_.seeder_upload_kbps;
     bw_.set_capacity(seeder_id_,
                      util::kbps_to_bytes_per_sec(cfg_.seeder_upload_kbps));
-    avail_[seeder_id_].assign(piece_count_, 0);
-    peers_[seeder_id_] = std::move(s);
+    slots_[seeder_id_].avail.assign(piece_count_, 0);
+    slots_[seeder_id_].peer = std::move(s);
     tracker_.announce(seeder_id_);
   }
 

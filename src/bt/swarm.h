@@ -122,7 +122,12 @@ class Swarm {
   PeerId traced_fast_peer() const { return traced_fast_; }
 
  private:
-  PeerId allocate_id() { return next_id_++; }
+  // Mints the next id and gives it an empty slot (filled by add_leecher,
+  // run()'s seeder, or whitewash's move).
+  PeerId allocate_id() {
+    slots_.resize(next_id_ + 1);
+    return next_id_++;
+  }
   void join_leecher(std::size_t arrival_index, SimTime now);
   // The one leecher-construction path (arrivals and Fig 13's replacements):
   // builds the Peer and its record, its upload pipe and availability row,
@@ -141,11 +146,13 @@ class Swarm {
   void maintenance_tick(PeerId id);
   void finish_peer(PeerId id);
   // Leave path shared by depart() and whitewash(): disconnects every
-  // neighbour, then aborts every flow to or from `id` (each flow's on_done
-  // sees ok == false).
+  // neighbour, leaving `id`'s availability row all zero, then aborts every
+  // flow to or from `id` (each flow's on_done sees ok == false).
   void cut_off(PeerId id);
   void check_done();
-  void add_availability(Peer& p, const Bitfield& bits, int sign);
+  // Adds `sign` (+1 or -1) to `row` at every piece `bits` holds.
+  static void add_availability(std::vector<std::uint32_t>& row,
+                               const Bitfield& bits, int sign);
 
   SwarmConfig cfg_;
   Protocol& proto_;
@@ -165,9 +172,14 @@ class Swarm {
   PeerId seeder_id_ = net::kNoPeer;
   PeerId next_id_ = 1;
 
-  std::unordered_map<PeerId, std::unique_ptr<Peer>> peers_;
-  // Neighborhood availability counters, parallel to peers_.
-  std::unordered_map<PeerId, std::vector<std::uint32_t>> avail_;
+  // Per-identity state, indexed by PeerId: ids are minted densely from 1,
+  // so slot 0 stays empty and a whitewashed id's slot is emptied.
+  struct Slot {
+    std::unique_ptr<Peer> peer;  // heap-held: Peer* outlives slots_ growth
+    // avail[i]: how many of peer's neighbours hold piece i.
+    std::vector<std::uint32_t> avail;
+  };
+  std::vector<Slot> slots_;
 
   struct FlowInfo {
     PeerId from, to;

@@ -81,6 +81,23 @@ TEST(Bitfield, ToVector) {
   EXPECT_EQ(bf.to_vector(), (std::vector<PieceIndex>{2, 69}));
 }
 
+TEST(Bitfield, ForEachWalksSetPiecesInAscendingOrder) {
+  // Word edges (63/64, 127/128) and a partial last word.
+  Bitfield bf(200);
+  for (PieceIndex i : {199u, 0u, 128u, 63u, 5u, 64u, 127u, 150u}) bf.set(i);
+  std::vector<PieceIndex> by_get;
+  for (PieceIndex i = 0; i < bf.size(); ++i) {
+    if (bf.get(i)) by_get.push_back(i);
+  }
+  std::vector<PieceIndex> walked;
+  bf.for_each([&walked](PieceIndex i) { walked.push_back(i); });
+  EXPECT_EQ(walked, by_get);
+
+  std::size_t calls = 0;
+  Bitfield(130).for_each([&calls](PieceIndex) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+}
+
 class BitfieldMessageRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BitfieldMessageRoundTrip, Wire) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "src/protocols/choking.h"
+
 namespace tc::bt {
 namespace {
 
@@ -231,6 +236,81 @@ TEST(Swarm, RejectsEmptyLeecherSet) {
   // The run's end-of-arrivals bookkeeping needs at least one leecher.
   NullProtocol proto;
   EXPECT_THROW(Swarm(tiny_config(0), proto), std::invalid_argument);
+}
+
+// BitTorrent that remembers the highest identity it has seen join and
+// counts whitewashes.
+class IdTrackingBitTorrent : public protocols::BitTorrentProtocol {
+ public:
+  PeerId max_id = 0;
+  std::size_t whitewashes = 0;
+  void on_peer_join(PeerId id) override {
+    max_id = std::max(max_id, id);
+    BitTorrentProtocol::on_peer_join(id);
+  }
+  void on_peer_rekeyed(PeerId old_id, PeerId fresh) override {
+    ++whitewashes;
+    BitTorrentProtocol::on_peer_rekeyed(old_id, fresh);
+  }
+};
+
+// availability(p, i) must be the number of p's neighbours holding piece i,
+// and 0 for every identity that is gone (departed, crashed, whitewashed).
+::testing::AssertionResult availability_matches_neighbourhood(
+    const Swarm& swarm, PeerId max_id, std::size_t* retired) {
+  for (PeerId id = 1; id <= max_id; ++id) {
+    const Peer* p = swarm.peer(id);
+    const bool live = p != nullptr && p->active;
+    if (!live && retired != nullptr) ++*retired;
+    for (PieceIndex i = 0; i < swarm.piece_count(); ++i) {
+      std::uint32_t holders = 0;
+      if (live) {
+        for (PeerId n : p->neighbors) holders += swarm.peer(n)->have.get(i);
+      }
+      if (swarm.availability(id, i) != holders) {
+        return ::testing::AssertionFailure()
+               << "peer " << id << (live ? "" : " (gone)") << " piece " << i
+               << ": availability " << swarm.availability(id, i)
+               << ", neighbours holding it " << holders;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Swarm, AvailabilityMatchesNeighbourhoodUnderAttackAndChurn) {
+  IdTrackingBitTorrent proto;
+  SwarmConfig cfg;
+  cfg.leecher_count = 40;
+  cfg.piece_bytes = 64 * util::kKiB;
+  cfg.file_bytes = 130 * cfg.piece_bytes;  // three availability words
+  cfg.freerider_fraction = 0.25;           // large view + whitewash
+  cfg.faults.session_kind = sim::FaultPlan::SessionKind::kLogNormal;
+  cfg.faults.mean_session = 150.0;         // half the exits crash
+  cfg.seed = 3;
+  cfg.max_sim_time = 5'000.0;
+  cfg.wait_for_freeriders = false;
+  Swarm swarm(cfg, proto);
+
+  int checks = 0;
+  std::function<void()> check = [&] {
+    ++checks;
+    EXPECT_TRUE(availability_matches_neighbourhood(swarm, proto.max_id,
+                                                   nullptr))
+        << "at t=" << swarm.simulator().now();
+    swarm.simulator().schedule_in(20.0, check);
+  };
+  swarm.simulator().schedule_at(5.0, check);
+  swarm.run();
+
+  std::size_t retired = 0;
+  EXPECT_TRUE(availability_matches_neighbourhood(swarm, proto.max_id,
+                                                 &retired));
+  // The run exercised what the invariant is about.
+  EXPECT_GE(checks, 5);
+  EXPECT_GT(proto.whitewashes, 0u);
+  EXPECT_GT(swarm.metrics().resilience().crashes, 0u);
+  EXPECT_GT(retired, proto.whitewashes);
 }
 
 TEST(Swarm, ControlMessageLatency) {
