@@ -1,5 +1,6 @@
 #include "src/core/exchange.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/crypto/hmac.h"
@@ -42,12 +43,21 @@ net::EncryptedPieceMsg DonorSession::take_offer() {
   return m;
 }
 
+void DonorSession::reassign_payee(PeerId new_payee) {
+  past_payees_.push_back(offer_.payee);
+  offer_.payee = new_payee;
+}
+
 bool DonorSession::accept_receipt(const net::ReceiptMsg& receipt) {
   if (receipted_) return true;
   if (receipt.reciprocated_tx != offer_.tx) return false;
-  if (receipt.payee != offer_.payee) return false;
+  if (receipt.payee != offer_.payee &&
+      std::find(past_payees_.begin(), past_payees_.end(), receipt.payee) ==
+          past_payees_.end()) {
+    return false;
+  }
   if (receipt.requestor != offer_.requestor) return false;
-  const auto mac_key = derive_mac_key(offer_.donor, offer_.payee);
+  const auto mac_key = derive_mac_key(offer_.donor, receipt.payee);
   const auto expect = net::receipt_mac(mac_key, receipt.reciprocated_tx,
                                        receipt.payee, receipt.requestor,
                                        receipt.piece);

@@ -8,6 +8,8 @@
 // event-driven simulator models these exchanges at metadata level.
 #pragma once
 
+#include <vector>
+
 #include "src/crypto/cipher.h"
 #include "src/crypto/sha256.h"
 #include "src/net/message.h"
@@ -38,20 +40,23 @@ class DonorSession {
   // keeps only what settlement needs (metadata and key).
   net::EncryptedPieceMsg take_offer();
 
-  // Validates a receipt claimed to come from the designated payee.
-  // On success the donor is willing to release the key.
+  // Validates a receipt claimed to come from a payee this transaction has
+  // designated, the current one or an earlier one, MAC'd under that
+  // payee's key. On success the donor is willing to release the key.
   bool accept_receipt(const net::ReceiptMsg& receipt);
   bool receipted() const { return receipted_; }
 
-  // §II-B4: the payee left or stopped needing pieces; future receipts must
-  // come from (and be MAC'd by) the replacement instead.
-  void reassign_payee(PeerId new_payee) { offer_.payee = new_payee; }
+  // §II-B4: the payee left or stopped needing pieces. The replacement
+  // becomes the payee, and a receipt from the old one still settles the
+  // transaction: the requestor's reciprocation may already be on its way.
+  void reassign_payee(PeerId new_payee);
 
   // Precondition: receipted(). The key-release message for the requestor.
   net::KeyReleaseMsg key_release() const;
 
  private:
   net::EncryptedPieceMsg offer_;
+  std::vector<PeerId> past_payees_;  // designated before offer_.payee
   crypto::SymmetricKey key_;
   bool receipted_ = false;
 };

@@ -93,7 +93,10 @@ void Node::on_neighbor_up(net::PeerId peer) {
   out_.send(peer, net::Message{have_.to_message()});
 }
 
-void Node::on_neighbor_down(net::PeerId peer) { neighbors_.erase(peer); }
+void Node::on_neighbor_down(net::PeerId peer) {
+  neighbors_.erase(peer);
+  reselect_payees_of(peer, obs::RetryCause::kPayeeGone);
+}
 
 void Node::on_message(net::PeerId from, net::Message m) {
   if (neighbor(from) == nullptr) return;
@@ -122,24 +125,40 @@ void Node::on_watchdog(net::TxId tx) {
 
   ++d.retries;
   out_.count("rt.tx_retries");
-  emit_donor(EventKind::kTxRetry, o);
+  emit_donor(EventKind::kTxRetry, o);  // aux 0: RetryCause::kWatchdog
+  reselect_payee(it);
+}
 
-  // §II-B4: re-run payee selection; the designated payee may have finished
-  // or hit the pending cap.
+void Node::reselect_payee(DonorIt it) {
+  DonorSession& session = it->second.session;
+  const net::EncryptedPieceMsg& o = session.offer();
   const net::PeerId np = select_payee(payee_query(o.requestor, o.piece), rng_);
   if (np == net::kNoPeer) {
     settle_gratis(it, obs::ChainBreakCause::kNoPayee);
     return;
   }
   if (np != o.payee) {
-    d.session.reassign_payee(np);
+    session.reassign_payee(np);
     notify_payee(o);
     if (neighbor(o.requestor) != nullptr) {
       out_.send(o.requestor,
                    net::Message{net::PayeeReassignMsg{o.tx, np}});
     }
   }
-  out_.arm_watchdog(tx);
+  out_.arm_watchdog(o.tx);
+}
+
+void Node::reselect_payees_of(net::PeerId payee, obs::RetryCause cause) {
+  // A finished or departed peer never qualifies again, so each transaction
+  // is re-selected once; reselect_payee erases at most the one it is given.
+  for (auto it = donor_.begin(); it != donor_.end();) {
+    const auto cur = it++;
+    const net::EncryptedPieceMsg& o = cur->second.session.offer();
+    if (o.payee != payee) continue;
+    out_.count("rt.payee_reselects");
+    emit_donor(EventKind::kTxRetry, o, static_cast<std::uint8_t>(cause));
+    reselect_payee(cur);
+  }
 }
 
 // --- Neighbour state ------------------------------------------------------
@@ -149,6 +168,10 @@ void Node::handle(net::PeerId from, net::BitfieldMsg& m) {
   Neighbor& n = *neighbor(from);
   n.have = bt::Bitfield::from_message(m);
   for (const net::PieceIndex p : n.have.to_vector()) n.claimed.set(p);
+  // A payee designated before its bitfield arrived may turn out complete.
+  if (n.have.complete()) {
+    reselect_payees_of(from, obs::RetryCause::kPayeeFinished);
+  }
 }
 
 void Node::handle(net::PeerId from, net::HaveMsg& m) {
@@ -156,6 +179,9 @@ void Node::handle(net::PeerId from, net::HaveMsg& m) {
   Neighbor& n = *neighbor(from);
   n.have.set(m.piece);
   n.claimed.set(m.piece);
+  if (n.have.complete()) {
+    reselect_payees_of(from, obs::RetryCause::kPayeeFinished);
+  }
 }
 
 // --- Requestor side -------------------------------------------------------
@@ -255,6 +281,8 @@ void Node::grant_piece(net::PieceIndex piece, util::Bytes data,
   }
   if (have_.complete()) {
     out_.emit({.kind = EventKind::kPeerFinish, .a = opts_.id});
+    // Direct reciprocity can no longer pay a donor that needs nothing.
+    reselect_payees_of(opts_.id, obs::RetryCause::kPayeeFinished);
   }
 }
 

@@ -35,6 +35,15 @@
 // forward snapshots the current buffer, so only keys arriving afterwards
 // need to cascade downstream.
 //
+// Payee re-selection (§II-B4): a donor re-runs payee selection the moment
+// its payee can no longer be paid — the HAVE (or bitfield) that shows the
+// payee complete, its own last piece when it is its own payee, or the
+// payee's connection going down — and settles gratis when no qualified
+// payee is left. These re-selections emit kTxRetry with the cause in aux
+// and use up no watchdog retry; the watchdog stays a safety net for
+// receipts that never come. A receipt from an earlier payee of the
+// transaction still settles it (DonorSession::accept_receipt).
+//
 // Sender validation: an offer (encrypted or plain) and a PayeeNotify are
 // accepted only from the donor they name; a KeyRelease or PayeeReassign
 // only from the donor of the banked transaction it names. A bystander can
@@ -76,9 +85,9 @@ class Node {
   struct Options {
     net::PeerId id = net::kNoPeer;
     bool seeder = false;
-    // Watchdog firings a donor transaction survives. Each reassigns the
-    // payee (§II-B4); the next settles the key gratis if the requestor is
-    // still reachable, so banked ciphertexts never wedge the swarm.
+    // Watchdog firings a donor transaction survives. Each re-runs payee
+    // selection (§II-B4); the next settles the key gratis if the requestor
+    // is still reachable, so banked ciphertexts never wedge the swarm.
     int max_retries = 2;
     int pending_cap = 2;           // flow-control k (§II-D2)
     std::size_t seeder_slots = 8;  // open donor txs a (quasi-)seeder keeps
@@ -196,6 +205,12 @@ class Node {
                 std::uint64_t chain, net::PeerId prev_donor,
                 net::PieceIndex prev_piece, net::TxId forward_of);
   void maybe_start_chains();
+  // §II-B4 for one open transaction: reassigns the payee, or settles gratis
+  // when no qualified payee is left; re-arms the watchdog if still open.
+  void reselect_payee(DonorIt it);
+  // Re-selects the payee of every open transaction that designated `payee`,
+  // which has just finished or left.
+  void reselect_payees_of(net::PeerId payee, obs::RetryCause cause);
   void settle_gratis(DonorIt it, obs::ChainBreakCause cause);
   // Releases the key to the requestor (or records it lost when the
   // requestor is gone), resolves its pending slot and closes the

@@ -51,6 +51,15 @@ const char* chain_break_cause_name(ChainBreakCause c) {
   return "?";
 }
 
+const char* retry_cause_name(RetryCause c) {
+  switch (c) {
+    case RetryCause::kWatchdog: return "watchdog";
+    case RetryCause::kPayeeFinished: return "payee-finished";
+    case RetryCause::kPayeeGone: return "payee-gone";
+  }
+  return "?";
+}
+
 EventRing::EventRing(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {}
 

@@ -45,8 +45,8 @@ enum class EventKind : std::uint8_t {
   kKeyLost,       // a=donor, b=requestor, ref=tx (key never arrived)
   // Transaction lifecycle.
   kTxOpen,     // a=donor, b=requestor, c=payee (kNoPeer=terminal), ref=tx
-  kTxRetry,    // ref=tx; watchdog re-kicked a stalled exchange
-  kTxTimeout,  // ref=tx; watchdog exhausted retries, tearing down
+  kTxRetry,    // ref=tx, aux=RetryCause; a stalled exchange re-kicked
+  kTxTimeout,  // ref=tx, aux=RetryCause; retries exhausted, tearing down
   kTxClose,    // ref=tx, aux=final core::TxState
   // Chain structure.
   kChainStart,   // a=initiator, chain, aux=ChainFlags (bit0: by seeder)
@@ -91,6 +91,16 @@ enum class ChainBreakCause : std::uint8_t {
 };
 
 const char* chain_break_cause_name(ChainBreakCause c);
+
+// aux payload of kTxRetry and kTxTimeout: what made the donor re-run payee
+// selection (§II-B4). The simulator emits only kWatchdog.
+enum class RetryCause : std::uint8_t {
+  kWatchdog = 0,   // the per-transaction watchdog fired
+  kPayeeFinished,  // the payee completed the file
+  kPayeeGone,      // the payee disconnected
+};
+
+const char* retry_cause_name(RetryCause c);
 
 struct TraceEvent {
   util::SimTime t = 0.0;

@@ -46,6 +46,7 @@ void PeerNode::arm_watchdog(net::TxId tx) {
   timer = reactor_.schedule(opts_.watchdog_seconds, [this, tx] {
     watchdogs_.erase(tx);
     node_.on_watchdog(tx);
+    after_input();
   });
 }
 
@@ -66,7 +67,20 @@ void PeerNode::count(const char* name) {
 
 void PeerNode::tick() {
   node_.on_tick();
+  after_input();
   tick_timer_ = reactor_.schedule(kTickInterval, [this] { tick(); });
+}
+
+void PeerNode::after_input() {
+  if (finish_t_ < 0 && !opts_.seeder && node_.complete()) {
+    finish_t_ = reactor_.now();
+    if (opts_.on_complete) opts_.on_complete(opts_.id);
+  }
+  const std::size_t open = node_.open_donor_txs();
+  if (open == 0 && open_txs_ != 0 && opts_.on_settled) {
+    opts_.on_settled(opts_.id);
+  }
+  open_txs_ = open;
 }
 
 // --- Connections ----------------------------------------------------------
@@ -106,6 +120,7 @@ void PeerNode::on_conn_closed(FrameConn& c) {
     if (it != neighbors_.end() && it->second == &c) {
       neighbors_.erase(it);
       node_.on_neighbor_down(c.peer);
+      after_input();
     }
   }
   reactor_.post([this, conn = &c] { conns_.erase(conn); });
@@ -125,10 +140,7 @@ void PeerNode::on_message(FrameConn& c, net::Message m) {
   const auto it = neighbors_.find(c.peer);
   if (it == neighbors_.end() || it->second != &c) return;
   node_.on_message(c.peer, std::move(m));
-  if (finish_t_ < 0 && !opts_.seeder && node_.complete()) {
-    finish_t_ = reactor_.now();
-    if (opts_.on_complete) opts_.on_complete(opts_.id);
-  }
+  after_input();
 }
 
 void PeerNode::handle_handshake(FrameConn& c, const net::HandshakeMsg& m) {

@@ -32,6 +32,9 @@ class PeerNode : public Reactor::Handler,
     // the engine reassign the payee or settle gratis.
     double watchdog_seconds = 0.2;
     std::function<void(net::PeerId)> on_complete;  // fires once at 100%
+    // Fires whenever an input settles the node's last open donor
+    // transaction.
+    std::function<void(net::PeerId)> on_settled;
   };
 
   PeerNode(SwarmContext& ctx, const Options& opts);
@@ -73,6 +76,8 @@ class PeerNode : public Reactor::Handler,
   static constexpr double kTickInterval = 0.02;
 
   void tick();
+  // Runs after every engine input: reports completion and settlement.
+  void after_input();
   void maybe_dial(net::PeerId peer, std::uint16_t port);
   void handle_handshake(FrameConn& c, const net::HandshakeMsg& m);
 
@@ -89,6 +94,7 @@ class PeerNode : public Reactor::Handler,
 
   Reactor::TimerId tick_timer_ = 0;
   double finish_t_ = -1.0;
+  std::size_t open_txs_ = 0;  // node_.open_donor_txs() after the last input
   core::Node node_;
 };
 

@@ -1,6 +1,5 @@
 #include "src/rt/swarm.h"
 
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -35,26 +34,21 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
 
   const std::size_t leechers = opts.peers > 0 ? opts.peers - 1 : 0;
   std::size_t completed = 0;
-  bool draining = false;
 
   std::vector<std::unique_ptr<PeerNode>> nodes;
   nodes.reserve(opts.peers);
 
-  // When every leecher holds the file, poll until all donor transactions
-  // settle (key releases in flight) before stopping, so the checker sees
-  // closed escrows instead of end-of-run warnings.
-  static constexpr double kDrainPoll = 0.05;
+  // Once every leecher holds the file, stop on the settlement that closes
+  // the last open donor transaction (a receipt's key release or a gratis
+  // settlement), so the checker sees closed escrows instead of end-of-run
+  // warnings. kDrainGrace bounds the wait for one that never settles.
   static constexpr double kDrainGrace = 2.0;
-  std::function<void(double)> drain = [&](double waited) {
-    std::size_t open = 0;
-    for (const auto& n : nodes) open += n->open_donor_txs();
-    if (open == 0 || waited >= kDrainGrace) {
-      reactor.stop();
-      return;
+  const auto stop_if_settled = [&] {
+    if (completed < leechers) return;
+    for (const auto& n : nodes) {
+      if (n->open_donor_txs() != 0) return;
     }
-    reactor.schedule(kDrainPoll, [&drain, waited] {
-      drain(waited + kDrainPoll);
-    });
+    reactor.stop();
   };
 
   for (std::size_t i = 0; i < opts.peers; ++i) {
@@ -68,12 +62,11 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
     popts.seeder_slots = opts.seeder_slots;
     popts.seed = opts.seed * 1000003ull + popts.id;
     popts.on_complete = [&](net::PeerId) {
-      ++completed;
-      if (completed >= leechers && !draining) {
-        draining = true;
-        drain(0.0);
-      }
+      if (++completed != leechers) return;
+      reactor.schedule(kDrainGrace, [&reactor] { reactor.stop(); });
+      stop_if_settled();
     };
+    popts.on_settled = [&](net::PeerId) { stop_if_settled(); };
     nodes.push_back(std::make_unique<PeerNode>(ctx, popts));
   }
   for (auto& n : nodes) n->start();

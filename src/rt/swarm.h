@@ -1,11 +1,11 @@
 // One-call localhost swarm: spins up a TrackerService plus N PeerNodes
 // (peer 1 seeds, the rest leech) on a single Reactor, runs the live
 // T-Chain protocol over real loopback sockets until every leecher holds
-// the full file (or a wall-clock deadline expires), and returns per-peer
-// completion times together with the invariant checker's verdict over the
-// run's full trace. The checker is attached as a live sink, so the verdict
-// is sound even if the trace ring (obs::TraceConfig's default capacity)
-// wraps.
+// the full file and every donor transaction has settled (or a wall-clock
+// deadline expires), and returns per-peer completion times together with
+// the invariant checker's verdict over the run's full trace. The checker
+// is attached as a live sink, so the verdict is sound even if the trace
+// ring (obs::TraceConfig's default capacity) wraps.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +39,8 @@ struct PeerStat {
 
 struct SwarmResult {
   bool all_complete = false;
+  // Reactor seconds at stop: the settlement that closed the last donor
+  // transaction after the last leecher finished, or the deadline.
   double wall_seconds = 0.0;
   std::vector<PeerStat> peers;
   check::CheckReport check;
@@ -48,8 +50,12 @@ struct SwarmResult {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-// Blocks until the swarm completes (plus a short settlement drain) or the
-// deadline fires. Throws std::runtime_error on socket setup failure.
+// Blocks until the swarm completes and settles, or the deadline fires.
+// Settlement is driven by protocol messages (payee re-selection when a
+// payee finishes, receipts, key releases); if a transaction is still open
+// 2 s after the last leecher finished, the run stops anyway and the
+// checker reports the open escrow as a warning. Throws std::runtime_error
+// on socket setup failure.
 SwarmResult run_local_swarm(const SwarmOptions& opts);
 
 }  // namespace tc::rt

@@ -125,6 +125,28 @@ TEST_F(ExchangeTest, ReceiptFromWrongPayeeRejected) {
   EXPECT_FALSE(donor.accept_receipt(receipt));
 }
 
+TEST_F(ExchangeTest, ReceiptFromAnyDesignatedPayeeAccepted) {
+  // §II-B4: payee 3 was replaced by 4, and the requestor's reciprocation
+  // had already reached 3. Each designated payee's receipt settles the
+  // transaction; an undesignated peer's does not, even correctly MAC'd.
+  const auto from = [&](PeerId payee) {
+    net::EncryptedPieceMsg recip;
+    recip.tx = 101;
+    recip.donor = 2;
+    recip.requestor = payee;
+    recip.piece = 11;
+    return receipt_for(recip, 1, 100);
+  };
+  for (const PeerId payee : {PeerId{3}, PeerId{4}}) {
+    DonorSession donor(100, 1, 1, 2, /*payee=*/3, 10, net::kNoPeer,
+                       net::kNoPiece, piece(1), keys);
+    donor.reassign_payee(4);
+    EXPECT_EQ(donor.offer().payee, 4u);
+    EXPECT_FALSE(donor.accept_receipt(from(5)));
+    EXPECT_TRUE(donor.accept_receipt(from(payee))) << "payee " << payee;
+  }
+}
+
 TEST_F(ExchangeTest, WrongKeyFailsHashCheck) {
   const auto p1 = piece(0x77);
   DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,

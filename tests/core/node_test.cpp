@@ -85,15 +85,16 @@ class Bus {
   }
 
   // Runs until every leecher holds the file and every donor transaction
-  // has settled, or `horizon` simulated seconds pass.
+  // has settled, or `horizon` simulated seconds pass. Each tick delivers
+  // every queued message before the clock moves on.
   void run(double horizon) {
-    while (now_ < horizon && !settled()) {
+    for (;;) {
       deliver_all();
+      if (settled() || now_ >= horizon) return;
       now_ += kTick;
       fire_watchdogs();
       for (auto& p : peers_) p->node->on_tick();
     }
-    deliver_all();
   }
 
   bool settled() const {
@@ -113,6 +114,9 @@ class Bus {
         [k](const obs::TraceEvent& e) { return e.kind == k; }));
   }
   const std::vector<obs::TraceEvent>& events() const { return events_; }
+  double now() const { return now_; }
+  // Simulated times at which watchdogs fired, in firing order.
+  const std::vector<double>& watchdog_fires() const { return fired_; }
 
  private:
   struct Peer : Node::Effects {
@@ -165,6 +169,7 @@ class Bus {
     for (const auto& [deadline, peer, tx] : due) {
       (void)deadline;
       watchdogs_.erase({peer, tx});
+      fired_.push_back(now_);
       peers_[peer - 1]->node->on_watchdog(tx);
     }
   }
@@ -175,6 +180,7 @@ class Bus {
   std::map<std::pair<net::PeerId, net::TxId>, double> watchdogs_;
   std::set<std::uint64_t> broken_;
   std::vector<obs::TraceEvent> events_;
+  std::vector<double> fired_;
   check::Checker checker_;
   double now_ = 0.0;
 };
@@ -219,6 +225,31 @@ TEST(NodeSwarm, SettledTriangleHoldsNoPayload) {
   }
 }
 
+TEST(NodeSwarm, SettlesOnTheLastFinishWithoutWatchdogs) {
+  // Once the last leecher finishes, its HAVEs make every donor re-select
+  // the payee of each open transaction (§II-B4). No qualified payee is
+  // left, so every transaction no receipt has settled yet settles gratis
+  // within the same tick.
+  for (const std::uint64_t seed : {3, 7, 11, 21}) {
+    for (const std::size_t peers : {4, 6, 8}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << peers
+                                        << " peers");
+      Bus bus(peers, 16, 1024, seed);
+      bus.run(60.0);
+      ASSERT_TRUE(bus.settled());
+      EXPECT_STREQ(bus.finish().verdict(), "PASS");
+      double last_finish = 0.0;
+      for (const obs::TraceEvent& e : bus.events()) {
+        if (e.kind == EventKind::kPeerFinish) {
+          last_finish = std::max(last_finish, e.t);
+        }
+      }
+      EXPECT_EQ(bus.now(), last_finish);
+      for (const double t : bus.watchdog_fires()) EXPECT_LE(t, last_finish);
+    }
+  }
+}
+
 // Hand-driven nodes: the test plays every other peer.
 class NodeTest : public ::testing::Test {
  protected:
@@ -251,7 +282,217 @@ class NodeTest : public ::testing::Test {
   bool holds_piece(const Node& n) const {
     return crypto::sha256(n.piece(kPiece)) == meta.hashes[kPiece];
   }
+
+  // A's one open transaction, as the test sees it.
+  struct OpenTx {
+    net::EncryptedPieceMsg offer;
+    net::PeerId bystander = net::kNoPeer;  // the up leecher in neither role
+  };
+
+  // A seeds with one chain slot. Every neighbour in `up` lacks only kPiece,
+  // so A's one chain head offers kPiece to one of them, with another as
+  // payee.
+  std::unique_ptr<Node> open_seeder_tx(Recorder& rec,
+                                       std::initializer_list<net::PeerId> up,
+                                       OpenTx& open) {
+    Node::Options opts;
+    opts.id = kA;
+    opts.seed = kA;
+    opts.seeder = true;
+    opts.seeder_slots = 1;
+    auto a = std::make_unique<Node>(meta, opts, rec);
+    bt::Bitfield lacks_piece(meta.piece_count);
+    for (std::uint32_t p = 0; p < meta.piece_count; ++p) {
+      if (p != kPiece) lacks_piece.set(p);
+    }
+    for (const net::PeerId p : up) {
+      a->on_neighbor_up(p);
+      a->on_message(p, net::Message{lacks_piece.to_message()});
+    }
+    a->on_tick();
+    for (const net::PeerId p : up) {
+      const auto offers = rec.sent_to<net::EncryptedPieceMsg>(p);
+      if (!offers.empty()) open.offer = offers[0];
+    }
+    for (const net::PeerId p : up) {
+      if (p != open.offer.requestor && p != open.offer.payee) {
+        open.bystander = p;
+      }
+    }
+    return a;
+  }
+
+  // The trace events of `kind` the recorder holds.
+  static std::vector<obs::TraceEvent> events_of(const Recorder& rec,
+                                                EventKind kind) {
+    std::vector<obs::TraceEvent> out;
+    for (const obs::TraceEvent& e : rec.events) {
+      if (e.kind == kind) out.push_back(e);
+    }
+    return out;
+  }
+
+  static std::uint8_t aux(obs::RetryCause c) {
+    return static_cast<std::uint8_t>(c);
+  }
 };
+
+TEST_F(NodeTest, PayeeFinishingReassignsWithoutAWatchdog) {
+  Recorder rec;
+  OpenTx open;
+  auto a = open_seeder_tx(rec, {kR, kX, kY}, open);
+  ASSERT_EQ(a->open_donor_txs(), 1u);
+  ASSERT_NE(open.offer.payee, net::kNoPeer);
+  ASSERT_NE(open.bystander, net::kNoPeer);
+  const net::PeerId r = open.offer.requestor;
+
+  // The payee's HAVE for its last piece: it no longer needs anything, so A
+  // re-selects at once (§II-B4). The bystander is the only qualified payee.
+  a->on_message(open.offer.payee, net::Message{net::HaveMsg{kPiece}});
+  const auto reassigned = rec.sent_to<net::PayeeReassignMsg>(r);
+  ASSERT_EQ(reassigned.size(), 1u);
+  EXPECT_EQ(reassigned[0], (net::PayeeReassignMsg{open.offer.tx,
+                                                  open.bystander}));
+  const auto notices = rec.sent_to<net::PayeeNotifyMsg>(open.bystander);
+  ASSERT_EQ(notices.size(), 1u);
+  EXPECT_EQ(notices[0].tx, open.offer.tx);
+  EXPECT_EQ(notices[0].requestor, r);
+
+  const auto retries = events_of(rec, EventKind::kTxRetry);
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_EQ(retries[0].aux, aux(obs::RetryCause::kPayeeFinished));
+  EXPECT_EQ(rec.counters["rt.payee_reselects"], 1);
+  EXPECT_EQ(rec.counters.count("rt.tx_retries"), 0u);
+  EXPECT_EQ(a->open_donor_txs(), 1u);
+  EXPECT_EQ(rec.watchdogs.count(open.offer.tx), 1u);  // still the safety net
+}
+
+TEST_F(NodeTest, PayeeFinishingWithNoPayeeLeftSettlesGratis) {
+  Recorder rec;
+  OpenTx open;
+  auto a = open_seeder_tx(rec, {kR, kY}, open);
+  ASSERT_EQ(a->open_donor_txs(), 1u);
+  const net::PeerId r = open.offer.requestor;
+
+  a->on_message(open.offer.payee, net::Message{net::HaveMsg{kPiece}});
+  EXPECT_EQ(a->open_donor_txs(), 0u);
+  EXPECT_TRUE(rec.watchdogs.empty());
+
+  // The break precedes the gratis key; the waiver follows the key.
+  std::vector<EventKind> kinds;
+  for (const obs::TraceEvent& e : rec.events) {
+    if (e.kind == EventKind::kTxRetry || e.kind == EventKind::kChainBreak ||
+        e.kind == EventKind::kKeyDelivered || e.kind == EventKind::kTxClose) {
+      kinds.push_back(e.kind);
+    }
+  }
+  EXPECT_EQ(kinds, (std::vector<EventKind>{
+                       EventKind::kTxRetry, EventKind::kChainBreak,
+                       EventKind::kKeyDelivered, EventKind::kTxClose}));
+  const auto breaks = events_of(rec, EventKind::kChainBreak);
+  ASSERT_EQ(breaks.size(), 1u);
+  EXPECT_EQ(breaks[0].aux,
+            static_cast<std::uint8_t>(obs::ChainBreakCause::kNoPayee));
+
+  std::vector<std::size_t> order;  // positions of the key and the waiver
+  for (std::size_t i = 0; i < rec.sent.size(); ++i) {
+    if (rec.sent[i].to != r) continue;
+    if (const auto* k = std::get_if<net::KeyReleaseMsg>(&rec.sent[i].m)) {
+      EXPECT_EQ(k->tx, open.offer.tx);
+      order.push_back(i);
+    }
+    if (const auto* w = std::get_if<net::PayeeReassignMsg>(&rec.sent[i].m)) {
+      EXPECT_EQ(*w, (net::PayeeReassignMsg{open.offer.tx, net::kNoPeer}));
+      order.push_back(i);
+    }
+  }
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_TRUE(std::holds_alternative<net::KeyReleaseMsg>(rec.sent[order[0]].m));
+}
+
+TEST_F(NodeTest, DonorFinishingAsItsOwnPayeeReselects) {
+  // A leeches from the seeder X and lacks only kPiece, which R holds: its
+  // opportunistic chain head toward R designates A itself (direct
+  // reciprocity, §II-B2).
+  Recorder rec;
+  auto a = make_node(kA, rec, {kR, kX});
+  bt::Bitfield only_piece(meta.piece_count);
+  only_piece.set(kPiece);
+  bt::Bitfield all(meta.piece_count);
+  for (std::uint32_t p = 0; p < meta.piece_count; ++p) all.set(p);
+  a->on_message(kR, net::Message{only_piece.to_message()});
+  a->on_message(kX, net::Message{all.to_message()});
+  const auto plain = [&](net::PieceIndex p) {
+    return net::Message{net::PlainPieceMsg{100 + p, 200 + p, kX, p,
+                                           net::kNoPeer, net::kNoPiece,
+                                           meta.pieces[p]}};
+  };
+  for (net::PieceIndex p = 0; p < meta.piece_count; ++p) {
+    if (p != kPiece) a->on_message(kX, plain(p));
+  }
+  a->on_tick();
+  const auto offers = rec.sent_to<net::EncryptedPieceMsg>(kR);
+  ASSERT_EQ(offers.size(), 1u);
+  ASSERT_EQ(offers[0].payee, kA);
+
+  // X's kPiece completes A, which can no longer be paid: with R the
+  // requestor and X complete, no payee qualifies, so A settles gratis.
+  a->on_message(kX, plain(kPiece));
+  ASSERT_TRUE(a->complete());
+  EXPECT_EQ(a->open_donor_txs(), 0u);
+  const auto retries = events_of(rec, EventKind::kTxRetry);
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_EQ(retries[0].ref, offers[0].tx);
+  EXPECT_EQ(retries[0].aux, aux(obs::RetryCause::kPayeeFinished));
+  const auto waivers = rec.sent_to<net::PayeeReassignMsg>(kR);
+  ASSERT_EQ(waivers.size(), 1u);
+  EXPECT_EQ(waivers[0], (net::PayeeReassignMsg{offers[0].tx, net::kNoPeer}));
+  EXPECT_EQ(rec.sent_to<net::KeyReleaseMsg>(kR).size(), 1u);
+}
+
+TEST_F(NodeTest, PayeeDisconnectingReassigns) {
+  Recorder rec;
+  OpenTx open;
+  auto a = open_seeder_tx(rec, {kR, kX, kY}, open);
+  ASSERT_NE(open.bystander, net::kNoPeer);
+
+  a->on_neighbor_down(open.offer.payee);
+  const auto reassigned = rec.sent_to<net::PayeeReassignMsg>(
+      open.offer.requestor);
+  ASSERT_EQ(reassigned.size(), 1u);
+  EXPECT_EQ(reassigned[0].new_payee, open.bystander);
+  EXPECT_EQ(rec.sent_to<net::PayeeNotifyMsg>(open.bystander).size(), 1u);
+  const auto retries = events_of(rec, EventKind::kTxRetry);
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_EQ(retries[0].aux, aux(obs::RetryCause::kPayeeGone));
+  EXPECT_EQ(a->open_donor_txs(), 1u);
+}
+
+TEST_F(NodeTest, ReceiptFromThePreviousPayeeStillReleasesTheKey) {
+  // R's reciprocation was already on its way to the old payee when it
+  // finished; that payee's receipt arrives after the reassignment.
+  Recorder rec;
+  OpenTx open;
+  auto a = open_seeder_tx(rec, {kR, kX, kY}, open);
+  const net::PeerId old_payee = open.offer.payee;
+  const net::PeerId r = open.offer.requestor;
+  a->on_message(old_payee, net::Message{net::HaveMsg{kPiece}});
+  ASSERT_EQ(rec.sent_to<net::PayeeReassignMsg>(r).size(), 1u);
+
+  net::ReceiptMsg receipt;
+  receipt.reciprocated_tx = open.offer.tx;
+  receipt.payee = old_payee;
+  receipt.requestor = r;
+  receipt.piece = 2;
+  receipt.mac = net::receipt_mac(derive_mac_key(kA, old_payee),
+                                 open.offer.tx, old_payee, r, 2);
+  a->on_message(old_payee, net::Message{receipt});
+  const auto keys_sent = rec.sent_to<net::KeyReleaseMsg>(r);
+  ASSERT_EQ(keys_sent.size(), 1u);
+  EXPECT_EQ(keys_sent[0].tx, open.offer.tx);
+  EXPECT_EQ(a->open_donor_txs(), 0u);
+  EXPECT_TRUE(events_of(rec, EventKind::kChainBreak).empty());  // paid
+}
 
 TEST_F(NodeTest, ReciprocationBeforePayeeNotifyStillYieldsReceipt) {
   // Y is A's payee for tx 777; R's reciprocation reaches Y before A's

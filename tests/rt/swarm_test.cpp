@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -116,6 +117,40 @@ TEST(LiveSwarm, MetricsExposeRuntimeCounters) {
   EXPECT_GT(metric(res.metrics, "rt.tx_opened"), 0.0);
 }
 
+TEST(LiveSwarm, SettlesThroughMessagesWithoutWatchdogs) {
+  // With a watchdog far beyond the deadline, only protocol messages can
+  // finish the swarm: payees re-selected when they finish, receipts and key
+  // releases. The run stops on the last settlement, not on a grace timer.
+  for (const std::size_t peers : {4, 8}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(::testing::Message() << peers << " peers, seed " << seed);
+      SwarmOptions opts;
+      opts.peers = peers;
+      opts.piece_count = 16;
+      opts.piece_bytes = 8 * 1024;
+      opts.seed = seed;
+      opts.watchdog_seconds = 30.0;
+      opts.deadline_seconds = 20.0;
+      const SwarmResult res = run_local_swarm(opts);
+      EXPECT_TRUE(res.all_complete);
+      EXPECT_STREQ(res.check.verdict(), "PASS");
+      double last_finish = 0.0;
+      for (const PeerStat& p : res.peers) {
+        last_finish = std::max(last_finish, p.finish_seconds);
+      }
+      EXPECT_LT(res.wall_seconds - last_finish, 1.0);
+      for (const obs::TraceEvent& e : res.events) {
+        if (e.kind != obs::EventKind::kTxRetry &&
+            e.kind != obs::EventKind::kTxTimeout) {
+          continue;
+        }
+        EXPECT_NE(e.aux, static_cast<std::uint8_t>(obs::RetryCause::kWatchdog))
+            << obs::event_kind_name(e.kind) << " tx " << e.ref;
+      }
+    }
+  }
+}
+
 TEST(LiveSwarm, DeterministicFileMetaAcrossCalls) {
   // The swarm content derives from the seed alone; two metas with the same
   // seed are identical (live socket timing must not leak into the data).
@@ -142,16 +177,14 @@ TEST(LiveSwarm, ReverseStartOrderFormsFullMeshAndCompletes) {
 
   std::vector<std::unique_ptr<PeerNode>> nodes;
   int completed = 0;
-  // Once both leechers hold the file, wait for donor transactions to
-  // settle so the checker sees closed escrows.
-  std::function<void()> drain = [&] {
-    std::size_t open = 0;
-    for (const auto& n : nodes) open += n->open_donor_txs();
-    if (open == 0) {
-      reactor.stop();
-      return;
+  // Once both leechers hold the file, stop when the donor transactions
+  // have settled, so the checker sees closed escrows.
+  const auto stop_if_settled = [&] {
+    if (completed < 2) return;
+    for (const auto& n : nodes) {
+      if (n->open_donor_txs() != 0) return;
     }
-    reactor.schedule(0.01, drain);
+    reactor.stop();
   };
   for (net::PeerId id = 1; id <= 3; ++id) {
     PeerNode::Options opts;
@@ -160,8 +193,10 @@ TEST(LiveSwarm, ReverseStartOrderFormsFullMeshAndCompletes) {
     opts.tracker_port = tracker.port();
     opts.seed = id;
     opts.on_complete = [&](net::PeerId) {
-      if (++completed == 2) drain();
+      ++completed;
+      stop_if_settled();
     };
+    opts.on_settled = [&](net::PeerId) { stop_if_settled(); };
     nodes.push_back(std::make_unique<PeerNode>(ctx, opts));
   }
   for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) (*it)->start();

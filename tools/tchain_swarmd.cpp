@@ -5,11 +5,21 @@
 //
 //   tchain-swarmd [-n PEERS] [--pieces N] [--piece-kb KB] [--seed S]
 //                 [--deadline SECONDS] [--pending-cap K]
+//                 [--watchdog SECONDS] [--retries N] [--seeder-slots N]
 //                 [--trace-csv FILE] [--trace-json FILE] [--quiet]
+//
+// --watchdog is the donor's per-transaction receipt timeout (default
+// 0.2 s), --retries the watchdog firings a transaction survives before it
+// settles gratis (default 2), --seeder-slots the donor transactions a
+// seeder keeps open (default 8). After the wall time, the summary prints
+// the seconds from the last leecher's completion to the stop and the
+// tx-retry and tx-timeout counts by cause.
 //
 // Exit code: 0 = every leecher completed and the checker PASSed,
 // 1 = a peer failed to complete before the deadline, 2 = invariant
 // violations (or an unsound trace), 3 = setup error.
+#include <algorithm>
+#include <array>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -20,6 +30,43 @@
 #include "src/rt/swarm.h"
 #include "src/util/flags.h"
 
+namespace {
+
+// One line: seconds from the last leecher's completion to the stop, then
+// tx-retry and tx-timeout counts by cause (read from the event snapshot).
+void print_settlement(std::ostream& os, const tc::rt::SwarmResult& res) {
+  using tc::obs::EventKind;
+  using tc::obs::RetryCause;
+  double last = 0.0;
+  for (const tc::rt::PeerStat& p : res.peers) {
+    if (!p.seeder) last = std::max(last, p.finish_seconds);
+  }
+  constexpr std::size_t kCauses = 3;
+  std::array<std::size_t, kCauses> retry{};
+  std::array<std::size_t, kCauses> timeout{};
+  for (const tc::obs::TraceEvent& e : res.events) {
+    if (e.aux >= kCauses) continue;
+    if (e.kind == EventKind::kTxRetry) ++retry[e.aux];
+    if (e.kind == EventKind::kTxTimeout) ++timeout[e.aux];
+  }
+  const auto by_cause = [&os](const char* kind,
+                              const std::array<std::size_t, kCauses>& n) {
+    os << kind;
+    for (std::size_t c = 0; c < kCauses; ++c) {
+      os << ' ' << tc::obs::retry_cause_name(static_cast<RetryCause>(c))
+         << '=' << n[c];
+    }
+  };
+  os << "settle: " << res.wall_seconds - last
+     << " s from last leecher to stop; ";
+  by_cause("tx-retry", retry);
+  os << "; ";
+  by_cause("tx-timeout", timeout);
+  os << "\n";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const tc::util::Flags flags(argc, argv);
   if (flags.has("help") || flags.has("h")) {
@@ -27,6 +74,8 @@ int main(int argc, char** argv) {
                  "[--piece-kb KB] [--seed S]\n"
                  "                     [--deadline SECONDS] "
                  "[--pending-cap K]\n"
+                 "                     [--watchdog SECONDS] [--retries N] "
+                 "[--seeder-slots N]\n"
                  "                     [--trace-csv FILE] "
                  "[--trace-json FILE] [--quiet]\n";
     return 0;
@@ -81,6 +130,7 @@ int main(int argc, char** argv) {
     std::cout << "wall: " << res.wall_seconds << " s, events: "
               << res.events_recorded << " (" << res.events_dropped
               << " dropped by ring)\n";
+    print_settlement(std::cout, res);
     tc::check::write_report(std::cout, res.check);
   }
 
