@@ -249,8 +249,6 @@ void Node::handle(net::PeerId from, net::KeyReleaseMsg& m) {
   } catch (const std::invalid_argument&) {
     return;
   }
-  // piece_xor layers commute: peel this key off regardless of arrival order.
-  b.buffer = crypto::piece_xor(key, std::move(b.buffer));
   b.applied_keys.push_back(m.key);
 
   // Cascade to every forward of this buffer: the forwarded ciphertext was
@@ -261,6 +259,17 @@ void Node::handle(net::PeerId from, net::KeyReleaseMsg& m) {
     out_.count("rt.keys_cascaded");
   }
 
+  if (have_.get(b.piece)) {
+    // The piece came by another path, so this buffer can only feed the
+    // cascade, which needs the keys but not the plaintext: skip the peel
+    // and the hash, and free the buffer. Not done: later keys still
+    // cascade.
+    b.buffer = util::Bytes{};
+    out_.count("rt.keys_held");
+    return;
+  }
+  // piece_xor layers commute: peel this key off regardless of arrival order.
+  b.buffer = crypto::piece_xor(key, std::move(b.buffer));
   if (crypto::sha256(b.buffer) == meta_.hashes[b.piece]) {
     b.done = true;
     grant_piece(b.piece, std::move(b.buffer), b.donor);
@@ -414,7 +423,8 @@ void Node::try_reciprocate(net::TxId banked_tx, BankedTx& b) {
   }
   // Newcomer bootstrap (§II-D1): nothing completed to offer — forward this
   // very ciphertext, re-encrypted under a fresh key.
-  if (!b.done && !p->claimed.get(b.piece) &&
+  // Never a held piece: its buffer may have been freed (KeyRelease).
+  if (!b.done && !have_.get(b.piece) && !p->claimed.get(b.piece) &&
       start_tx(b.payee, b.piece, b.chain, b.donor, b.piece, banked_tx)) {
     b.reciprocated = true;
     out_.count("rt.forwards");

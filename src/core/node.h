@@ -33,7 +33,9 @@
 // banked buffer is progressively decrypted by whichever keys arrive, in
 // any order, and completion is detected by the piece hash matching. A
 // forward snapshots the current buffer, so only keys arriving afterwards
-// need to cascade downstream.
+// need to cascade downstream. Once the node holds the piece by another
+// path, a key is still recorded and cascaded but no longer peeled off or
+// hashed, and the buffer is freed (counted as rt.keys_held).
 //
 // Payee re-selection (§II-B4): a donor re-runs payee selection the moment
 // its payee can no longer be paid — the HAVE (or bitfield) that shows the
@@ -154,7 +156,8 @@ class Node {
     net::PeerId payee = net::kNoPeer;
     net::PieceIndex piece = net::kNoPiece;
     // Progressively decrypted (XOR keystream layers commute); moved into
-    // the piece store once the hash matches.
+    // the piece store once the hash matches, freed once the piece is held
+    // by another path.
     util::Bytes buffer;
     std::vector<util::Bytes> applied_keys;
     // Our donor txs forwarding this buffer, with their requestors.

@@ -16,12 +16,13 @@ using ChaChaNonce = std::array<std::uint8_t, 12>;
 
 // Returns `input` XORed with the keystream from block `initial_counter`
 // on; encryption and decryption are the same call. A copy of `input` runs
-// through the in-place 4-lane kernel that crypto::piece_xor uses.
+// through the in-place kernel that crypto::piece_xor uses: the widest one
+// the CPU runs (AVX-512, AVX2 or the portable 4-lane kernel).
 util::Bytes chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                          std::uint32_t initial_counter,
                          const util::Bytes& input);
 
-// One 64-byte keystream block, computed one word at a time: the kernel's
+// One 64-byte keystream block, computed one word at a time: the kernels'
 // tail and the tests' reference.
 std::array<std::uint8_t, 64> chacha20_block(const ChaChaKey& key,
                                             const ChaChaNonce& nonce,

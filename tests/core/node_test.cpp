@@ -571,6 +571,56 @@ TEST_F(NodeTest, ForwardedBufferDecryptsWithKeysInEitherOrder) {
   }
 }
 
+TEST_F(NodeTest, KeyForAHeldPieceCascadesWithoutDecrypting) {
+  // A's ciphertext is itself a forward, under two keys, so one key cannot
+  // complete it. R, holding nothing, forwards it to its payee X.
+  Recorder rec;
+  auto r = make_node(kR, rec, {kA, kX, kY});
+  const crypto::SymmetricKey k1 = keys.next();
+  const crypto::SymmetricKey k2 = keys.next();
+  net::EncryptedPieceMsg offer;
+  offer.tx = 777;
+  offer.chain = 9;
+  offer.donor = kA;
+  offer.requestor = kR;
+  offer.payee = kX;
+  offer.piece = kPiece;
+  offer.ciphertext =
+      crypto::piece_xor(k1, crypto::piece_xor(k2, meta.pieces[kPiece]));
+  r->on_message(kA, net::Message{offer});
+  const auto fwd = rec.sent_to<net::EncryptedPieceMsg>(kX);
+  ASSERT_EQ(fwd.size(), 1u);
+  ASSERT_EQ(fwd[0].piece, kPiece);
+
+  // Y's plain copy of the piece arrives before either key.
+  r->on_message(kY, net::Message{net::PlainPieceMsg{
+                        900, 901, kY, kPiece, net::kNoPeer, net::kNoPiece,
+                        meta.pieces[kPiece]}});
+  ASSERT_TRUE(holds_piece(*r));
+  ASSERT_EQ(events_of(rec, EventKind::kPieceGranted).size(), 1u);
+  const std::size_t before = r->payload_bytes();
+
+  // The first key still reaches X; R skips the peel and frees the buffer.
+  r->on_message(kA, net::Message{net::KeyReleaseMsg{777, kPiece,
+                                                    k1.serialize()}});
+  auto to_x = rec.sent_to<net::KeyReleaseMsg>(kX);
+  ASSERT_EQ(to_x.size(), 1u);
+  EXPECT_EQ(to_x[0], (net::KeyReleaseMsg{fwd[0].tx, kPiece, k1.serialize()}));
+  EXPECT_EQ(rec.counters["rt.keys_held"], 1);
+  EXPECT_EQ(r->payload_bytes(), before - meta.piece_bytes);
+  EXPECT_EQ(events_of(rec, EventKind::kPieceGranted).size(), 1u);
+
+  // The transaction is not done: the second key cascades too.
+  r->on_message(kA, net::Message{net::KeyReleaseMsg{777, kPiece,
+                                                    k2.serialize()}});
+  to_x = rec.sent_to<net::KeyReleaseMsg>(kX);
+  ASSERT_EQ(to_x.size(), 2u);
+  EXPECT_EQ(to_x[1], (net::KeyReleaseMsg{fwd[0].tx, kPiece, k2.serialize()}));
+  EXPECT_EQ(rec.counters["rt.keys_held"], 2);
+  EXPECT_EQ(events_of(rec, EventKind::kPieceGranted).size(), 1u);
+  EXPECT_TRUE(holds_piece(*r));
+}
+
 TEST_F(NodeTest, ThirdPartyGarbageKeyLeavesTheBufferIntact) {
   Recorder rec;
   auto r = make_node(kR, rec, {kA, kX, kY});

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
+#include "src/crypto/kernels.h"
 #include "src/util/bytes.h"
 
 namespace tc::crypto {
@@ -69,8 +74,9 @@ TEST(ChaCha20, NonAlignedLengths) {
 }
 
 TEST(ChaCha20, MultiBlockMatchesBlockFunction) {
-  // The 4-lane kernel against the one-block reference, across its 256-byte
-  // step, the scalar tail and a counter that wraps mod 2^32 mid-step.
+  // The kernel chacha20_xor dispatches to against the one-block reference,
+  // across its step, the scalar tail and a counter that wraps mod 2^32
+  // mid-step. Each kernel is checked on its own below.
   const ChaChaNonce nonce{0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 1};
   for (const std::uint32_t counter : {0u, 1u, 0xfffffffcu}) {
     for (const std::size_t len : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u,
@@ -88,6 +94,78 @@ TEST(ChaCha20, MultiBlockMatchesBlockFunction) {
       EXPECT_EQ(chacha20_xor(test_key(), nonce, counter, data), expected)
           << "counter=" << counter << " len=" << len;
     }
+  }
+}
+
+// Runs `kernel` in place over data at offsets 0-15 from a 64-byte aligned
+// base, for lengths around each kernel's 256-, 512- and 1024-byte step and
+// for counters that wrap mod 2^32 mid-step, and compares the result with
+// the chacha20_block keystream. The bytes around the data must not change.
+void expect_matches_block_function(detail::ChaCha20Xor kernel) {
+  constexpr std::size_t kMaxLen = 262144;
+  constexpr std::size_t kPad = 64;
+  const ChaChaNonce nonce{0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 1};
+  for (const std::uint32_t counter : {0u, 1u, 0xfffffff0u, 0xfffffffcu}) {
+    util::Bytes keystream(kMaxLen);
+    for (std::size_t i = 0; i < kMaxLen; i += 64) {
+      const auto block = chacha20_block(
+          test_key(), nonce, counter + static_cast<std::uint32_t>(i / 64));
+      std::copy(block.begin(), block.end(), keystream.begin() + i);
+    }
+    for (const std::size_t len :
+         {0u, 1u, 255u, 256u, 257u, 511u, 512u, 513u, 1023u, 1024u, 1025u,
+          4103u, 262144u}) {
+      util::Bytes pattern(len + 3 * kPad);
+      for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 131 + 7);
+      util::Bytes got(pattern.size());
+      const auto addr = reinterpret_cast<std::uintptr_t>(got.data());
+      const std::size_t base = (kPad - addr % kPad) % kPad;
+      for (std::size_t offset = 0; offset < 16; ++offset) {
+        const std::size_t start = base + offset;
+        util::Bytes expected = pattern;
+        for (std::size_t i = 0; i < len; ++i)
+          expected[start + i] ^= keystream[i];
+        std::copy(pattern.begin(), pattern.end(), got.begin());
+        kernel(test_key(), nonce, counter, got.data() + start, len);
+        const auto diff =
+            std::mismatch(got.begin(), got.end(), expected.begin());
+        EXPECT_TRUE(diff.first == got.end())
+            << "counter=" << counter << " len=" << len
+            << " offset=" << offset << " first wrong byte at "
+            << static_cast<long>(diff.first - got.begin()) -
+                   static_cast<long>(start);
+      }
+    }
+  }
+}
+
+TEST(ChaCha20, FourLaneKernelMatchesBlockFunction) {
+  // Called directly: on a CPU with a wider kernel chacha20_xor never
+  // reaches it.
+  expect_matches_block_function(&detail::chacha20_xor_4lane);
+}
+
+TEST(ChaCha20, Avx2KernelMatchesBlockFunction) {
+  const detail::ChaCha20Xor kernel = detail::chacha20_xor_avx2();
+  if (kernel == nullptr) GTEST_SKIP() << "CPU lacks AVX2";
+  expect_matches_block_function(kernel);
+}
+
+TEST(ChaCha20, Avx512KernelMatchesBlockFunction) {
+  const detail::ChaCha20Xor kernel = detail::chacha20_xor_avx512();
+  if (kernel == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F and AVX-512VL";
+  expect_matches_block_function(kernel);
+}
+
+TEST(ChaCha20, DispatchPicksTheWidestKernel) {
+  const std::string name = detail::chacha20_kernel_name();
+  if (detail::chacha20_xor_avx512() != nullptr) {
+    EXPECT_EQ(name, "avx512");
+  } else if (detail::chacha20_xor_avx2() != nullptr) {
+    EXPECT_EQ(name, "avx2");
+  } else {
+    EXPECT_EQ(name, "4-lane");
   }
 }
 
