@@ -20,7 +20,7 @@ util::Bytes derive_mac_key(PeerId a, PeerId b) {
 
 DonorSession::DonorSession(TxId tx, std::uint64_t chain, PeerId donor,
                            PeerId requestor, PeerId payee, PieceIndex piece,
-                           PeerId prev_donor, PieceIndex prev_piece,
+                           PeerId prev_donor, TxId prev_tx,
                            const util::Bytes& plaintext,
                            crypto::KeySource& keys)
     : key_(keys.next()) {
@@ -31,7 +31,7 @@ DonorSession::DonorSession(TxId tx, std::uint64_t chain, PeerId donor,
   offer_.payee = payee;
   offer_.piece = piece;
   offer_.prev_donor = prev_donor;
-  offer_.prev_piece = prev_piece;
+  offer_.prev_tx = prev_tx;
   offer_.ciphertext = crypto::piece_xor(key_, plaintext);
 }
 

@@ -30,7 +30,7 @@ class DonorSession {
  public:
   DonorSession(TxId tx, std::uint64_t chain, PeerId donor, PeerId requestor,
                PeerId payee, PieceIndex piece, PeerId prev_donor,
-               PieceIndex prev_piece, const util::Bytes& plaintext,
+               TxId prev_tx, const util::Bytes& plaintext,
                crypto::KeySource& keys);
 
   // The offer sent to the requestor. Its ciphertext is empty once

@@ -139,7 +139,6 @@ void Node::reselect_payee(DonorIt it) {
   }
   if (np != o.payee) {
     session.reassign_payee(np);
-    notify_payee(o);
     if (neighbor(o.requestor) != nullptr) {
       out_.send(o.requestor,
                    net::Message{net::PayeeReassignMsg{o.tx, np}});
@@ -196,10 +195,22 @@ bool Node::accept_offer(net::PeerId from, const Offer& m) {
                 .ref = m.tx,
                 .chain = m.chain});
   // This upload may simultaneously be the reciprocation paying for an
-  // earlier transaction we are payee of.
-  if (m.prev_donor != net::kNoPeer) {
-    match_duty_or_stash(m.donor, m.piece, m.prev_donor, m.prev_piece);
+  // earlier transaction we are payee of: receipt it to that donor.
+  if (m.prev_donor == net::kNoPeer) return true;
+  net::ReceiptMsg r;
+  r.reciprocated_tx = m.prev_tx;
+  r.payee = opts_.id;
+  r.requestor = m.donor;
+  r.piece = m.piece;
+  r.mac = net::receipt_mac(derive_mac_key(m.prev_donor, opts_.id), m.prev_tx,
+                           opts_.id, m.donor, m.piece);
+  out_.count("rt.receipts");
+  if (m.prev_donor == opts_.id) {
+    handle(opts_.id, r);  // direct reciprocity: the donor designated itself
+  } else if (neighbor(m.prev_donor) != nullptr) {
+    out_.send(m.prev_donor, net::Message{r});
   }
+  // Donor unreachable: its watchdog reassigns or settles gratis.
   return true;
 }
 
@@ -307,57 +318,6 @@ void Node::handle(net::PeerId from, net::PayeeReassignMsg& m) {
   try_reciprocate(m.tx, b);
 }
 
-// --- Payee side -----------------------------------------------------------
-
-void Node::handle(net::PeerId from, net::PayeeNotifyMsg& m) {
-  if (m.donor != from) return;
-  // The reciprocation may have raced ahead of this notice (it travels on a
-  // different connection).
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (it->uploader == m.requestor && it->prev_donor == m.donor &&
-        it->prev_piece == m.piece) {
-      const StashedRecip s = *it;
-      stash_.erase(it);
-      send_receipt(m, s.uploader, s.piece);
-      return;
-    }
-  }
-  duties_.push_back(m);
-}
-
-void Node::match_duty_or_stash(net::PeerId uploader, net::PieceIndex piece,
-                               net::PeerId prev_donor,
-                               net::PieceIndex prev_piece) {
-  for (auto it = duties_.begin(); it != duties_.end(); ++it) {
-    if (it->requestor == uploader && it->donor == prev_donor &&
-        it->piece == prev_piece) {
-      const net::PayeeNotifyMsg duty = *it;
-      duties_.erase(it);
-      send_receipt(duty, uploader, piece);
-      return;
-    }
-  }
-  stash_.push_back({uploader, prev_donor, prev_piece, piece});
-}
-
-void Node::send_receipt(const net::PayeeNotifyMsg& duty, net::PeerId uploader,
-                        net::PieceIndex piece_received) {
-  net::ReceiptMsg r;
-  r.reciprocated_tx = duty.tx;
-  r.payee = opts_.id;
-  r.requestor = uploader;
-  r.piece = piece_received;
-  r.mac = net::receipt_mac(derive_mac_key(duty.donor, opts_.id), duty.tx,
-                           opts_.id, uploader, piece_received);
-  out_.count("rt.receipts");
-  if (duty.donor == opts_.id) {
-    handle(opts_.id, r);  // direct reciprocity: donor designated itself
-  } else if (neighbor(duty.donor) != nullptr) {
-    out_.send(duty.donor, net::Message{r});
-  }
-  // Donor unreachable: its watchdog reassigns or settles gratis.
-}
-
 // --- Donor side -----------------------------------------------------------
 
 void Node::handle(net::PeerId from, net::ReceiptMsg& m) {
@@ -398,16 +358,6 @@ void Node::release_key(DonorIt it, bool waive) {
   donor_.erase(it);
 }
 
-void Node::notify_payee(const net::EncryptedPieceMsg& offer) {
-  const net::PayeeNotifyMsg notice{offer.tx, offer.chain, opts_.id,
-                                   offer.requestor, offer.piece};
-  if (offer.payee == opts_.id) {
-    duties_.push_back(notice);
-  } else if (neighbor(offer.payee) != nullptr) {
-    out_.send(offer.payee, net::Message{notice});
-  }
-}
-
 // --- Reciprocation & chain growth ----------------------------------------
 
 void Node::try_reciprocate(net::TxId banked_tx, BankedTx& b) {
@@ -418,14 +368,14 @@ void Node::try_reciprocate(net::TxId banked_tx, BankedTx& b) {
   // Preferred: a completed piece the payee has not claimed.
   const net::PieceIndex give = lrf_unclaimed(p->claimed);
   if (give != net::kNoPiece) {
-    b.reciprocated = start_tx(b.payee, give, b.chain, b.donor, b.piece, 0);
+    b.reciprocated = start_tx(b.payee, give, b.chain, b.donor, banked_tx, 0);
     return;
   }
   // Newcomer bootstrap (§II-D1): nothing completed to offer — forward this
   // very ciphertext, re-encrypted under a fresh key.
   // Never a held piece: its buffer may have been freed (KeyRelease).
   if (!b.done && !have_.get(b.piece) && !p->claimed.get(b.piece) &&
-      start_tx(b.payee, b.piece, b.chain, b.donor, b.piece, banked_tx)) {
+      start_tx(b.payee, b.piece, b.chain, b.donor, banked_tx, banked_tx)) {
     b.reciprocated = true;
     out_.count("rt.forwards");
   }
@@ -457,7 +407,7 @@ PayeeQuery Node::payee_query(net::PeerId requestor,
 
 bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
                     std::uint64_t chain, net::PeerId prev_donor,
-                    net::PieceIndex prev_piece, net::TxId forward_of) {
+                    net::TxId prev_tx, net::TxId forward_of) {
   Neighbor* rn = neighbor(requestor);
   if (rn == nullptr) return false;
   // Chain heads are selections and must respect the flow-control cap k.
@@ -513,7 +463,7 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
   if (payee == net::kNoPeer) {
     out_.send(requestor,
                  net::Message{net::PlainPieceMsg{tx, chain, opts_.id, give,
-                                                 prev_donor, prev_piece,
+                                                 prev_donor, prev_tx,
                                                  this->piece(give)}});
     out_.count("rt.tx_terminal");
     return true;
@@ -522,13 +472,11 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
   pending_.add(requestor);
   BankedTx* fwd = forward_of != 0 ? &banked_.at(forward_of) : nullptr;
   DonorSession session(tx, chain, opts_.id, requestor, payee, give,
-                       prev_donor, prev_piece,
+                       prev_donor, prev_tx,
                        fwd != nullptr ? fwd->buffer : this->piece(give), keys_);
   out_.send(requestor, net::Message{session.take_offer()});
   if (fwd != nullptr) fwd->forwarded_as.emplace_back(tx, requestor);
-  const DonorTx& d =
-      donor_.emplace(tx, DonorTx{std::move(session)}).first->second;
-  notify_payee(d.session.offer());
+  donor_.emplace(tx, DonorTx{std::move(session)});
   out_.arm_watchdog(tx);
   out_.count("rt.tx_opened");
   return true;
@@ -558,7 +506,7 @@ void Node::maybe_start_chains() {
     const net::PeerId r = cands[rng_.index(cands.size())];
     const net::PieceIndex p = lrf_unclaimed(neighbors_.at(r).claimed);
     if (p == net::kNoPiece) return;
-    if (!start_tx(r, p, 0, net::kNoPeer, net::kNoPiece, 0)) return;
+    if (!start_tx(r, p, 0, net::kNoPeer, 0, 0)) return;
   }
 }
 

@@ -46,11 +46,15 @@
 // receipts that never come. A receipt from an earlier payee of the
 // transaction still settles it (DonorSession::accept_receipt).
 //
-// Sender validation: an offer (encrypted or plain) and a PayeeNotify are
-// accepted only from the donor they name; a KeyRelease or PayeeReassign
-// only from the donor of the banked transaction it names. A bystander can
-// neither poison a banked buffer with a garbage key nor waive or redirect
-// another donor's reciprocation.
+// Receipts: an offer's back-reference names the transaction it pays for
+// and that transaction's donor, so the payee receipts it on delivery and
+// keeps no list of expected payments; DonorSession::accept_receipt judges.
+//
+// Sender validation: an offer (encrypted or plain) is accepted only from
+// the donor it names; a KeyRelease or PayeeReassign only from the donor of
+// the banked transaction it names. A bystander can neither poison a banked
+// buffer with a garbage key nor waive or redirect another donor's
+// reciprocation.
 #pragma once
 
 #include <cstdint>
@@ -165,14 +169,6 @@ class Node {
     bool done = false;          // hash matched — every key arrived
     bool reciprocated = false;  // obligation discharged (or waived)
   };
-  // A reciprocation that arrived before its PayeeNotify (different
-  // connections give no cross-pair ordering).
-  struct StashedRecip {
-    net::PeerId uploader = net::kNoPeer;
-    net::PeerId prev_donor = net::kNoPeer;
-    net::PieceIndex prev_piece = net::kNoPiece;
-    net::PieceIndex piece = net::kNoPiece;
-  };
   using DonorIt = std::map<net::TxId, DonorTx>::iterator;
 
   // Message handlers; `from` is an up neighbour.
@@ -182,7 +178,6 @@ class Node {
   void handle(net::PeerId from, net::PlainPieceMsg& m);
   void handle(net::PeerId from, net::ReceiptMsg& m);
   void handle(net::PeerId from, net::KeyReleaseMsg& m);
-  void handle(net::PeerId from, net::PayeeNotifyMsg& m);
   void handle(net::PeerId from, net::PayeeReassignMsg& m);
   // Handshakes and tracker traffic belong to the owner.
   template <typename M>
@@ -192,21 +187,17 @@ class Node {
   }
 
   // Common head of an offer (encrypted or plain): sender check, delivery
-  // event, and the payee side. False when the offer is rejected.
+  // event, and the payee side — the receipt for the transaction it
+  // reciprocates. False when the offer is rejected.
   template <typename Offer>
   bool accept_offer(net::PeerId from, const Offer& m);
-  void match_duty_or_stash(net::PeerId uploader, net::PieceIndex piece,
-                           net::PeerId prev_donor, net::PieceIndex prev_piece);
-  void send_receipt(const net::PayeeNotifyMsg& duty, net::PeerId uploader,
-                    net::PieceIndex piece_received);
-  void notify_payee(const net::EncryptedPieceMsg& offer);
   void try_reciprocate(net::TxId banked_tx, BankedTx& b);
   // Opens a transaction toward `requestor`. chain == 0 starts a new chain.
   // forward_of != 0 re-encrypts that banked buffer instead of a stored
   // piece (§II-D1). Returns false when the open must be deferred.
   bool start_tx(net::PeerId requestor, net::PieceIndex piece,
                 std::uint64_t chain, net::PeerId prev_donor,
-                net::PieceIndex prev_piece, net::TxId forward_of);
+                net::TxId prev_tx, net::TxId forward_of);
   void maybe_start_chains();
   // §II-B4 for one open transaction: reassigns the payee, or settles gratis
   // when no qualified payee is left; re-arms the watchdog if still open.
@@ -246,8 +237,6 @@ class Node {
   PendingTracker pending_;
   std::map<net::TxId, DonorTx> donor_;
   std::map<net::TxId, BankedTx> banked_;
-  std::vector<net::PayeeNotifyMsg> duties_;  // receipts we owe donors
-  std::vector<StashedRecip> stash_;
   std::uint32_t tx_count_ = 0;
   std::uint32_t chain_count_ = 0;
 

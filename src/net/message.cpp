@@ -32,7 +32,7 @@ void encode_body(util::ByteWriter& w, const EncryptedPieceMsg& m) {
   w.u32(m.payee);
   w.u32(m.piece);
   w.u32(m.prev_donor);
-  w.u32(m.prev_piece);
+  w.u64(m.prev_tx);
   w.blob(m.ciphertext);
 }
 
@@ -42,7 +42,7 @@ void encode_body(util::ByteWriter& w, const PlainPieceMsg& m) {
   w.u32(m.donor);
   w.u32(m.piece);
   w.u32(m.prev_donor);
-  w.u32(m.prev_piece);
+  w.u64(m.prev_tx);
   w.blob(m.data);
 }
 
@@ -79,14 +79,6 @@ void encode_body(util::ByteWriter& w, const PeerListMsg& m) {
   }
 }
 
-void encode_body(util::ByteWriter& w, const PayeeNotifyMsg& m) {
-  w.u64(m.tx);
-  w.u64(m.chain);
-  w.u32(m.donor);
-  w.u32(m.requestor);
-  w.u32(m.piece);
-}
-
 HandshakeMsg decode_handshake(util::ByteReader& r) {
   HandshakeMsg m;
   m.peer = r.u32();
@@ -112,7 +104,7 @@ EncryptedPieceMsg decode_encrypted(util::ByteReader& r) {
   m.payee = r.u32();
   m.piece = r.u32();
   m.prev_donor = r.u32();
-  m.prev_piece = r.u32();
+  m.prev_tx = r.u64();
   m.ciphertext = r.blob();
   return m;
 }
@@ -124,7 +116,7 @@ PlainPieceMsg decode_plain(util::ByteReader& r) {
   m.donor = r.u32();
   m.piece = r.u32();
   m.prev_donor = r.u32();
-  m.prev_piece = r.u32();
+  m.prev_tx = r.u64();
   m.data = r.blob();
   return m;
 }
@@ -179,16 +171,6 @@ PeerListMsg decode_peer_list(util::ByteReader& r) {
   return m;
 }
 
-PayeeNotifyMsg decode_payee_notify(util::ByteReader& r) {
-  PayeeNotifyMsg m;
-  m.tx = r.u64();
-  m.chain = r.u64();
-  m.donor = r.u32();
-  m.requestor = r.u32();
-  m.piece = r.u32();
-  return m;
-}
-
 }  // namespace
 
 util::Bytes encode_message(const Message& m) {
@@ -213,7 +195,6 @@ Message decode_message(const util::Bytes& wire) {
     case MsgType::kPayeeReassign: out = decode_reassign(r); break;
     case MsgType::kAnnounce: out = decode_announce(r); break;
     case MsgType::kPeerList: out = decode_peer_list(r); break;
-    case MsgType::kPayeeNotify: out = decode_payee_notify(r); break;
     default:
       throw std::invalid_argument("decode_message: unknown message type");
   }

@@ -2,10 +2,12 @@
 //
 // An encrypted-piece message carries the triple the paper writes as
 //   [ (i1, A) | K^{i2}_{B,C}[p_i2] | D ]
-// i.e. the back-reference to the transaction being reciprocated, the
-// ciphertext, and the designated payee of the *next* transaction. Receipts
-// are the "r_C = [B | i1]" reception reports, authenticated with an
-// HMAC-SHA256 tag so they cannot be forged by spoofed senders.
+// i.e. the back-reference to the transaction being reciprocated (its donor
+// A and its id i1), the ciphertext, and the designated payee of the *next*
+// transaction. Receipts are the "r_C = [B | i1]" reception reports the
+// payee sends A on delivery, naming i1 from that back-reference and
+// authenticated with an HMAC-SHA256 tag so they cannot be forged by spoofed
+// senders.
 //
 // These structs are used byte-for-byte by the real TCP transport
 // (examples/tcp_triangle) and by serialization tests; the event-driven
@@ -53,10 +55,11 @@ struct EncryptedPieceMsg {
   PeerId requestor = kNoPeer;
   PeerId payee = kNoPeer;    // whom the requestor must reciprocate to
   PieceIndex piece = kNoPiece;
-  // Back-reference "(i1, A)": the upload this one reciprocates.
-  // kNoPeer/kNoPiece for a chain-initiating upload ("null").
+  // Back-reference "(i1, A)": the transaction this upload reciprocates and
+  // its donor, whom the payee receipts. kNoPeer/0 for a chain-initiating
+  // upload ("null").
   PeerId prev_donor = kNoPeer;
-  PieceIndex prev_piece = kNoPiece;
+  TxId prev_tx = 0;
   util::Bytes ciphertext;
   bool operator==(const EncryptedPieceMsg&) const = default;
 };
@@ -69,7 +72,7 @@ struct PlainPieceMsg {
   PeerId donor = kNoPeer;
   PieceIndex piece = kNoPiece;
   PeerId prev_donor = kNoPeer;
-  PieceIndex prev_piece = kNoPiece;
+  TxId prev_tx = 0;
   util::Bytes data;
   bool operator==(const PlainPieceMsg&) const = default;
 };
@@ -124,23 +127,10 @@ struct PeerListMsg {
   bool operator==(const PeerListMsg&) const = default;
 };
 
-// Donor -> payee: designation notice. The encrypted-piece back-reference
-// names only (prev_donor, prev_piece), but a receipt authenticates the
-// exact TxId — so the donor tells the payee which transaction the
-// incoming reciprocation pays for, and where to send the receipt.
-struct PayeeNotifyMsg {
-  TxId tx = 0;              // the donor's transaction awaiting payment
-  std::uint64_t chain = 0;
-  PeerId donor = kNoPeer;
-  PeerId requestor = kNoPeer;  // who will reciprocate to the payee
-  PieceIndex piece = kNoPiece; // piece the donor uploaded under `tx`
-  bool operator==(const PayeeNotifyMsg&) const = default;
-};
-
 using Message =
     std::variant<HandshakeMsg, BitfieldMsg, HaveMsg, EncryptedPieceMsg,
                  PlainPieceMsg, ReceiptMsg, KeyReleaseMsg, PayeeReassignMsg,
-                 AnnounceMsg, PeerListMsg, PayeeNotifyMsg>;
+                 AnnounceMsg, PeerListMsg>;
 
 // Stable on-the-wire tags.
 enum class MsgType : std::uint8_t {
@@ -154,7 +144,7 @@ enum class MsgType : std::uint8_t {
   kPayeeReassign = 8,
   kAnnounce = 9,
   kPeerList = 10,
-  kPayeeNotify = 11,
+  // 11 is retired: decode rejects it, so it must not be reused.
 };
 
 MsgType message_type(const Message& m);

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace tc::rt {
@@ -18,8 +20,7 @@ namespace {
 
 }  // namespace
 
-Reactor::Reactor()
-    : wheel_(kWheelSlots), start_(std::chrono::steady_clock::now()) {
+Reactor::Reactor() : start_(std::chrono::steady_clock::now()) {
   epfd_ = ::epoll_create1(0);
   if (epfd_ < 0) throw_errno("epoll_create1");
 }
@@ -51,64 +52,41 @@ void Reactor::remove(int fd) {
 
 Reactor::TimerId Reactor::schedule(double delay_seconds,
                                    std::function<void()> fn) {
-  if (delay_seconds < 0) delay_seconds = 0;
-  const double deadline = now() + delay_seconds;
-  auto tick = static_cast<std::int64_t>(deadline / kTickSeconds);
-  if (tick <= processed_tick_) tick = processed_tick_ + 1;
-  TimerEntry e;
-  e.id = next_timer_++;
-  e.deadline = deadline;
-  e.fn = std::move(fn);
-  const TimerId id = e.id;
-  wheel_[static_cast<std::size_t>(tick) % kWheelSlots].push_back(std::move(e));
-  ++timers_live_;
+  const double deadline = now() + std::max(delay_seconds, 0.0);
+  const TimerId id = next_timer_++;
+  timers_.emplace(TimerKey{deadline, id}, std::move(fn));
+  deadlines_.emplace(id, deadline);
   return id;
 }
 
 void Reactor::cancel(TimerId id) {
-  if (id != 0) cancelled_.insert(id);
+  const auto it = deadlines_.find(id);
+  if (it == deadlines_.end()) return;
+  timers_.erase(TimerKey{it->second, id});
+  deadlines_.erase(it);
 }
 
 void Reactor::post(std::function<void()> fn) { posted_.push_back(std::move(fn)); }
 
 void Reactor::fire_due_timers() {
+  // Deadlines up to the time on entry: a callback that re-arms with zero
+  // delay lands after `t` and waits for the next turn.
   const double t = now();
-  // Only fully elapsed ticks: an entry due later in the current tick must
-  // stay for the next pass, not wait a whole wheel rotation.
-  const auto target = static_cast<std::int64_t>(t / kTickSeconds) - 1;
-  while (processed_tick_ < target && !stopped_) {
-    ++processed_tick_;
-    auto& slot = wheel_[static_cast<std::size_t>(processed_tick_) % kWheelSlots];
-    // Collect due entries first: fired callbacks may schedule new timers
-    // into this very slot.
-    std::vector<TimerEntry> due;
-    for (std::size_t i = 0; i < slot.size();) {
-      if (cancelled_.count(slot[i].id) != 0) {
-        cancelled_.erase(slot[i].id);
-        slot[i] = std::move(slot.back());
-        slot.pop_back();
-        --timers_live_;
-      } else if (slot[i].deadline <= t) {
-        due.push_back(std::move(slot[i]));
-        slot[i] = std::move(slot.back());
-        slot.pop_back();
-        --timers_live_;
-      } else {
-        ++i;  // a future rotation owns this entry
-      }
-    }
-    for (TimerEntry& e : due) {
-      if (cancelled_.erase(e.id) != 0) continue;
-      e.fn();
-      if (stopped_) return;
-    }
+  while (!timers_.empty() && timers_.begin()->first.first <= t) {
+    auto node = timers_.extract(timers_.begin());
+    deadlines_.erase(node.key().second);
+    node.mapped()();
+    if (stopped_) return;
   }
 }
 
 int Reactor::poll_timeout_ms() const {
   if (!posted_.empty()) return 0;
-  if (timers_live_ > 0) return static_cast<int>(kTickSeconds * 1000);
-  return 50;
+  if (timers_.empty()) return 50;
+  // Round up: waking before the deadline would only spin.
+  const double ms = std::ceil((timers_.begin()->first.first - now()) * 1e3);
+  return static_cast<int>(
+      std::clamp(ms, 0.0, double{std::numeric_limits<int>::max()}));
 }
 
 void Reactor::run() {

@@ -1,8 +1,9 @@
 // Single-threaded epoll reactor: the event loop under the live deployment
 // runtime (tools/tchain-swarmd). Non-blocking fds register a Handler for
 // edge-triggered readiness callbacks; protocol timeouts go through a
-// hashed timer wheel; post() defers work to the next loop turn (used to
-// destroy connection objects outside their own callbacks).
+// deadline-ordered timer map, and epoll_wait sleeps until the earliest
+// deadline; post() defers work to the next loop turn (used to destroy
+// connection objects outside their own callbacks).
 //
 // Unlike the simulation tree, this code deliberately reads the monotonic
 // clock — it serves real sockets. now() is relative to reactor
@@ -14,8 +15,9 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace tc::rt {
@@ -48,9 +50,11 @@ class Reactor {
   void remove(int fd);
 
   using TimerId = std::uint64_t;
-  // One-shot timer; returns an id for cancel(). Fires on the wheel tick
-  // following the deadline (granularity kTickSeconds).
+  // One-shot timer; returns an id for cancel(). Fires on the first loop
+  // turn at or past its deadline; timers due together fire in schedule
+  // order.
   TimerId schedule(double delay_seconds, std::function<void()> fn);
+  // No-op for a timer that already fired or was cancelled.
   void cancel(TimerId id);
 
   // Runs `fn` at the start of the next loop turn (before fd dispatch).
@@ -65,15 +69,9 @@ class Reactor {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  static constexpr double kTickSeconds = 0.002;
-
  private:
-  struct TimerEntry {
-    TimerId id = 0;
-    double deadline = 0.0;
-    std::function<void()> fn;
-  };
-  static constexpr std::size_t kWheelSlots = 512;
+  // Deadline first; the id breaks ties in schedule order.
+  using TimerKey = std::pair<double, TimerId>;
 
   void fire_due_timers();
   int poll_timeout_ms() const;
@@ -82,13 +80,9 @@ class Reactor {
   bool stopped_ = false;
   std::unordered_map<int, Handler*> handlers_;
   std::vector<std::function<void()>> posted_;
-  // Hashed timer wheel: slot = tick % kWheelSlots; entries keep their
-  // absolute deadline so far-future timers survive cursor passes.
-  std::vector<std::vector<TimerEntry>> wheel_;
-  std::unordered_set<TimerId> cancelled_;
-  std::int64_t processed_tick_ = 0;
+  std::map<TimerKey, std::function<void()>> timers_;
+  std::unordered_map<TimerId, double> deadlines_;  // pending timers only
   TimerId next_timer_ = 1;
-  std::size_t timers_live_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -44,7 +44,7 @@ TEST_F(ExchangeTest, FullTriangleCompletes) {
   // A (donor, id 1) uploads encrypted p1 to B (id 2), payee C (id 3).
   const auto p1 = piece(0xa1);
   DonorSession donor(/*tx=*/100, /*chain=*/1, 1, 2, 3, /*piece=*/10,
-                     net::kNoPeer, net::kNoPiece, p1, keys);
+                     net::kNoPeer, 0, p1, keys);
 
   // Ciphertext is not the plaintext ("almost complete resource").
   EXPECT_EQ(donor.offer().ciphertext.size(), p1.size());
@@ -55,7 +55,7 @@ TEST_F(ExchangeTest, FullTriangleCompletes) {
   // B reciprocates: uploads encrypted p2 to C (tx 101).
   const auto p2 = piece(0xb2);
   DonorSession b_as_donor(/*tx=*/101, 1, 2, 3, /*payee=*/4, /*piece=*/11,
-                          /*prev_donor=*/1, /*prev_piece=*/10, p2, keys);
+                          /*prev_donor=*/1, /*prev_tx=*/100, p2, keys);
 
   // C observes the reciprocation and issues the receipt for A.
   const auto receipt = receipt_for(b_as_donor.offer(), /*original_donor=*/1,
@@ -74,7 +74,7 @@ TEST_F(ExchangeTest, FullTriangleCompletes) {
 
 TEST_F(ExchangeTest, TakeOfferLeavesOnlySettlementState) {
   const auto p1 = piece(0x4d);
-  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
+  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, 0, p1,
                      keys);
   const net::EncryptedPieceMsg sent = donor.take_offer();
   EXPECT_EQ(sent.ciphertext.size(), p1.size());
@@ -84,13 +84,13 @@ TEST_F(ExchangeTest, TakeOfferLeavesOnlySettlementState) {
   EXPECT_EQ(donor.offer().requestor, 2u);
   EXPECT_EQ(donor.offer().payee, 3u);
 
-  DonorSession recip(101, 1, 2, 3, 4, 11, 1, 10, piece(2), keys);
+  DonorSession recip(101, 1, 2, 3, 4, 11, 1, 100, piece(2), keys);
   EXPECT_TRUE(donor.accept_receipt(receipt_for(recip.offer(), 1, 100)));
   EXPECT_EQ(decrypt(donor.key_release(), sent.ciphertext), p1);
 }
 
 TEST_F(ExchangeTest, ForgedReceiptRejected) {
-  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece,
+  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, 0,
                      piece(1), keys);
   net::ReceiptMsg forged;
   forged.reciprocated_tx = 100;
@@ -105,15 +105,15 @@ TEST_F(ExchangeTest, ForgedReceiptRejected) {
 }
 
 TEST_F(ExchangeTest, ReceiptForWrongTxRejected) {
-  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece,
+  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, 0,
                      piece(1), keys);
-  DonorSession recip(101, 1, 2, 3, 4, 11, 1, 10, piece(2), keys);
+  DonorSession recip(101, 1, 2, 3, 4, 11, 1, 100, piece(2), keys);
   const auto receipt = receipt_for(recip.offer(), 1, /*tx=*/999);
   EXPECT_FALSE(donor.accept_receipt(receipt));
 }
 
 TEST_F(ExchangeTest, ReceiptFromWrongPayeeRejected) {
-  DonorSession donor(100, 1, 1, 2, /*payee=*/3, 10, net::kNoPeer, net::kNoPiece,
+  DonorSession donor(100, 1, 1, 2, /*payee=*/3, 10, net::kNoPeer, 0,
                      piece(1), keys);
   // Receipt arrives claiming payee 5 (not the designated 3).
   net::EncryptedPieceMsg fake_recip;
@@ -123,6 +123,22 @@ TEST_F(ExchangeTest, ReceiptFromWrongPayeeRejected) {
   fake_recip.piece = 11;
   const auto receipt = receipt_for(fake_recip, 1, 100);
   EXPECT_FALSE(donor.accept_receipt(receipt));
+}
+
+TEST_F(ExchangeTest, ReceiptNamingAnotherRequestorRejected) {
+  // Peer 5 uploads to payee 3 naming A's tx 100 as the one it pays for, but
+  // A's requestor is 2. The payee's receipt is well MAC'd and names the
+  // right tx and payee; only the requestor match rejects it.
+  DonorSession donor(100, 1, 1, /*requestor=*/2, /*payee=*/3, 10,
+                     net::kNoPeer, 0, piece(1), keys);
+  DonorSession stranger(501, 5, /*donor=*/5, /*requestor=*/3, 4, 11,
+                        /*prev_donor=*/1, /*prev_tx=*/100, piece(2), keys);
+  const auto receipt = receipt_for(stranger.offer(), 1, 100);
+  EXPECT_FALSE(donor.accept_receipt(receipt));
+  EXPECT_FALSE(donor.receipted());
+
+  DonorSession recip(101, 1, 2, 3, 4, 11, 1, 100, piece(2), keys);
+  EXPECT_TRUE(donor.accept_receipt(receipt_for(recip.offer(), 1, 100)));
 }
 
 TEST_F(ExchangeTest, ReceiptFromAnyDesignatedPayeeAccepted) {
@@ -138,8 +154,8 @@ TEST_F(ExchangeTest, ReceiptFromAnyDesignatedPayeeAccepted) {
     return receipt_for(recip, 1, 100);
   };
   for (const PeerId payee : {PeerId{3}, PeerId{4}}) {
-    DonorSession donor(100, 1, 1, 2, /*payee=*/3, 10, net::kNoPeer,
-                       net::kNoPiece, piece(1), keys);
+    DonorSession donor(100, 1, 1, 2, /*payee=*/3, 10, net::kNoPeer, 0,
+                       piece(1), keys);
     donor.reassign_payee(4);
     EXPECT_EQ(donor.offer().payee, 4u);
     EXPECT_FALSE(donor.accept_receipt(from(5)));
@@ -149,7 +165,7 @@ TEST_F(ExchangeTest, ReceiptFromAnyDesignatedPayeeAccepted) {
 
 TEST_F(ExchangeTest, WrongKeyFailsHashCheck) {
   const auto p1 = piece(0x77);
-  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
+  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, 0, p1,
                      keys);
   // Attacker hands over some other key.
   net::KeyReleaseMsg bogus;
@@ -164,8 +180,8 @@ TEST_F(ExchangeTest, KeyReleaseForWrongTxIgnored) {
   // Each release names its own transaction and piece, and another
   // transaction's key does not open this ciphertext.
   const auto p1 = piece(1);
-  DonorSession d1(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1, keys);
-  DonorSession d2(200, 2, 1, 2, 3, 20, net::kNoPeer, net::kNoPiece, piece(2),
+  DonorSession d1(100, 1, 1, 2, 3, 10, net::kNoPeer, 0, p1, keys);
+  DonorSession d2(200, 2, 1, 2, 3, 20, net::kNoPeer, 0, piece(2),
                   keys);
   const auto release = d2.key_release();
   EXPECT_EQ(release.tx, 200u);
@@ -177,7 +193,7 @@ TEST_F(ExchangeTest, CheatingGainsNothing) {
   // §III-A2: a requestor that refuses to reciprocate holds only an
   // undecryptable blob — decrypting with a guessed key fails.
   const auto p1 = piece(0x3c);
-  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, net::kNoPiece, p1,
+  DonorSession donor(100, 1, 1, 2, 3, 10, net::kNoPeer, 0, p1,
                      keys);
   crypto::KeySource guesser(987654);
   for (int i = 0; i < 10; ++i) {

@@ -52,6 +52,11 @@ struct Recorder : Node::Effects {
     }
     return out;
   }
+  // Messages of any type sent to `to`.
+  std::size_t sent_count(net::PeerId to) const {
+    return static_cast<std::size_t>(std::count_if(
+        sent.begin(), sent.end(), [to](const Sent& s) { return s.to == to; }));
+  }
 };
 
 // An in-memory swarm: every node neighbours every other, messages are
@@ -275,8 +280,7 @@ class NodeTest : public ::testing::Test {
   // A's offer of kPiece to R, payee `payee`.
   DonorSession offer_from_a(net::PeerId payee) {
     return DonorSession(/*tx=*/777, /*chain=*/9, kA, kR, payee, kPiece,
-                        net::kNoPeer, net::kNoPiece, meta.pieces[kPiece],
-                        keys);
+                        net::kNoPeer, 0, meta.pieces[kPiece], keys);
   }
 
   bool holds_piece(const Node& n) const {
@@ -348,15 +352,14 @@ TEST_F(NodeTest, PayeeFinishingReassignsWithoutAWatchdog) {
 
   // The payee's HAVE for its last piece: it no longer needs anything, so A
   // re-selects at once (§II-B4). The bystander is the only qualified payee.
+  const std::size_t to_bystander = rec.sent_count(open.bystander);
   a->on_message(open.offer.payee, net::Message{net::HaveMsg{kPiece}});
   const auto reassigned = rec.sent_to<net::PayeeReassignMsg>(r);
   ASSERT_EQ(reassigned.size(), 1u);
   EXPECT_EQ(reassigned[0], (net::PayeeReassignMsg{open.offer.tx,
                                                   open.bystander}));
-  const auto notices = rec.sent_to<net::PayeeNotifyMsg>(open.bystander);
-  ASSERT_EQ(notices.size(), 1u);
-  EXPECT_EQ(notices[0].tx, open.offer.tx);
-  EXPECT_EQ(notices[0].requestor, r);
+  // The reciprocation names the transaction: the new payee is sent nothing.
+  EXPECT_EQ(rec.sent_count(open.bystander), to_bystander);
 
   const auto retries = events_of(rec, EventKind::kTxRetry);
   ASSERT_EQ(retries.size(), 1u);
@@ -424,8 +427,7 @@ TEST_F(NodeTest, DonorFinishingAsItsOwnPayeeReselects) {
   a->on_message(kX, net::Message{all.to_message()});
   const auto plain = [&](net::PieceIndex p) {
     return net::Message{net::PlainPieceMsg{100 + p, 200 + p, kX, p,
-                                           net::kNoPeer, net::kNoPiece,
-                                           meta.pieces[p]}};
+                                           net::kNoPeer, 0, meta.pieces[p]}};
   };
   for (net::PieceIndex p = 0; p < meta.piece_count; ++p) {
     if (p != kPiece) a->on_message(kX, plain(p));
@@ -456,12 +458,13 @@ TEST_F(NodeTest, PayeeDisconnectingReassigns) {
   auto a = open_seeder_tx(rec, {kR, kX, kY}, open);
   ASSERT_NE(open.bystander, net::kNoPeer);
 
+  const std::size_t to_bystander = rec.sent_count(open.bystander);
   a->on_neighbor_down(open.offer.payee);
   const auto reassigned = rec.sent_to<net::PayeeReassignMsg>(
       open.offer.requestor);
   ASSERT_EQ(reassigned.size(), 1u);
   EXPECT_EQ(reassigned[0].new_payee, open.bystander);
-  EXPECT_EQ(rec.sent_to<net::PayeeNotifyMsg>(open.bystander).size(), 1u);
+  EXPECT_EQ(rec.sent_count(open.bystander), to_bystander);
   const auto retries = events_of(rec, EventKind::kTxRetry);
   ASSERT_EQ(retries.size(), 1u);
   EXPECT_EQ(retries[0].aux, aux(obs::RetryCause::kPayeeGone));
@@ -494,9 +497,9 @@ TEST_F(NodeTest, ReceiptFromThePreviousPayeeStillReleasesTheKey) {
   EXPECT_TRUE(events_of(rec, EventKind::kChainBreak).empty());  // paid
 }
 
-TEST_F(NodeTest, ReciprocationBeforePayeeNotifyStillYieldsReceipt) {
-  // Y is A's payee for tx 777; R's reciprocation reaches Y before A's
-  // PayeeNotify does (they travel on different connections).
+TEST_F(NodeTest, ReciprocationYieldsReceiptOnDelivery) {
+  // Y is A's payee for tx 777. R's reciprocation names that transaction, so
+  // its delivery alone is enough: Y receipts at once, with nothing from A.
   Recorder rec;
   auto y = make_node(kY, rec, {kA, kR});
   net::EncryptedPieceMsg recip;
@@ -507,12 +510,9 @@ TEST_F(NodeTest, ReciprocationBeforePayeeNotifyStillYieldsReceipt) {
   recip.payee = kA;
   recip.piece = 6;
   recip.prev_donor = kA;
-  recip.prev_piece = kPiece;
+  recip.prev_tx = 777;
   recip.ciphertext = util::Bytes(1024, 0x5a);
   y->on_message(kR, net::Message{recip});
-  EXPECT_TRUE(rec.sent_to<net::ReceiptMsg>(kA).empty());
-
-  y->on_message(kA, net::Message{net::PayeeNotifyMsg{777, 9, kA, kR, kPiece}});
   const auto receipts = rec.sent_to<net::ReceiptMsg>(kA);
   ASSERT_EQ(receipts.size(), 1u);
   DonorSession a = offer_from_a(kY);
@@ -594,7 +594,7 @@ TEST_F(NodeTest, KeyForAHeldPieceCascadesWithoutDecrypting) {
 
   // Y's plain copy of the piece arrives before either key.
   r->on_message(kY, net::Message{net::PlainPieceMsg{
-                        900, 901, kY, kPiece, net::kNoPeer, net::kNoPiece,
+                        900, 901, kY, kPiece, net::kNoPeer, 0,
                         meta.pieces[kPiece]}});
   ASSERT_TRUE(holds_piece(*r));
   ASSERT_EQ(events_of(rec, EventKind::kPieceGranted).size(), 1u);
@@ -654,7 +654,7 @@ TEST_F(NodeTest, ThirdPartyWaiverIsIgnored) {
     } else {
       ASSERT_EQ(recips.size(), 1u);  // the debt to A still stands
       EXPECT_EQ(recips[0].prev_donor, kA);
-      EXPECT_EQ(recips[0].prev_piece, kPiece);
+      EXPECT_EQ(recips[0].prev_tx, 777u);
     }
   }
 }

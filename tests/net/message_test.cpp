@@ -39,7 +39,8 @@ TEST(Message, EncryptedPieceRoundTrip) {
   m.payee = 3;
   m.piece = 99;
   m.prev_donor = 4;
-  m.prev_piece = 88;
+  // Ids are (peer << 32) | counter: the high word must survive.
+  m.prev_tx = (std::uint64_t{4} << 32) | 88;
   m.ciphertext = util::Bytes(1000, 0x5a);
   EXPECT_EQ(round_trip(m), m);
 }
@@ -51,8 +52,12 @@ TEST(Message, PlainPieceRoundTrip) {
   m.donor = 7;
   m.piece = 6;
   m.prev_donor = kNoPeer;
-  m.prev_piece = kNoPiece;
+  m.prev_tx = 0;
   m.data = {1, 2, 3};
+  EXPECT_EQ(round_trip(m), m);
+
+  m.prev_donor = 0xfffffffeu;
+  m.prev_tx = 0xfffffffe00000007ull;
   EXPECT_EQ(round_trip(m), m);
 }
 
@@ -87,6 +92,10 @@ TEST(Message, TypeTags) {
 TEST(Message, DecodeRejectsUnknownType) {
   util::Bytes bad{0x7f, 0x00};
   EXPECT_THROW(decode_message(bad), std::invalid_argument);
+  // Tag 11 is retired: a frame of its old body size is rejected too.
+  util::Bytes retired(1 + 28, 0x00);
+  retired[0] = 11;
+  EXPECT_THROW(decode_message(retired), std::invalid_argument);
 }
 
 TEST(Message, DecodeRejectsTrailingBytes) {

@@ -1,5 +1,5 @@
 // Reactor unit coverage against real fds and the monotonic clock. Timing
-// assertions use generous tolerances: CI machines stall, and the wheel
+// assertions use generous tolerances: CI machines stall, and the reactor
 // only guarantees "not before the deadline, soon after".
 #include "src/rt/reactor.h"
 
