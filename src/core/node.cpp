@@ -90,21 +90,45 @@ const Node::Neighbor* Node::neighbor(net::PeerId peer) const {
 void Node::on_neighbor_up(net::PeerId peer) {
   neighbors_.try_emplace(peer, Neighbor{bt::Bitfield(meta_.piece_count),
                                         bt::Bitfield(meta_.piece_count)});
+  ++progress_;
   out_.send(peer, net::Message{have_.to_message()});
 }
 
-void Node::on_neighbor_down(net::PeerId peer) {
-  neighbors_.erase(peer);
-  reselect_payees_of(peer, obs::RetryCause::kPayeeGone);
-}
+void Node::on_neighbor_down(net::PeerId peer) { neighbors_.erase(peer); }
 
 void Node::on_message(net::PeerId from, net::Message m) {
   if (neighbor(from) == nullptr) return;
   std::visit([this, from](auto& v) { handle(from, v); }, m);
 }
 
-void Node::on_tick() {
-  for (auto& [tx, b] : banked_) try_reciprocate(tx, b);
+void Node::advance() {
+  out_.count("rt.advances");
+  // §II-B4: a finished or departed payee never qualifies again, so each
+  // transaction is re-selected once; reselect_payee erases at most `cur`.
+  for (auto it = donor_.begin(); it != donor_.end();) {
+    const auto cur = it++;
+    const net::EncryptedPieceMsg& o = cur->second.session.offer();
+    const Neighbor* p = neighbor(o.payee);  // null too when we are the payee
+    const bool gone = p == nullptr && o.payee != opts_.id;
+    if (!gone && !(p != nullptr ? p->have : have_).complete()) continue;
+    out_.count("rt.payee_reselects");
+    const obs::RetryCause cause =
+        gone ? obs::RetryCause::kPayeeGone : obs::RetryCause::kPayeeFinished;
+    emit_donor(EventKind::kTxRetry, o, static_cast<std::uint8_t>(cause));
+    reselect_payee(cur);
+  }
+  // A debt whose last payment attempt failed waits until progress_, its
+  // payee or the payee's have count moves.
+  std::erase_if(debts_, [this](net::TxId tx) {
+    BankedTx& b = banked_.at(tx);
+    const Neighbor* p = neighbor(b.payee);
+    const PayStamp stamp{progress_, b.payee, p ? p->have.count() : 0};
+    if (!b.reciprocated && b.tried != stamp) {
+      b.tried = stamp;
+      try_reciprocate(tx, b);
+    }
+    return b.reciprocated;  // paid, or waived by the donor
+  });
   maybe_start_chains();
 }
 
@@ -147,19 +171,6 @@ void Node::reselect_payee(DonorIt it) {
   out_.arm_watchdog(o.tx);
 }
 
-void Node::reselect_payees_of(net::PeerId payee, obs::RetryCause cause) {
-  // A finished or departed peer never qualifies again, so each transaction
-  // is re-selected once; reselect_payee erases at most the one it is given.
-  for (auto it = donor_.begin(); it != donor_.end();) {
-    const auto cur = it++;
-    const net::EncryptedPieceMsg& o = cur->second.session.offer();
-    if (o.payee != payee) continue;
-    out_.count("rt.payee_reselects");
-    emit_donor(EventKind::kTxRetry, o, static_cast<std::uint8_t>(cause));
-    reselect_payee(cur);
-  }
-}
-
 // --- Neighbour state ------------------------------------------------------
 
 void Node::handle(net::PeerId from, net::BitfieldMsg& m) {
@@ -167,10 +178,6 @@ void Node::handle(net::PeerId from, net::BitfieldMsg& m) {
   Neighbor& n = *neighbor(from);
   n.have = bt::Bitfield::from_message(m);
   for (const net::PieceIndex p : n.have.to_vector()) n.claimed.set(p);
-  // A payee designated before its bitfield arrived may turn out complete.
-  if (n.have.complete()) {
-    reselect_payees_of(from, obs::RetryCause::kPayeeFinished);
-  }
 }
 
 void Node::handle(net::PeerId from, net::HaveMsg& m) {
@@ -178,9 +185,6 @@ void Node::handle(net::PeerId from, net::HaveMsg& m) {
   Neighbor& n = *neighbor(from);
   n.have.set(m.piece);
   n.claimed.set(m.piece);
-  if (n.have.complete()) {
-    reselect_payees_of(from, obs::RetryCause::kPayeeFinished);
-  }
 }
 
 // --- Requestor side -------------------------------------------------------
@@ -224,7 +228,7 @@ void Node::handle(net::PeerId from, net::EncryptedPieceMsg& m) {
   b.payee = m.payee;
   b.piece = m.piece;
   b.buffer = std::move(m.ciphertext);
-  try_reciprocate(m.tx, b);
+  debts_.push_back(m.tx);
 }
 
 void Node::handle(net::PeerId from, net::PlainPieceMsg& m) {
@@ -292,6 +296,7 @@ void Node::grant_piece(net::PieceIndex piece, util::Bytes data,
   if (have_.get(piece)) return;
   store_[piece] = std::move(data);
   have_.set(piece);
+  ++progress_;
   out_.emit({.kind = EventKind::kPieceGranted,
                 .piece = piece,
                 .a = opts_.id,
@@ -301,8 +306,6 @@ void Node::grant_piece(net::PieceIndex piece, util::Bytes data,
   }
   if (have_.complete()) {
     out_.emit({.kind = EventKind::kPeerFinish, .a = opts_.id});
-    // Direct reciprocity can no longer pay a donor that needs nothing.
-    reselect_payees_of(opts_.id, obs::RetryCause::kPayeeFinished);
   }
 }
 
@@ -315,7 +318,6 @@ void Node::handle(net::PeerId from, net::PayeeReassignMsg& m) {
     return;
   }
   b.payee = m.new_payee;
-  try_reciprocate(m.tx, b);
 }
 
 // --- Donor side -----------------------------------------------------------
@@ -354,6 +356,7 @@ void Node::release_key(DonorIt it, bool waive) {
     emit_donor(EventKind::kKeyLost, o);
   }
   pending_.resolve(o.requestor);
+  ++progress_;
   emit_donor(EventKind::kTxClose, o, static_cast<std::uint8_t>(end));
   donor_.erase(it);
 }
@@ -361,9 +364,8 @@ void Node::release_key(DonorIt it, bool waive) {
 // --- Reciprocation & chain growth ----------------------------------------
 
 void Node::try_reciprocate(net::TxId banked_tx, BankedTx& b) {
-  if (b.reciprocated) return;
   const Neighbor* p = neighbor(b.payee);
-  if (p == nullptr) return;  // the tick retries; the donor's watchdog reassigns
+  if (p == nullptr) return;  // retried once it is up; its donor may reassign
 
   // Preferred: a completed piece the payee has not claimed.
   const net::PieceIndex give = lrf_unclaimed(p->claimed);
@@ -487,11 +489,7 @@ void Node::maybe_start_chains() {
   if (!opts_.seeder && !have_.complete()) {
     // Opportunistic seeding (§II-D3): at least one completed piece, no
     // unmet reciprocation obligations, and no upload of our own open.
-    std::size_t unmet = 0;
-    for (const auto& [tx, b] : banked_) {
-      if (!b.reciprocated) ++unmet;
-    }
-    if (!may_opportunistically_seed(have_.count(), unmet)) return;
+    if (!may_opportunistically_seed(have_.count(), debts_.size())) return;
     budget = 1;
   }
 
@@ -505,8 +503,7 @@ void Node::maybe_start_chains() {
     if (cands.empty()) return;
     const net::PeerId r = cands[rng_.index(cands.size())];
     const net::PieceIndex p = lrf_unclaimed(neighbors_.at(r).claimed);
-    if (p == net::kNoPiece) return;
-    if (!start_tx(r, p, 0, net::kNoPeer, 0, 0)) return;
+    if (p == net::kNoPiece || !start_tx(r, p, 0, net::kNoPeer, 0, 0)) return;
   }
 }
 

@@ -1,10 +1,11 @@
 // The T-Chain peer engine: one peer's whole protocol (§II) as a state
 // machine with no clock and no socket. Its owner feeds it inputs — a
-// message from neighbour P, neighbour up/down, a periodic tick, a fired
-// watchdog — and carries out its outputs through Node::Effects: send to P,
-// arm or cancel a per-transaction watchdog, emit a trace event, bump a
-// counter. rt::PeerNode drives it over loopback TCP; tests drive it over
-// an in-memory bus with a manual clock.
+// message from neighbour P, neighbour up/down, a fired watchdog — that
+// record and answer at once, then calls advance() to decide, once per
+// batch, so decisions see every HAVE in it. Outputs go through
+// Node::Effects: send to P, arm or cancel a per-transaction watchdog, emit
+// a trace event, bump a counter. rt::PeerNode drives it over loopback TCP;
+// tests drive it over an in-memory bus whose clock only fires watchdogs.
 //
 // Local knowledge only. A node decides from its own neighbour set, their
 // have sets and its pending counts, as a real peer would. Transaction and
@@ -37,13 +38,12 @@
 // path, a key is still recorded and cascaded but no longer peeled off or
 // hashed, and the buffer is freed (counted as rt.keys_held).
 //
-// Payee re-selection (§II-B4): a donor re-runs payee selection the moment
-// its payee can no longer be paid — the HAVE (or bitfield) that shows the
-// payee complete, its own last piece when it is its own payee, or the
-// payee's connection going down — and settles gratis when no qualified
-// payee is left. These re-selections emit kTxRetry with the cause in aux
-// and use up no watchdog retry; the watchdog stays a safety net for
-// receipts that never come. A receipt from an earlier payee of the
+// Payee re-selection (§II-B4): advance() re-runs payee selection for every
+// transaction whose payee can no longer be paid — it is complete (the
+// donor itself, as its own payee) or down — and settles gratis when no
+// qualified payee is left. These re-selections emit kTxRetry with the
+// cause in aux and use up no watchdog retry; the watchdog stays a safety
+// net for receipts that never come. A receipt from an earlier payee of the
 // transaction still settles it (DonorSession::accept_receipt).
 //
 // Receipts: an offer's back-reference names the transaction it pays for
@@ -59,6 +59,8 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -128,9 +130,10 @@ class Node {
   // Ignores messages from peers that are not up. Throws std::exception on
   // a malformed message; the owner should then drop that neighbour.
   void on_message(net::PeerId from, net::Message m);
-  // Safety net: retries reciprocations and chain starts.
-  void on_tick();
   void on_watchdog(net::TxId tx);
+  // Call once after each batch of inputs: re-selects unpayable payees,
+  // pays banked debts, starts chains.
+  void advance();
 
   bool complete() const { return have_.complete(); }
   // Plaintext of a held piece (empty while missing).
@@ -143,6 +146,8 @@ class Node {
   std::size_t payload_bytes() const;
 
  private:
+  // progress_, payee, payee's have count: what unsticks a debt.
+  using PayStamp = std::tuple<std::uint64_t, net::PeerId, std::size_t>;
   struct Neighbor {
     bt::Bitfield have;
     bt::Bitfield claimed;  // have ∪ pieces we already sent them
@@ -168,6 +173,7 @@ class Node {
     std::vector<std::pair<net::TxId, net::PeerId>> forwarded_as;
     bool done = false;          // hash matched — every key arrived
     bool reciprocated = false;  // obligation discharged (or waived)
+    std::optional<PayStamp> tried;  // at the last payment attempt
   };
   using DonorIt = std::map<net::TxId, DonorTx>::iterator;
 
@@ -202,9 +208,6 @@ class Node {
   // §II-B4 for one open transaction: reassigns the payee, or settles gratis
   // when no qualified payee is left; re-arms the watchdog if still open.
   void reselect_payee(DonorIt it);
-  // Re-selects the payee of every open transaction that designated `payee`,
-  // which has just finished or left.
-  void reselect_payees_of(net::PeerId payee, obs::RetryCause cause);
   void settle_gratis(DonorIt it, obs::ChainBreakCause cause);
   // Releases the key to the requestor (or records it lost when the
   // requestor is gone), resolves its pending slot and closes the
@@ -237,6 +240,8 @@ class Node {
   PendingTracker pending_;
   std::map<net::TxId, DonorTx> donor_;
   std::map<net::TxId, BankedTx> banked_;
+  std::vector<net::TxId> debts_;  // banked txs not yet reciprocated
+  std::uint64_t progress_ = 0;  // pieces granted + txs closed + neighbours up
   std::uint32_t tx_count_ = 0;
   std::uint32_t chain_count_ = 0;
 

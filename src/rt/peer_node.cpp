@@ -13,7 +13,7 @@ PeerNode::PeerNode(SwarmContext& ctx, const Options& opts)
       node_(ctx.meta, opts, *this) {}
 
 PeerNode::~PeerNode() {
-  reactor_.cancel(tick_timer_);
+  reactor_.cancel(advance_timer_);
   for (const auto& [tx, timer] : watchdogs_) reactor_.cancel(timer);
   reactor_.remove(listener_.fd());
 }
@@ -30,7 +30,6 @@ void PeerNode::start() {
       net::AnnounceMsg{opts_.id, ctx_.swarm_name, listener_.port()}});
   tracker_ = conn.get();
   conns_[tracker_] = std::move(conn);
-  tick();
 }
 
 // --- Engine outputs -------------------------------------------------------
@@ -65,22 +64,23 @@ void PeerNode::count(const char* name) {
 
 // --- Timers ---------------------------------------------------------------
 
-void PeerNode::tick() {
-  node_.on_tick();
-  after_input();
-  tick_timer_ = reactor_.schedule(kTickInterval, [this] { tick(); });
-}
-
 void PeerNode::after_input() {
-  if (finish_t_ < 0 && !opts_.seeder && node_.complete()) {
-    finish_t_ = reactor_.now();
-    if (opts_.on_complete) opts_.on_complete(opts_.id);
-  }
-  const std::size_t open = node_.open_donor_txs();
-  if (open == 0 && open_txs_ != 0 && opts_.on_settled) {
-    opts_.on_settled(opts_.id);
-  }
-  open_txs_ = open;
+  // A zero delay fires on the next loop turn, after every input this turn
+  // dispatched; the destructor cancels it.
+  if (advance_timer_ != 0) return;
+  advance_timer_ = reactor_.schedule(0.0, [this] {
+    advance_timer_ = 0;
+    node_.advance();
+    if (finish_t_ < 0 && !opts_.seeder && node_.complete()) {
+      finish_t_ = reactor_.now();
+      if (opts_.on_complete) opts_.on_complete(opts_.id);
+    }
+    const std::size_t open = node_.open_donor_txs();
+    if (open == 0 && open_txs_ != 0 && opts_.on_settled) {
+      opts_.on_settled(opts_.id);
+    }
+    open_txs_ = open;
+  });
 }
 
 // --- Connections ----------------------------------------------------------
@@ -152,6 +152,7 @@ void PeerNode::handle_handshake(FrameConn& c, const net::HandshakeMsg& m) {
   }
   neighbors_[m.peer] = &c;
   node_.on_neighbor_up(m.peer);
+  after_input();
 }
 
 }  // namespace tc::rt

@@ -1,11 +1,11 @@
 // A live T-Chain peer: the socket shell around one core::Node. The engine
 // holds all protocol state and decides; this shell does the IO work — the
 // listener, the one tracker announce, dial discipline, the FrameConn per
-// neighbour, and the reactor timers (tick, per-transaction watchdogs) that
-// feed the engine. The tracker's peer lists (the announce reply, then one
-// push per later joiner) are the only dial trigger. The shell handles
-// handshakes itself and hands every other message from an identified
-// neighbour to the engine.
+// neighbour, and the per-transaction watchdog timers. The tracker's peer
+// lists (the announce reply, then one push per later joiner) are the only
+// dial trigger. The shell handles handshakes itself and hands every other
+// message from an identified neighbour to the engine; a reactor turn that
+// fed the engine any input is followed by one Node::advance().
 #pragma once
 
 #include <cstdint>
@@ -43,8 +43,7 @@ class PeerNode : public Reactor::Handler,
   PeerNode(const PeerNode&) = delete;
   PeerNode& operator=(const PeerNode&) = delete;
 
-  // Joins the swarm: emits kPeerJoin, announces to the tracker, arms the
-  // tick.
+  // Joins the swarm: emits kPeerJoin and announces to the tracker.
   void start();
 
   net::PeerId id() const { return opts_.id; }
@@ -72,11 +71,8 @@ class PeerNode : public Reactor::Handler,
   void emit(const obs::TraceEvent& e) override;
   void count(const char* name) override;
 
-  // Engine tick (chain starts, opportunistic seeding).
-  static constexpr double kTickInterval = 0.02;
-
-  void tick();
-  // Runs after every engine input: reports completion and settlement.
+  // Runs after every engine input. Schedules the loop turn's one
+  // Node::advance(), then reports completion and settlement.
   void after_input();
   void maybe_dial(net::PeerId peer, std::uint16_t port);
   void handle_handshake(FrameConn& c, const net::HandshakeMsg& m);
@@ -92,9 +88,9 @@ class PeerNode : public Reactor::Handler,
   std::set<net::PeerId> dialing_;
   std::map<net::TxId, Reactor::TimerId> watchdogs_;
 
-  Reactor::TimerId tick_timer_ = 0;
+  Reactor::TimerId advance_timer_ = 0;  // 0: no advance() scheduled
   double finish_t_ = -1.0;
-  std::size_t open_txs_ = 0;  // node_.open_donor_txs() after the last input
+  std::size_t open_txs_ = 0;  // node_.open_donor_txs() after the last advance
   core::Node node_;
 };
 

@@ -1,7 +1,7 @@
-// The T-Chain engine through its sans-IO seam. A FIFO bus with a manual
-// clock drives real core::Nodes with check::Checker as the trace sink, and
-// single nodes are fed hand-written messages to pin down the orderings and
-// senders a live network can produce.
+// The T-Chain engine through its sans-IO seam. A FIFO bus whose clock moves
+// only to fire watchdogs drives real core::Nodes with check::Checker as the
+// trace sink, and single nodes are fed hand-written messages to pin down
+// the orderings and senders a live network can produce.
 #include "src/core/node.h"
 
 #include <gtest/gtest.h>
@@ -59,11 +59,11 @@ struct Recorder : Node::Effects {
   }
 };
 
-// An in-memory swarm: every node neighbours every other, messages are
-// delivered in FIFO order, and time advances only in ticks.
+// An in-memory swarm: every node neighbours every other and messages are
+// delivered in FIFO rounds, each followed by an advance() of every node.
+// Time moves only when no message is left, to the next watchdog deadline.
 class Bus {
  public:
-  static constexpr double kTick = 0.02;
   static constexpr double kWatchdog = 0.2;
 
   Bus(std::size_t peers, std::uint32_t pieces, std::uint32_t piece_bytes,
@@ -90,15 +90,23 @@ class Bus {
   }
 
   // Runs until every leecher holds the file and every donor transaction
-  // has settled, or `horizon` simulated seconds pass. Each tick delivers
-  // every queued message before the clock moves on.
+  // has settled, until nothing is left to deliver or fire, or until the
+  // next watchdog is due after `horizon` simulated seconds.
   void run(double horizon) {
     for (;;) {
-      deliver_all();
-      if (settled() || now_ >= horizon) return;
-      now_ += kTick;
+      for (auto& p : peers_) p->node->advance();
+      if (!queue_.empty()) {
+        deliver_round();
+        continue;
+      }
+      if (settled() || watchdogs_.empty()) return;
+      double next = horizon;
+      for (const auto& [key, deadline] : watchdogs_) {
+        next = std::min(next, deadline);
+      }
+      if (next >= horizon) return;
+      now_ = next;
       fire_watchdogs();
-      for (auto& p : peers_) p->node->on_tick();
     }
   }
 
@@ -157,10 +165,12 @@ class Bus {
     checker_.on_event(e);
   }
 
-  void deliver_all() {
-    while (!queue_.empty()) {
-      InFlight f = std::move(queue_.front());
-      queue_.pop_front();
+  // Delivers the messages queued so far; their answers wait for the next
+  // round.
+  void deliver_round() {
+    std::deque<InFlight> round;
+    round.swap(queue_);
+    for (InFlight& f : round) {
       peers_[f.to - 1]->node->on_message(f.from, std::move(f.m));
     }
   }
@@ -231,10 +241,11 @@ TEST(NodeSwarm, SettledTriangleHoldsNoPayload) {
 }
 
 TEST(NodeSwarm, SettlesOnTheLastFinishWithoutWatchdogs) {
-  // Once the last leecher finishes, its HAVEs make every donor re-select
-  // the payee of each open transaction (§II-B4). No qualified payee is
-  // left, so every transaction no receipt has settled yet settles gratis
-  // within the same tick.
+  // Progress needs no clock: messages alone carry every swarm to the end.
+  // Once the last leecher finishes, the advance() after its HAVEs makes
+  // every donor re-select the payee of each open transaction (§II-B4). No
+  // qualified payee is left, so every transaction no receipt has settled
+  // yet settles gratis in that same round.
   for (const std::uint64_t seed : {3, 7, 11, 21}) {
     for (const std::size_t peers : {4, 6, 8}) {
       SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << peers
@@ -243,14 +254,8 @@ TEST(NodeSwarm, SettlesOnTheLastFinishWithoutWatchdogs) {
       bus.run(60.0);
       ASSERT_TRUE(bus.settled());
       EXPECT_STREQ(bus.finish().verdict(), "PASS");
-      double last_finish = 0.0;
-      for (const obs::TraceEvent& e : bus.events()) {
-        if (e.kind == EventKind::kPeerFinish) {
-          last_finish = std::max(last_finish, e.t);
-        }
-      }
-      EXPECT_EQ(bus.now(), last_finish);
-      for (const double t : bus.watchdog_fires()) EXPECT_LE(t, last_finish);
+      EXPECT_EQ(bus.now(), 0.0);
+      EXPECT_TRUE(bus.watchdog_fires().empty());
     }
   }
 }
@@ -313,7 +318,7 @@ class NodeTest : public ::testing::Test {
       a->on_neighbor_up(p);
       a->on_message(p, net::Message{lacks_piece.to_message()});
     }
-    a->on_tick();
+    a->advance();
     for (const net::PeerId p : up) {
       const auto offers = rec.sent_to<net::EncryptedPieceMsg>(p);
       if (!offers.empty()) open.offer = offers[0];
@@ -350,10 +355,12 @@ TEST_F(NodeTest, PayeeFinishingReassignsWithoutAWatchdog) {
   ASSERT_NE(open.bystander, net::kNoPeer);
   const net::PeerId r = open.offer.requestor;
 
-  // The payee's HAVE for its last piece: it no longer needs anything, so A
-  // re-selects at once (§II-B4). The bystander is the only qualified payee.
+  // The payee's HAVE for its last piece: it no longer needs anything, so
+  // A's next advance re-selects (§II-B4), with no watchdog. The bystander
+  // is the only qualified payee.
   const std::size_t to_bystander = rec.sent_count(open.bystander);
   a->on_message(open.offer.payee, net::Message{net::HaveMsg{kPiece}});
+  a->advance();
   const auto reassigned = rec.sent_to<net::PayeeReassignMsg>(r);
   ASSERT_EQ(reassigned.size(), 1u);
   EXPECT_EQ(reassigned[0], (net::PayeeReassignMsg{open.offer.tx,
@@ -378,6 +385,7 @@ TEST_F(NodeTest, PayeeFinishingWithNoPayeeLeftSettlesGratis) {
   const net::PeerId r = open.offer.requestor;
 
   a->on_message(open.offer.payee, net::Message{net::HaveMsg{kPiece}});
+  a->advance();
   EXPECT_EQ(a->open_donor_txs(), 0u);
   EXPECT_TRUE(rec.watchdogs.empty());
 
@@ -432,7 +440,7 @@ TEST_F(NodeTest, DonorFinishingAsItsOwnPayeeReselects) {
   for (net::PieceIndex p = 0; p < meta.piece_count; ++p) {
     if (p != kPiece) a->on_message(kX, plain(p));
   }
-  a->on_tick();
+  a->advance();
   const auto offers = rec.sent_to<net::EncryptedPieceMsg>(kR);
   ASSERT_EQ(offers.size(), 1u);
   ASSERT_EQ(offers[0].payee, kA);
@@ -440,6 +448,7 @@ TEST_F(NodeTest, DonorFinishingAsItsOwnPayeeReselects) {
   // X's kPiece completes A, which can no longer be paid: with R the
   // requestor and X complete, no payee qualifies, so A settles gratis.
   a->on_message(kX, plain(kPiece));
+  a->advance();
   ASSERT_TRUE(a->complete());
   EXPECT_EQ(a->open_donor_txs(), 0u);
   const auto retries = events_of(rec, EventKind::kTxRetry);
@@ -460,6 +469,7 @@ TEST_F(NodeTest, PayeeDisconnectingReassigns) {
 
   const std::size_t to_bystander = rec.sent_count(open.bystander);
   a->on_neighbor_down(open.offer.payee);
+  a->advance();
   const auto reassigned = rec.sent_to<net::PayeeReassignMsg>(
       open.offer.requestor);
   ASSERT_EQ(reassigned.size(), 1u);
@@ -480,6 +490,7 @@ TEST_F(NodeTest, ReceiptFromThePreviousPayeeStillReleasesTheKey) {
   const net::PeerId old_payee = open.offer.payee;
   const net::PeerId r = open.offer.requestor;
   a->on_message(old_payee, net::Message{net::HaveMsg{kPiece}});
+  a->advance();
   ASSERT_EQ(rec.sent_to<net::PayeeReassignMsg>(r).size(), 1u);
 
   net::ReceiptMsg receipt;
@@ -519,6 +530,40 @@ TEST_F(NodeTest, ReciprocationYieldsReceiptOnDelivery) {
   EXPECT_TRUE(a.accept_receipt(receipts[0]));
 }
 
+TEST_F(NodeTest, StuckDebtIsPaidInTheBatchOfThePieceThatUnsticksIt) {
+  // R holds piece 0 and owes A for kPiece, payable to Y. Y already claims
+  // both, so R has nothing to give and cannot forward: the debt is stuck.
+  constexpr net::PieceIndex kHeld = 0;
+  constexpr net::PieceIndex kNew = 3;
+  Recorder rec;
+  auto r = make_node(kR, rec, {kA, kX, kY});
+  bt::Bitfield y_has(meta.piece_count);
+  y_has.set(kHeld);
+  y_has.set(kPiece);
+  r->on_message(kY, net::Message{y_has.to_message()});
+  const auto plain = [&](net::PieceIndex p) {
+    return net::Message{net::PlainPieceMsg{100 + p, 200 + p, kX, p,
+                                           net::kNoPeer, 0, meta.pieces[p]}};
+  };
+  r->on_message(kX, plain(kHeld));
+  r->advance();
+  DonorSession a = offer_from_a(kY);
+  r->on_message(kA, net::Message{a.take_offer()});
+  r->advance();
+  r->advance();  // nothing moved: the stuck debt is not retried
+  EXPECT_TRUE(rec.sent_to<net::EncryptedPieceMsg>(kY).empty());
+  EXPECT_TRUE(rec.sent_to<net::PlainPieceMsg>(kY).empty());
+
+  // A piece Y lacks arrives: the advance after it pays the debt with it.
+  r->on_message(kX, plain(kNew));
+  r->advance();
+  const auto recips = rec.sent_to<net::EncryptedPieceMsg>(kY);
+  ASSERT_EQ(recips.size(), 1u);
+  EXPECT_EQ(recips[0].piece, kNew);
+  EXPECT_EQ(recips[0].prev_donor, kA);
+  EXPECT_EQ(recips[0].prev_tx, 777u);
+}
+
 TEST_F(NodeTest, ForwardedBufferDecryptsWithKeysInEitherOrder) {
   for (const bool donor_key_first : {true, false}) {
     SCOPED_TRACE(donor_key_first ? "donor key first" : "forwarder key first");
@@ -528,6 +573,7 @@ TEST_F(NodeTest, ForwardedBufferDecryptsWithKeysInEitherOrder) {
     auto r = make_node(kR, r_rec, {kA, kX, kY});
     DonorSession a = offer_from_a(kX);
     r->on_message(kA, net::Message{a.take_offer()});
+    r->advance();
     const auto fwd = r_rec.sent_to<net::EncryptedPieceMsg>(kX);
     ASSERT_EQ(fwd.size(), 1u);
     ASSERT_EQ(fwd[0].prev_donor, kA);
@@ -588,6 +634,7 @@ TEST_F(NodeTest, KeyForAHeldPieceCascadesWithoutDecrypting) {
   offer.ciphertext =
       crypto::piece_xor(k1, crypto::piece_xor(k2, meta.pieces[kPiece]));
   r->on_message(kA, net::Message{offer});
+  r->advance();
   const auto fwd = rec.sent_to<net::EncryptedPieceMsg>(kX);
   ASSERT_EQ(fwd.size(), 1u);
   ASSERT_EQ(fwd[0].piece, kPiece);
@@ -647,7 +694,7 @@ TEST_F(NodeTest, ThirdPartyWaiverIsIgnored) {
     r->on_message(waiver_from,
                   net::Message{net::PayeeReassignMsg{777, net::kNoPeer}});
     r->on_neighbor_up(kY);
-    r->on_tick();
+    r->advance();
     const auto recips = rec.sent_to<net::EncryptedPieceMsg>(kY);
     if (waiver_from == kA) {
       EXPECT_TRUE(recips.empty());  // the donor settled gratis: no debt

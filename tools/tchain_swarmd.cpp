@@ -13,13 +13,15 @@
 // settles gratis (default 2), --seeder-slots the donor transactions a
 // seeder keeps open (default 8). After the wall time, the summary prints
 // the seconds from the last leecher's completion to the stop and the
-// tx-retry and tx-timeout counts by cause.
+// tx-retry and tx-timeout counts by cause, then the engine's rt.* counters
+// summed over the swarm (rt.advances: Node::advance() calls).
 //
 // Exit code: 0 = every leecher completed and the checker PASSed,
 // 1 = a peer failed to complete before the deadline, 2 = invariant
 // violations (or an unsound trace), 3 = setup error.
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -62,6 +64,17 @@ void print_settlement(std::ostream& os, const tc::rt::SwarmResult& res) {
   by_cause("tx-retry", retry);
   os << "; ";
   by_cause("tx-timeout", timeout);
+  os << "\n";
+}
+
+// One line: every rt.* registry counter, summed over the swarm's nodes.
+void print_counters(std::ostream& os, const tc::rt::SwarmResult& res) {
+  os << "counters:";
+  for (const auto& [name, value] : res.metrics) {
+    if (name.rfind("rt.", 0) == 0) {
+      os << ' ' << name << '=' << static_cast<std::uint64_t>(value);
+    }
+  }
   os << "\n";
 }
 
@@ -131,6 +144,7 @@ int main(int argc, char** argv) {
               << res.events_recorded << " (" << res.events_dropped
               << " dropped by ring)\n";
     print_settlement(std::cout, res);
+    print_counters(std::cout, res);
     tc::check::write_report(std::cout, res.check);
   }
 
