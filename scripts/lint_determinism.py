@@ -16,12 +16,19 @@ lint bans the constructs that silently break that promise:
     feeding it into output, aggregation, or event scheduling makes runs
     diverge across standard libraries. Iterate a sorted copy or an ordered
     container instead.
-  * sans-IO core                — no file under src/core/ may include
-                                  src/rt/, <sys/socket.h>, <sys/epoll.h>,
-                                  <netinet/...>, <unistd.h> or <chrono>: the
-                                  protocol engine has no clock and no
-                                  socket, so hosts other than the live
-                                  runtime (tests, a simulator) can run it.
+  * sans-IO layering            — no file under src/core/ may include
+                                  src/rt/, src/protocols/, src/sim/,
+                                  src/exp/, any src/bt/ header but
+                                  bitfield.h, <sys/socket.h>,
+                                  <sys/epoll.h>, <netinet/...>, <unistd.h>
+                                  or <chrono>: the protocol engine has no
+                                  clock, no socket and no simulator, so
+                                  hosts other than the live runtime (tests,
+                                  a simulator) can run it. No file under
+                                  src/check/ may include src/core/,
+                                  src/rt/ or src/protocols/: the oracle
+                                  reads traces and shares no code with the
+                                  engines it checks.
 
 Escapes:
   * a `// det-ok` comment on the offending line suppresses it (use for
@@ -70,13 +77,26 @@ RULES = [
     ("mt19937", re.compile(r"\bstd::mt19937(_64)?\b"), "raw std::mt19937 outside util::Rng risks an unseeded engine"),
 ]
 
-# Includes banned under src/core/ (rule "sans-io"): the engine stays free
-# of sockets, the runtime and clocks.
-SANS_IO_DIR = "src/core/"
-SANS_IO_INCLUDE = re.compile(
-    r'#\s*include\s*[<"](src/rt/[^>"]*|sys/socket\.h|sys/epoll\.h|'
-    r'netinet/[^>"]*|unistd\.h|chrono)[>"]'
-)
+# Includes banned per subtree (rule "sans-io"): the engine stays free of
+# sockets, the runtime, clocks and the simulator; the checker stays free of
+# what it checks.
+SANS_IO_RULES = [
+    (
+        "src/core/",
+        re.compile(
+            r'#\s*include\s*[<"](src/(?:rt|protocols|sim|exp)/[^>"]*|'
+            r'src/bt/(?!bitfield\.h[>"])[^>"]*|sys/socket\.h|sys/epoll\.h|'
+            r'netinet/[^>"]*|unistd\.h|chrono)[>"]'
+        ),
+        "src/core must stay free of sockets, the runtime, clocks and the "
+        "simulator (from src/bt only bitfield.h)",
+    ),
+    (
+        "src/check/",
+        re.compile(r'#\s*include\s*[<"](src/(?:core|rt|protocols)/[^>"]*)[>"]'),
+        "src/check reads traces and must not include the engines it checks",
+    ),
+]
 
 # Range-for directly over an unordered container member/variable. Two
 # patterns: `for (... : name)` where `name` was declared unordered in the
@@ -144,14 +164,15 @@ def scan_file(path: Path) -> list[str]:
             if pattern.search(line) and not exempt(rule, lineno):
                 findings.append(f"{rel}:{lineno}: [{rule}] {why}")
 
-    if f"/{SANS_IO_DIR}" in f"/{rel}":
+    for prefix, pattern, why in SANS_IO_RULES:
+        if f"/{prefix}" not in f"/{rel}":
+            continue
         for lineno, line in enumerate(code_lines, start=1):
-            m = SANS_IO_INCLUDE.search(line)
+            m = pattern.search(line)
             if m and not exempt("sans-io", lineno):
                 findings.append(
-                    f"{rel}:{lineno}: [sans-io] src/core must stay free of "
-                    f"sockets, the runtime and clocks; <{m.group(1)}> "
-                    f"belongs in src/rt"
+                    f"{rel}:{lineno}: [sans-io] {why}; <{m.group(1)}> "
+                    f"is included"
                 )
 
     # Pass 2: names declared as unordered containers in this file, then

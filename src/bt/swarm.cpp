@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/util/logging.h"
-
 namespace tc::bt {
 namespace {
 
@@ -491,8 +489,6 @@ void Swarm::depart(PeerId id, DepartKind kind) {
 PeerId Swarm::whitewash(PeerId id) {
   Peer* p = peer(id);
   if (!p || !p->active || p->seeder) return id;
-  TC_DEBUG("whitewash: " << id);
-
   cut_off(id);
 
   proto_.on_peer_depart(id);

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/core/transaction.h"
-
 namespace tc::check {
 
 using obs::EventKind;
@@ -244,9 +242,9 @@ struct Checker::Impl {
       return;
     }
     TxInfo& tx = it->second;
-    const auto state = static_cast<core::TxState>(e.aux);
+    const auto state = static_cast<obs::TxState>(e.aux);
 
-    if (state == core::TxState::kCompleted && !tx.key_delivered) {
+    if (state == obs::TxState::kCompleted && !tx.key_delivered) {
       violate(Invariant::kTxLifecycle, e,
               "transaction closed completed but its key was never delivered");
     }
@@ -259,7 +257,7 @@ struct Checker::Impl {
       violate(Invariant::kEscrow, e,
               "escrowed key neither delivered nor refunded at close");
     } else if (tx.encrypted && tx.delivered && !tx.key_delivered &&
-               !tx.key_lost && state == core::TxState::kAwaitKey &&
+               !tx.key_lost && state == obs::TxState::kAwaitKey &&
                !freerider(tx.requestor)) {
       violate(Invariant::kEscrow, e,
               "delivered ciphertext closed with key neither delivered nor "
@@ -271,7 +269,7 @@ struct Checker::Impl {
     // pending slot.
     if (tx.encrypted) {
       const bool swallowed =
-          state == core::TxState::kAwaitKey && !tx.key_lost && !tx.key_delivered;
+          state == obs::TxState::kAwaitKey && !tx.key_lost && !tx.key_delivered;
       if (!swallowed) {
         const auto dt = pending.find(tx.donor);
         if (dt != pending.end()) {

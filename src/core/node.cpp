@@ -1,6 +1,7 @@
 #include "src/core/node.h"
 
 #include <limits>
+#include <ranges>
 #include <stdexcept>
 #include <variant>
 
@@ -156,7 +157,7 @@ void Node::on_watchdog(net::TxId tx) {
 void Node::reselect_payee(DonorIt it) {
   DonorSession& session = it->second.session;
   const net::EncryptedPieceMsg& o = session.offer();
-  const net::PeerId np = select_payee(payee_query(o.requestor, o.piece), rng_);
+  const net::PeerId np = choose_payee(o.requestor, o.piece);
   if (np == net::kNoPeer) {
     settle_gratis(it, obs::ChainBreakCause::kNoPayee);
     return;
@@ -383,28 +384,21 @@ void Node::try_reciprocate(net::TxId banked_tx, BankedTx& b) {
   }
 }
 
-PayeeQuery Node::payee_query(net::PeerId requestor,
-                             net::PieceIndex piece) const {
-  PayeeQuery q;
-  q.donor = opts_.id;
-  q.requestor = requestor;
-  q.donor_is_seeder = opts_.seeder || have_.complete();
+net::PeerId Node::choose_payee(net::PeerId requestor,
+                               net::PieceIndex piece) {
   const Neighbor* rn = neighbor(requestor);
-  q.donor_needs_requestor =
-      !q.donor_is_seeder && rn != nullptr && have_.interested_in(rn->have);
-  for (const auto& [peer, n] : neighbors_) q.donor_neighbors.push_back(peer);
-  q.payee_ok = [this, rn, piece](net::PeerId cand) {
-    const Neighbor* cn = neighbor(cand);
-    if (cn == nullptr || cn->have.complete()) return false;
-    if (!pending_.eligible(cand)) return false;
-    // The candidate must need something the requestor can actually serve:
-    // the piece in flight (forwardable even while still encrypted), or a
-    // piece the requestor holds *decrypted* (its broadcast have set —
-    // banked ciphertexts don't count, the requestor can't re-serve them).
-    if (!cn->claimed.get(piece)) return true;
-    return rn != nullptr && cn->claimed.interested_in(rn->have);
-  };
-  return q;
+  // Whether the requestor holds a piece we need; never so once complete.
+  const bool direct = rn != nullptr && have_.interested_in(rn->have);
+  // Only a decrypted piece of the requestor's counts (its broadcast have
+  // set): it cannot re-serve a banked ciphertext.
+  const bt::Bitfield* requestor_have = rn != nullptr ? &rn->have : nullptr;
+  return select_payee(
+      opts_.id, requestor, direct, std::views::keys(neighbors_),
+      [&](net::PeerId cand) {
+        return pending_.eligible(cand) &&
+               payee_needs(neighbors_.at(cand).claimed, piece, requestor_have);
+      },
+      rng_);
 }
 
 bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
@@ -415,8 +409,7 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
   // Chain heads are selections and must respect the flow-control cap k.
   if (chain == 0 && !pending_.eligible(requestor)) return false;
 
-  const PayeeQuery q = payee_query(requestor, piece);
-  const net::PeerId payee = select_payee(q, rng_);
+  const net::PeerId payee = choose_payee(requestor, piece);
   // A terminal (unencrypted) gift — Fig 1c — is only possible from
   // plaintext, and only toward a neighbour with nothing outstanding.
   if (payee == net::kNoPeer &&
@@ -442,7 +435,7 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
   if (chain == 0) {
     chain = next_id(chain_count_);
     out_.emit({.kind = EventKind::kChainStart,
-                  .aux = q.donor_is_seeder ? std::uint8_t{1} : std::uint8_t{0},
+                  .aux = seeds() ? std::uint8_t{1} : std::uint8_t{0},
                   .a = opts_.id,
                   .chain = chain});
   }
@@ -485,23 +478,17 @@ bool Node::start_tx(net::PeerId requestor, net::PieceIndex piece,
 }
 
 void Node::maybe_start_chains() {
-  std::size_t budget = opts_.seeder_slots;
-  if (!opts_.seeder && !have_.complete()) {
-    // Opportunistic seeding (§II-D3): at least one completed piece, no
-    // unmet reciprocation obligations, and no upload of our own open.
-    if (!may_opportunistically_seed(have_.count(), debts_.size())) return;
-    budget = 1;
-  }
-
+  const std::size_t budget = chain_budget(seeds(), have_.count(),
+                                          debts_.size(), opts_.seeder_slots);
   for (std::size_t active = donor_.size(); active < budget; ++active) {
-    std::vector<net::PeerId> cands;
-    for (const auto& [peer, n] : neighbors_) {
-      if (!pending_.eligible(peer)) continue;
-      if (!n.claimed.interested_in(have_)) continue;  // needs nothing of ours
-      cands.push_back(peer);
-    }
-    if (cands.empty()) return;
-    const net::PeerId r = cands[rng_.index(cands.size())];
+    const net::PeerId r = pick_peer(
+        std::views::keys(neighbors_),
+        [this](net::PeerId cand) {
+          return pending_.eligible(cand) &&
+                 chain_head_needs(neighbors_.at(cand).claimed, have_);
+        },
+        rng_);
+    if (r == net::kNoPeer) return;
     const net::PieceIndex p = lrf_unclaimed(neighbors_.at(r).claimed);
     if (p == net::kNoPiece || !start_tx(r, p, 0, net::kNoPeer, 0, 0)) return;
   }
@@ -510,21 +497,22 @@ void Node::maybe_start_chains() {
 net::PieceIndex Node::lrf_unclaimed(const bt::Bitfield& claimed) {
   // Rarest-first with a *random* tie-break: concurrent chains picking the
   // lowest index would all carry the same piece and collide at the payees.
-  std::vector<net::PieceIndex> best;
+  UniformPick<net::PieceIndex> pick(net::kNoPiece, rng_);
   std::size_t best_rarity = std::numeric_limits<std::size_t>::max();
-  for (const net::PieceIndex p : claimed.missing_from(have_)) {
+  have_.for_each([&](net::PieceIndex p) {
+    if (claimed.get(p)) return;
     std::size_t rarity = 0;
     for (const auto& [peer, n] : neighbors_) {
       if (n.have.get(p)) ++rarity;
     }
+    if (rarity > best_rarity) return;
     if (rarity < best_rarity) {
       best_rarity = rarity;
-      best.clear();
+      pick.reset();
     }
-    if (rarity == best_rarity) best.push_back(p);
-  }
-  if (best.empty()) return net::kNoPiece;
-  return best[rng_.index(best.size())];
+    pick.offer(p);
+  });
+  return pick.chosen();
 }
 
 }  // namespace tc::core

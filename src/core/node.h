@@ -12,11 +12,11 @@
 // chain ids are namespaced per initiator ((peer << 32) | local counter),
 // so no allocator is shared. A node never asks whether a chain is still
 // alive: a requestor reciprocates into a chain another peer has already
-// broken, and the checker allows that extend. The chain budget counts the
-// node's own open donor transactions: a (quasi-)seeder keeps up to
-// seeder_slots open ("as many chains as possible given its upload
-// capacity", footnote 3), an opportunistic leecher starts one only when it
-// has none open (§II-D3).
+// broken, and the checker allows that extend. The chain budget
+// (core::chain_budget) counts the node's own open donor transactions: a
+// (quasi-)seeder keeps up to seeder_slots open ("as many chains as
+// possible given its upload capacity", footnote 3), an opportunistic
+// leecher starts one only when it has none open (§II-D3).
 //
 // Trace discipline (what src/check verifies): kChainStart before the
 // head's kTxOpen, kTxOpen before its kChainExtend, kPieceSent at the donor
@@ -216,7 +216,11 @@ class Node {
   void grant_piece(net::PieceIndex piece, util::Bytes data,
                    net::PeerId source);
 
-  PayeeQuery payee_query(net::PeerId requestor, net::PieceIndex piece) const;
+  // §II-B2 payee for an upload of `piece` to `requestor` (core::policy);
+  // kNoPeer when none qualifies.
+  net::PeerId choose_payee(net::PeerId requestor, net::PieceIndex piece);
+  // A (quasi-)seeder: complete, so it starts chains up to seeder_slots.
+  bool seeds() const { return opts_.seeder || have_.complete(); }
   Neighbor* neighbor(net::PeerId peer);
   const Neighbor* neighbor(net::PeerId peer) const;
   // Rarest-first piece we have that `claimed` lacks (random tie-break);

@@ -2,42 +2,37 @@
 
 namespace tc::core {
 
-PeerId select_payee(const PayeeQuery& q, util::Rng& rng) {
-  // Direct reciprocity: the donor designates itself (§II-B2) whenever the
-  // requestor has something it needs.
-  if (q.allow_direct && !q.donor_is_seeder && q.donor_needs_requestor) {
-    return q.donor;
+bool payee_needs(const bt::Bitfield& candidate_claimed,
+                 PieceIndex piece_in_flight,
+                 const bt::Bitfield* requestor_have) {
+  if (piece_in_flight != net::kNoPiece &&
+      !candidate_claimed.get(piece_in_flight)) {
+    return true;
   }
+  return requestor_have != nullptr &&
+         candidate_claimed.interested_in(*requestor_have);
+}
 
-  // Indirect reciprocity: uniform among qualified neighbors of the donor.
-  PeerId chosen = net::kNoPeer;
-  std::size_t count = 0;
-  for (PeerId n : q.donor_neighbors) {
-    if (n == q.requestor || n == q.donor) continue;
-    if (!q.payee_ok || !q.payee_ok(n)) continue;
-    ++count;
-    if (rng.index(count) == 0) chosen = n;  // reservoir pick
-  }
-  return chosen;
+bool chain_head_needs(const bt::Bitfield& candidate_claimed,
+                      const bt::Bitfield& donor_have) {
+  return candidate_claimed.interested_in(donor_have);
+}
+
+std::size_t chain_budget(bool seeds, std::size_t have, std::size_t unmet,
+                         std::size_t slots) {
+  if (seeds) return slots;
+  return have >= 1 && unmet == 0 ? 1 : 0;
 }
 
 std::optional<PieceIndex> select_bootstrap_piece(
     const bt::Bitfield& donor_have, const bt::Bitfield& requestor_claimed,
     const bt::Bitfield& payee_claimed, util::Rng& rng) {
-  PieceIndex chosen = net::kNoPiece;
-  std::size_t count = 0;
-  for (PieceIndex p : requestor_claimed.missing_from(donor_have)) {
-    if (payee_claimed.get(p)) continue;
-    ++count;
-    if (rng.index(count) == 0) chosen = p;
-  }
-  if (chosen == net::kNoPiece) return std::nullopt;
-  return chosen;
-}
-
-bool may_opportunistically_seed(std::size_t completed_pieces,
-                                std::size_t unmet_obligations) {
-  return completed_pieces >= 1 && unmet_obligations == 0;
+  UniformPick<PieceIndex> pick(net::kNoPiece, rng);
+  donor_have.for_each([&](PieceIndex p) {
+    if (!requestor_claimed.get(p) && !payee_claimed.get(p)) pick.offer(p);
+  });
+  if (pick.chosen() == net::kNoPiece) return std::nullopt;
+  return pick.chosen();
 }
 
 }  // namespace tc::core

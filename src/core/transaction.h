@@ -24,13 +24,7 @@ using net::PieceIndex;
 using TxId = std::uint64_t;
 using ChainId = std::uint64_t;
 
-enum class TxState : std::uint8_t {
-  kUploading,   // encrypted piece in flight D -> R
-  kAwaitKey,    // delivered; R owes reciprocation, key withheld
-  kCompleted,   // receipt arrived, key released, R decrypted
-  kTerminal,    // unencrypted upload (chain termination), no obligation
-  kDead,        // aborted: departure, free-riding sink, no payee
-};
+using obs::TxState;
 
 struct Transaction {
   TxId id = 0;

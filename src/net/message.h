@@ -9,8 +9,8 @@
 // authenticated with an HMAC-SHA256 tag so they cannot be forged by spoofed
 // senders.
 //
-// These structs are used byte-for-byte by the real TCP transport
-// (examples/tcp_triangle) and by serialization tests; the event-driven
+// These structs are used byte-for-byte by the real TCP transport (src/rt)
+// and by serialization tests; the event-driven
 // simulator passes them by value without encoding.
 #pragma once
 

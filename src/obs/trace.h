@@ -47,7 +47,7 @@ enum class EventKind : std::uint8_t {
   kTxOpen,     // a=donor, b=requestor, c=payee (kNoPeer=terminal), ref=tx
   kTxRetry,    // ref=tx, aux=RetryCause; a stalled exchange re-kicked
   kTxTimeout,  // ref=tx, aux=RetryCause; retries exhausted, tearing down
-  kTxClose,    // ref=tx, aux=final core::TxState
+  kTxClose,    // ref=tx, aux=final TxState
   // Chain structure.
   kChainStart,   // a=initiator, chain, aux=ChainFlags (bit0: by seeder)
   kChainExtend,  // chain, ref=appended tx
@@ -101,6 +101,16 @@ enum class RetryCause : std::uint8_t {
 };
 
 const char* retry_cause_name(RetryCause c);
+
+// aux payload of kTxClose: the state a transaction ended in. The
+// simulator's core::Transaction walks the same states.
+enum class TxState : std::uint8_t {
+  kUploading,   // encrypted piece in flight D -> R
+  kAwaitKey,    // delivered; R owes reciprocation, key withheld
+  kCompleted,   // receipt arrived, key released, R decrypted
+  kTerminal,    // unencrypted upload (chain termination), no obligation
+  kDead,        // aborted: departure, free-riding sink, no payee
+};
 
 struct TraceEvent {
   util::SimTime t = 0.0;

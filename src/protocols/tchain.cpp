@@ -1,9 +1,6 @@
 #include "src/protocols/tchain.h"
 
-#include <algorithm>
-
 #include "src/core/policy.h"
-#include "src/util/logging.h"
 
 namespace tc::protocols {
 
@@ -151,15 +148,7 @@ void TChainProtocol::seeder_tick() {
   const PeerId s = swarm_->seeder_id();
   if (!swarm_->is_active(s)) return;
   prune_banned_neighbors(s);
-  PeerState& ss = state(s);
-  // Feed the swarm as many chains as the seeder's slot budget allows
-  // (footnote 3: "the seeder will likely initiate as many chains as
-  // possible given its upload capacity").
-  std::size_t guard = 0;
-  while (ss.active_uploads < swarm_->config().seeder_chain_slots &&
-         guard++ < 2 * swarm_->config().seeder_chain_slots) {
-    if (!initiate_chain(s, /*by_seeder=*/true)) break;
-  }
+  start_chains(s);
   swarm_->simulator().schedule_in(2.0, [this] { seeder_tick(); });
 }
 
@@ -167,12 +156,19 @@ void TChainProtocol::opportunistic_tick(PeerId id) {
   const bt::Peer* p = swarm_->peer(id);
   if (p == nullptr || !p->active || p->freerider || p->seeder) return;
   prune_banned_neighbors(id);
-  PeerState& st = state(id);
-  if (!core::may_opportunistically_seed(p->have.count(), st.obligations))
-    return;
-  if (st.active_uploads > 0) return;  // upload capacity already in use
-  if (!swarm_->config().opportunistic_seeding) return;
-  initiate_chain(id, /*by_seeder=*/false);
+  if (swarm_->config().opportunistic_seeding) start_chains(id);
+}
+
+void TChainProtocol::start_chains(PeerId donor) {
+  const bt::Peer* d = swarm_->peer(donor);
+  PeerState& ds = state(donor);
+  const std::size_t budget =
+      core::chain_budget(d->seeder, d->have.count(), ds.obligations,
+                         swarm_->config().seeder_chain_slots);
+  for (std::size_t guard = 0; ds.active_uploads < budget && guard < 2 * budget;
+       ++guard) {
+    if (!initiate_chain(donor, d->seeder)) break;
+  }
 }
 
 bool TChainProtocol::initiate_chain(PeerId donor, bool by_seeder) {
@@ -180,18 +176,14 @@ bool TChainProtocol::initiate_chain(PeerId donor, bool by_seeder) {
   if (d == nullptr || !d->active) return false;
   PeerState& ds = state(donor);
 
-  // Requestor: uniform among neighbors that want something from the donor
-  // and are not flow-control banned.
-  PeerId requestor = net::kNoPeer;
-  std::size_t count = 0;
-  for (PeerId n : d->neighbors) {
-    const bt::Peer* np = swarm_->peer(n);
-    if (np == nullptr || !np->active || np->seeder) continue;
-    if (!ds.pending.eligible(n)) continue;
-    if (!swarm_->needs_from(n, donor)) continue;
-    ++count;
-    if (swarm_->rng().index(count) == 0) requestor = n;
-  }
+  const PeerId requestor = core::pick_peer(
+      d->neighbors,
+      [&](PeerId n) {
+        const bt::Peer* np = swarm_->peer(n);
+        return np != nullptr && np->active && ds.pending.eligible(n) &&
+               core::chain_head_needs(np->requested, d->have);
+      },
+      swarm_->rng());
   if (requestor == net::kNoPeer) return false;
 
   const ChainId chain = next_chain_++;
@@ -216,25 +208,17 @@ PeerId TChainProtocol::choose_payee(PeerId donor, PeerId requestor,
   const bt::Peer* r = swarm_->peer(requestor);
   if (d == nullptr || r == nullptr) return net::kNoPeer;
   PeerState& ds = state(donor);
-
-  core::PayeeQuery q;
-  q.donor = donor;
-  q.requestor = requestor;
-  q.donor_neighbors = d->neighbors;
-  q.donor_is_seeder = d->seeder;
-  q.allow_direct = swarm_->config().allow_direct_reciprocity;
-  q.donor_needs_requestor = swarm_->needs_from(donor, requestor);
-  q.payee_ok = [&](PeerId n) {
-    const bt::Peer* np = swarm_->peer(n);
-    if (np == nullptr || !np->active || np->seeder) return false;
-    if (!ds.pending.eligible(n)) return false;  // adaptive receiver selection
-    // Needs >= 1 of the requestor's pieces, *including* the piece about to
-    // be uploaded (§II-B2).
-    if (swarm_->needs_from(n, requestor)) return true;
-    return piece != net::kNoPiece && !np->requested.get(piece);
-  };
-
-  return core::select_payee(q, swarm_->rng());
+  // Never for a seeder: requested ⊇ have, so it needs nothing.
+  const bool direct = swarm_->config().allow_direct_reciprocity &&
+                      swarm_->needs_from(donor, requestor);
+  return core::select_payee(
+      donor, requestor, direct, d->neighbors,
+      [&](PeerId n) {
+        const bt::Peer* np = swarm_->peer(n);
+        return np != nullptr && np->active && ds.pending.eligible(n) &&
+               core::payee_needs(np->requested, piece, &r->have);
+      },
+      swarm_->rng());
 }
 
 bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,

@@ -65,6 +65,9 @@ class TChainProtocol : public bt::Protocol {
   void prune_banned_neighbors(PeerId id);
   void seeder_tick();
   void opportunistic_tick(PeerId id);
+  // Starts chains until `donor` has its chain budget (core::chain_budget)
+  // of uploads open, or no neighbour qualifies as a chain head.
+  void start_chains(PeerId donor);
   bool initiate_chain(PeerId donor, bool by_seeder);
 
   // Starts the transaction `donor -> requestor` (reciprocating `prev` when

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "src/core/transaction.h"
 #include "src/obs/trace.h"
 
 namespace tc::check {
@@ -19,9 +18,9 @@ using obs::EventKind;
 using obs::TraceEvent;
 
 constexpr std::uint8_t kAwaitKey =
-    static_cast<std::uint8_t>(core::TxState::kAwaitKey);
+    static_cast<std::uint8_t>(obs::TxState::kAwaitKey);
 constexpr std::uint8_t kCompleted =
-    static_cast<std::uint8_t>(core::TxState::kCompleted);
+    static_cast<std::uint8_t>(obs::TxState::kCompleted);
 
 // Builds a stream with ever-increasing timestamps so detection timestamps
 // stay distinct and ordered.
