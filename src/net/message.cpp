@@ -174,14 +174,23 @@ PeerListMsg decode_peer_list(util::ByteReader& r) {
 }  // namespace
 
 util::Bytes encode_message(const Message& m) {
-  util::ByteWriter w;
+  util::Bytes out;
+  encode_message_to(m, out);
+  return out;
+}
+
+void encode_message_to(const Message& m, util::Bytes& out) {
+  util::ByteWriter w(out);
   w.u8(static_cast<std::uint8_t>(message_type(m)));
   std::visit([&](const auto& body) { encode_body(w, body); }, m);
-  return w.take();
 }
 
 Message decode_message(const util::Bytes& wire) {
-  util::ByteReader r(wire);
+  return decode_message(wire.data(), wire.size());
+}
+
+Message decode_message(const std::uint8_t* wire, std::size_t len) {
+  util::ByteReader r(wire, len);
   const auto type = static_cast<MsgType>(r.u8());
   Message out;
   switch (type) {

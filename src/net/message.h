@@ -150,7 +150,13 @@ enum class MsgType : std::uint8_t {
 MsgType message_type(const Message& m);
 
 util::Bytes encode_message(const Message& m);
+// Appends encode_message(m) to `out`, so a framed writer can encode straight
+// into its send buffer.
+void encode_message_to(const Message& m, util::Bytes& out);
 // Throws std::out_of_range / std::invalid_argument on malformed input.
+// Reads exactly [wire, wire + len), so a frame decodes in place from a
+// receive buffer.
+Message decode_message(const std::uint8_t* wire, std::size_t len);
 Message decode_message(const util::Bytes& wire);
 
 // HMAC tag for a receipt, keyed with the pairwise secret shared by payee

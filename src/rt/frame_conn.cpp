@@ -14,8 +14,6 @@ namespace tc::rt {
 
 namespace {
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 [[noreturn]] void throw_errno(const std::string& what, int err) {
   throw std::runtime_error(what + ": " + std::strerror(err));
 }
@@ -77,17 +75,19 @@ std::unique_ptr<FrameConn> FrameConn::dial(Reactor& reactor,
 
 void FrameConn::send(const net::Message& m) {
   if (closed_notified_ || fd_ < 0) return;
-  const util::Bytes payload = net::encode_message(m);
-  if (payload.size() > kMaxFrame) {
+  // Encode behind a 4-byte prefix slot, then patch the length in.
+  const std::size_t start = outbox_.size();
+  outbox_.resize(start + 4);
+  net::encode_message_to(m, outbox_);
+  const std::size_t len = outbox_.size() - start - 4;
+  if (len > kMaxFrame) {
+    outbox_.resize(start);
     fail();
     return;
   }
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  const std::uint8_t prefix[4] = {
-      static_cast<std::uint8_t>(n >> 24), static_cast<std::uint8_t>(n >> 16),
-      static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)};
-  outbox_.insert(outbox_.end(), prefix, prefix + 4);
-  outbox_.insert(outbox_.end(), payload.begin(), payload.end());
+  for (int i = 0; i < 4; ++i)
+    outbox_[start + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(len >> (24 - 8 * i));
   // While still connecting, the kernel reports EAGAIN and the bytes stay
   // in the outbox; the post-connect EPOLLOUT edge flushes them.
   flush();
@@ -136,19 +136,21 @@ void FrameConn::on_writable() {
   flush();
 }
 
-void FrameConn::on_readable() {
+void FrameConn::on_readable(bool hangup) {
   if (closed_notified_ || fd_ < 0) return;
+  // Not zero-filled, and shared by every connection: the reactor is
+  // single-threaded, and inbox_ takes only the bytes each read returned.
+  std::uint8_t buf[kReadChunk];
   bool eof = false;
-  // Edge-triggered: drain until EAGAIN or EOF.
   for (;;) {
-    const std::size_t old = inbox_.size();
-    inbox_.resize(old + kReadChunk);
-    const ssize_t n = ::read(fd_, inbox_.data() + old, kReadChunk);
+    const ssize_t n = ::read(fd_, buf, kReadChunk);
     if (n > 0) {
-      inbox_.resize(old + static_cast<std::size_t>(n));
+      inbox_.insert(inbox_.end(), buf, buf + n);
+      // A short read drained the socket: the next byte brings a new edge.
+      // After a hang-up no edge follows, so read on to the EOF.
+      if (static_cast<std::size_t>(n) < kReadChunk && !hangup) break;
       continue;
     }
-    inbox_.resize(old);
     if (n == 0) {
       eof = true;
       break;
@@ -181,18 +183,21 @@ bool FrameConn::parse_frames() {
       return false;
     }
     if (avail < 4 + static_cast<std::size_t>(len)) break;
-    util::Bytes payload(p + 4, p + 4 + len);
     inbox_off_ += 4 + static_cast<std::size_t>(len);
     try {
-      delegate_->on_message(*this, net::decode_message(payload));
+      // Decoded straight from inbox_; the message owns copies of its blobs.
+      delegate_->on_message(*this, net::decode_message(p + 4, len));
     } catch (const std::exception&) {
       fail();
       return false;
     }
     if (closed_notified_ || fd_ < 0) return false;
   }
-  // Compact the consumed prefix once it dominates the buffer.
-  if (inbox_off_ > kReadChunk && inbox_off_ * 2 >= inbox_.size()) {
+  if (inbox_off_ == inbox_.size()) {
+    inbox_.clear();
+    inbox_off_ = 0;
+  } else if (inbox_off_ > kReadChunk && inbox_off_ * 2 >= inbox_.size()) {
+    // Compact the consumed prefix once it dominates the buffer.
     inbox_.erase(inbox_.begin(),
                  inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_off_));
     inbox_off_ = 0;
@@ -245,6 +250,7 @@ Listener::~Listener() {
 }
 
 std::optional<int> Listener::accept() {
+  fd_table_full_ = false;
   for (;;) {
     const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd >= 0) {
@@ -253,6 +259,10 @@ std::optional<int> Listener::accept() {
     }
     if (errno == EINTR || errno == ECONNABORTED) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
+    if (errno == EMFILE || errno == ENFILE) {
+      fd_table_full_ = true;
+      return std::nullopt;
+    }
     throw_errno("accept", errno);
   }
 }

@@ -1,9 +1,11 @@
 // The live runtime's socket layer. FrameConn is a non-blocking framed
 // connection on a Reactor: incremental frame parsing on the read side
-// (edge-triggered drain into an inbox buffer), buffered partial writes on
-// the send side (an outbox flushed on EPOLLOUT), and asynchronous dialing
-// (connect() in progress resolves via writability + SO_ERROR). Listener
-// is the accepting end.
+// (edge-triggered reads through one shared 64 KiB buffer into an inbox;
+// a short read counts as drained unless the event carried a hang-up bit,
+// and frames decode in place from the inbox), buffered partial writes on
+// the send side (messages encode straight into an outbox flushed on
+// EPOLLOUT), and asynchronous dialing (connect() in progress resolves via
+// writability + SO_ERROR). Listener is the accepting end.
 //
 // Wire format: each frame is a 4-byte big-endian length prefix followed by
 // that many bytes of net::encode_message output.
@@ -30,6 +32,8 @@ namespace tc::rt {
 // Upper bound on a frame body, so a corrupt length prefix cannot trigger a
 // multi-gigabyte allocation: a larger prefix closes the connection.
 inline constexpr std::uint32_t kMaxFrame = 64u * 1024 * 1024;
+// Bytes one read() asks for; a read that returns fewer drained the socket.
+inline constexpr std::size_t kReadChunk = 64 * 1024;
 
 class FrameConn : public Reactor::Handler {
  public:
@@ -74,7 +78,7 @@ class FrameConn : public Reactor::Handler {
   // Owner-assigned identity of the remote peer (kNoPeer until known).
   net::PeerId peer = net::kNoPeer;
 
-  void on_readable() override;
+  void on_readable(bool hangup) override;
   void on_writable() override;
   void on_error() override;
 
@@ -117,12 +121,16 @@ class Listener {
   int fd() const { return fd_; }
 
   // The next pending connection as a non-blocking TCP_NODELAY fd, or
-  // nullopt when none is pending.
+  // nullopt when none is pending or the fd table is full (EMFILE/ENFILE).
   std::optional<int> accept();
+  // The last accept() stopped on a full fd table. The connections it left
+  // queued bring no new edge: the owner retries once fds may be free.
+  bool fd_table_full() const { return fd_table_full_; }
 
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
+  bool fd_table_full_ = false;
 };
 
 }  // namespace tc::rt

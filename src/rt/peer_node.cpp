@@ -14,6 +14,7 @@ PeerNode::PeerNode(SwarmContext& ctx, const Options& opts)
 
 PeerNode::~PeerNode() {
   reactor_.cancel(advance_timer_);
+  reactor_.cancel(accept_retry_);
   for (const auto& [tx, timer] : watchdogs_) reactor_.cancel(timer);
   reactor_.remove(listener_.fd());
 }
@@ -85,13 +86,22 @@ void PeerNode::after_input() {
 
 // --- Connections ----------------------------------------------------------
 
-void PeerNode::on_readable() {
+void PeerNode::on_readable(bool hangup) {
+  (void)hangup;
   while (const auto fd = listener_.accept()) {
     auto conn = std::make_unique<FrameConn>(reactor_, *fd, this);
     FrameConn* raw = conn.get();
     conns_[raw] = std::move(conn);
     count("rt.conns_accepted");
   }
+  if (!listener_.fd_table_full()) return;
+  count("rt.accept_emfile");
+  // The queued connections bring no new edge: look again in a few ms.
+  if (accept_retry_ != 0) return;
+  accept_retry_ = reactor_.schedule(0.005, [this] {
+    accept_retry_ = 0;
+    on_readable(false);
+  });
 }
 
 void PeerNode::maybe_dial(net::PeerId peer, std::uint16_t port) {

@@ -55,8 +55,9 @@ class PeerNode : public Reactor::Handler,
   // shutdown).
   std::size_t open_donor_txs() const { return node_.open_donor_txs(); }
 
-  // Reactor::Handler — the listening socket.
-  void on_readable() override;
+  // Reactor::Handler — the listening socket. A full fd table leaves
+  // connections queued; they are retried a few ms later.
+  void on_readable(bool hangup) override;
 
   // FrameConn::Delegate.
   void on_conn_open(FrameConn& c) override;
@@ -89,6 +90,7 @@ class PeerNode : public Reactor::Handler,
   std::map<net::TxId, Reactor::TimerId> watchdogs_;
 
   Reactor::TimerId advance_timer_ = 0;  // 0: no advance() scheduled
+  Reactor::TimerId accept_retry_ = 0;   // 0: no accept retry scheduled
   double finish_t_ = -1.0;
   std::size_t open_txs_ = 0;  // node_.open_donor_txs() after the last advance
   core::Node node_;

@@ -25,15 +25,17 @@ namespace tc::rt {
 class Reactor {
  public:
   // Readiness callbacks for one registered fd. Edge-triggered: a handler
-  // must drain reads until EAGAIN and flush writes until EAGAIN, or it
-  // will not be woken again.
+  // must drain reads and flush writes until EAGAIN, or it will not be
+  // woken again. A read shorter than the buffer it asked to fill counts as
+  // drained, unless `hangup` is set: the event carried EPOLLRDHUP or
+  // EPOLLHUP, and only reading on to EOF sees the close it announced.
   class Handler {
    public:
     virtual ~Handler() = default;
-    virtual void on_readable() = 0;
+    virtual void on_readable(bool hangup) = 0;
     virtual void on_writable() {}
     // EPOLLERR; read/write paths surface most failures themselves.
-    virtual void on_error() { on_readable(); }
+    virtual void on_error() { on_readable(true); }
   };
 
   Reactor();
@@ -69,12 +71,21 @@ class Reactor {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
+  // Since construction: loop turns (epoll_wait calls), fd events
+  // dispatched, and the longest turn in seconds. A turn runs from
+  // epoll_wait's return through its fd callbacks, the posted work and
+  // the due timers, to the next epoll_wait.
+  std::uint64_t turns() const { return turns_; }
+  std::uint64_t events() const { return events_; }
+  double turn_max_seconds() const { return turn_max_; }
+
  private:
   // Deadline first; the id breaks ties in schedule order.
   using TimerKey = std::pair<double, TimerId>;
 
   void fire_due_timers();
-  int poll_timeout_ms() const;
+  // Milliseconds epoll_wait may sleep, given the time `t` it is called at.
+  int poll_timeout_ms(double t) const;
 
   int epfd_ = -1;
   bool stopped_ = false;
@@ -84,6 +95,9 @@ class Reactor {
   std::unordered_map<TimerId, double> deadlines_;  // pending timers only
   TimerId next_timer_ = 1;
   std::chrono::steady_clock::time_point start_;
+  std::uint64_t turns_ = 0;
+  std::uint64_t events_ = 0;
+  double turn_max_ = 0.0;
 };
 
 }  // namespace tc::rt

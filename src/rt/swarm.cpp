@@ -1,5 +1,6 @@
 #include "src/rt/swarm.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -88,6 +89,15 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
     if (!s.complete) res.all_complete = false;
     res.peers.push_back(s);
   }
+
+  obs::Registry& reg = trace.registry();
+  reg.counter("rt.reactor_turns").inc(reactor.turns());
+  reg.counter("rt.reactor_events").inc(reactor.events());
+  reg.counter("rt.reactor_turn_max_ms")
+      .inc(static_cast<std::uint64_t>(
+          std::ceil(reactor.turn_max_seconds() * 1e3)));
+  if (tracker.accept_emfile() != 0)
+    reg.counter("rt.accept_emfile").inc(tracker.accept_emfile());
 
   trace.set_sink(nullptr);
   res.events = trace.events();

@@ -30,9 +30,12 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
   TrackerService& operator=(const TrackerService&) = delete;
 
   std::uint16_t port() const { return listener_.port(); }
+  // Accept loops stopped by a full fd table (EMFILE/ENFILE); each is
+  // retried a few ms later.
+  std::uint64_t accept_emfile() const { return accept_emfile_; }
 
   // Reactor::Handler (listening socket).
-  void on_readable() override;
+  void on_readable(bool hangup) override;
 
   // FrameConn::Delegate.
   void on_message(FrameConn& c, net::Message m) override;
@@ -48,6 +51,8 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
   Listener listener_;
   std::map<net::PeerId, Member> members_;  // id order is the reply order
   std::map<FrameConn*, std::unique_ptr<FrameConn>> conns_;
+  Reactor::TimerId accept_retry_ = 0;  // 0: no accept retry scheduled
+  std::uint64_t accept_emfile_ = 0;
 };
 
 }  // namespace tc::rt

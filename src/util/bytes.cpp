@@ -5,7 +5,7 @@
 
 namespace tc::util {
 
-void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
+void ByteWriter::u8(std::uint8_t v) { buf_->push_back(v); }
 
 void ByteWriter::u16(std::uint16_t v) {
   u8(static_cast<std::uint8_t>(v >> 8));
@@ -40,7 +40,7 @@ void ByteWriter::str(std::string_view s) {
 }
 
 void ByteWriter::raw(const std::uint8_t* data, std::size_t len) {
-  buf_.insert(buf_.end(), data, data + len);
+  buf_->insert(buf_->end(), data, data + len);
 }
 
 void ByteReader::need(std::size_t n) const {

@@ -15,6 +15,13 @@ using Bytes = std::vector<std::uint8_t>;
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Appends to `out` instead of an own buffer; `out` must outlive the
+  // writer.
+  explicit ByteWriter(Bytes& out) : buf_(&out) {}
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -26,12 +33,12 @@ class ByteWriter {
   // Raw bytes, no length prefix.
   void raw(const std::uint8_t* data, std::size_t len);
 
-  const Bytes& data() const { return buf_; }
-  Bytes take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
+  const Bytes& data() const { return *buf_; }
+  std::size_t size() const { return buf_->size(); }
 
  private:
-  Bytes buf_;
+  Bytes own_;
+  Bytes* buf_ = &own_;
 };
 
 // Throws std::out_of_range on truncated input.

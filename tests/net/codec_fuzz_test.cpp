@@ -6,6 +6,8 @@
 // it has its own suite (tests/rt/frame_conn_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -22,11 +24,14 @@ struct DecodeCase {
   util::Bytes wire;  // raw payload handed to decode_message
 };
 
-// Decodes c.wire; true if it was rejected. Rejecting by attempting a
-// huge allocation counts as a failure.
+// Decodes c.wire in place from an exactly sized heap copy, so a read past
+// the end trips AddressSanitizer; true if it was rejected. Rejecting by
+// attempting a huge allocation counts as a failure.
 bool rejected(const DecodeCase& c) {
+  const auto copy = std::make_unique<std::uint8_t[]>(c.wire.size());
+  std::copy(c.wire.begin(), c.wire.end(), copy.get());
   try {
-    (void)decode_message(c.wire);
+    (void)decode_message(copy.get(), c.wire.size());
     return false;
   } catch (const std::bad_alloc&) {
     ADD_FAILURE() << c.name << ": decoder tried to over-allocate";

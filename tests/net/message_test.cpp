@@ -2,11 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "src/core/exchange.h"
 #include "src/crypto/hmac.h"
+#include "tests/net/sample_messages.h"
 
 namespace tc::net {
 namespace {
+
+// Decodes through the pointer overload from an exactly sized heap copy, so
+// a read past the end trips AddressSanitizer.
+Message decode_in_place(const util::Bytes& wire) {
+  const auto copy = std::make_unique<std::uint8_t[]>(wire.size());
+  std::copy(wire.begin(), wire.end(), copy.get());
+  return decode_message(copy.get(), wire.size());
+}
 
 template <typename T>
 T round_trip(const T& msg) {
@@ -108,6 +120,29 @@ TEST(Message, DecodeRejectsTruncation) {
   auto wire = encode_message(Message{EncryptedPieceMsg{}});
   wire.resize(wire.size() / 2);
   EXPECT_THROW(decode_message(wire), std::out_of_range);
+}
+
+TEST(Message, EveryTypeRoundTripsInPlace) {
+  const std::vector<Message> all = one_of_each_type();
+  ASSERT_EQ(all.size(), std::variant_size_v<Message>);
+  for (const Message& m : all) {
+    SCOPED_TRACE(static_cast<int>(message_type(m)));
+    EXPECT_EQ(decode_in_place(encode_message(m)), m);
+  }
+}
+
+TEST(Message, DecodeInPlaceRejectsMalformedFrames) {
+  for (const Message& m : one_of_each_type()) {
+    SCOPED_TRACE(static_cast<int>(message_type(m)));
+    auto wire = encode_message(m);
+    wire.push_back(0x00);
+    EXPECT_THROW(decode_in_place(wire), std::invalid_argument);
+    wire.resize(wire.size() - 2);
+    EXPECT_THROW(decode_in_place(wire), std::out_of_range);
+  }
+  util::Bytes retired(1 + 28, 0x00);
+  retired[0] = 11;
+  EXPECT_THROW(decode_in_place(retired), std::invalid_argument);
 }
 
 TEST(ReceiptMac, DeterministicAndKeyed) {

@@ -15,6 +15,8 @@
 #include <memory>
 #include <vector>
 
+#include "tests/net/sample_messages.h"
+
 namespace tc::rt {
 namespace {
 
@@ -27,13 +29,15 @@ util::Bytes frame_bytes(std::uint32_t len, const util::Bytes& body) {
   return wire;
 }
 
-// Records what a connection delivers; stops the reactor when it closes.
+// Records what a connection delivers; stops the reactor when it closes,
+// or once `stop_after` messages are in (0: never).
 class Recorder : public FrameConn::Delegate {
  public:
   explicit Recorder(Reactor& r) : reactor_(r) {}
   void on_message(FrameConn& c, net::Message m) override {
     (void)c;
     messages.push_back(std::move(m));
+    if (messages.size() == stop_after) reactor_.stop();
   }
   void on_conn_closed(FrameConn& c) override {
     (void)c;
@@ -42,6 +46,7 @@ class Recorder : public FrameConn::Delegate {
   }
   std::vector<net::Message> messages;
   bool closed = false;
+  std::size_t stop_after = 0;
 
  protected:
   Reactor& reactor_;
@@ -66,6 +71,15 @@ struct RawPair {
   void write_raw(const util::Bytes& wire) {
     ASSERT_EQ(::write(raw, wire.data(), wire.size()),
               static_cast<ssize_t>(wire.size()));
+  }
+  // Everything the connection has written so far.
+  util::Bytes read_raw() {
+    util::Bytes out;
+    std::uint8_t buf[4096];
+    ssize_t n;
+    while ((n = ::read(raw, buf, sizeof(buf))) > 0)
+      out.insert(out.end(), buf, buf + n);
+    return out;
   }
   void close_raw() {
     if (raw >= 0) ::close(raw);
@@ -139,6 +153,41 @@ TEST(FrameConn, EofAtFrameBoundaryDeliversEveryFrameThenCloses) {
   EXPECT_EQ(p.delegate.messages[1], (net::Message{net::HaveMsg{3}}));
 }
 
+TEST(FrameConn, BurstPastTwoReadChunksIsDeliveredWithoutEof) {
+  // More than two full reads arrive in one burst and the writer stays
+  // open: a reader that stopped after a full read would get no new edge
+  // and strand the tail.
+  RawPair p;
+  net::EncryptedPieceMsg m;
+  m.ciphertext = util::Bytes(kReadChunk / 2 + 7, 0x3c);
+  util::Bytes wire;
+  std::vector<net::Message> sent;
+  while (wire.size() <= 2 * kReadChunk) {
+    m.tx = sent.size();
+    sent.push_back(net::Message{m});
+    const util::Bytes body = net::encode_message(sent.back());
+    const util::Bytes f =
+        frame_bytes(static_cast<std::uint32_t>(body.size()), body);
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  p.delegate.stop_after = sent.size();
+  p.write_raw(wire);
+  p.run(5.0);
+  EXPECT_FALSE(p.delegate.closed);
+  EXPECT_EQ(p.delegate.messages, sent);
+}
+
+TEST(FrameConn, SendWritesPrefixAndEncodingOfEveryType) {
+  for (const net::Message& m : net::one_of_each_type()) {
+    SCOPED_TRACE(static_cast<int>(net::message_type(m)));
+    RawPair p;
+    p.conn->send(m);
+    const util::Bytes body = net::encode_message(m);
+    EXPECT_EQ(p.read_raw(),
+              frame_bytes(static_cast<std::uint32_t>(body.size()), body));
+  }
+}
+
 TEST(FrameConn, SendAfterPeerClosedClosesInsteadOfSigpipe) {
   // Without MSG_NOSIGNAL the write to the closed pair would raise SIGPIPE
   // and kill the test binary.
@@ -166,7 +215,7 @@ class ReplyServer : public Reactor::Handler, public FrameConn::Delegate {
     reactor_.add(listener.fd(), this);
   }
   ~ReplyServer() override { reactor_.remove(listener.fd()); }
-  void on_readable() override {
+  void on_readable(bool) override {
     while (const auto fd = listener.accept()) {
       auto conn = std::make_unique<FrameConn>(reactor_, *fd, this);
       conns_[conn.get()] = std::move(conn);
@@ -224,9 +273,10 @@ TEST(FrameConn, FrameEchoOverLoopback) {
   ReplyServer server(reactor);
   ASSERT_GT(server.listener.port(), 0);
 
-  // Large enough that the sends back up into the outbox.
+  // Large enough that the sends back up into the outbox, and frames of
+  // many read chunks each.
   std::vector<net::Message> sent;
-  for (const std::size_t len : {0u, 1u, 100u, 70000u, 8u << 20})
+  for (const std::size_t len : {0u, 1u, 100u, 70000u, 1u << 20, 8u << 20})
     sent.push_back(net::Message{piece_of(len)});
   Client client(reactor, sent);
   exchange(reactor, server, client);

@@ -103,7 +103,7 @@ TEST(Reactor, RearmedTimerFiresWithinItsDelay) {
 class PipeEcho : public Reactor::Handler {
  public:
   explicit PipeEcho(Reactor& r, int fd) : reactor_(r), fd_(fd) {}
-  void on_readable() override {
+  void on_readable(bool) override {
     char buf[64];
     ssize_t n;
     while ((n = ::read(fd_, buf, sizeof(buf))) > 0) {
@@ -141,7 +141,7 @@ TEST(Reactor, RemoveInsideCallbackIsSafe) {
   class SelfRemover : public Reactor::Handler {
    public:
     SelfRemover(Reactor& r, int fd) : reactor_(r), fd_(fd) {}
-    void on_readable() override {
+    void on_readable(bool) override {
       char buf[16];
       while (::read(fd_, buf, sizeof(buf)) > 0) {
       }

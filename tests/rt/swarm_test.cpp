@@ -115,6 +115,10 @@ TEST(LiveSwarm, TraceContainsTheLiveProtocolVocabulary) {
 TEST(LiveSwarm, MetricsExposeRuntimeCounters) {
   const SwarmResult res = run_local_swarm(small_swarm());
   EXPECT_GT(metric(res.metrics, "rt.tx_opened"), 0.0);
+  // The reactor's loop: turns, fd events dispatched, longest turn.
+  EXPECT_GT(metric(res.metrics, "rt.reactor_turns"), 0.0);
+  EXPECT_GT(metric(res.metrics, "rt.reactor_events"), 0.0);
+  EXPECT_GT(metric(res.metrics, "rt.reactor_turn_max_ms"), 0.0);
 }
 
 TEST(LiveSwarm, SettlesThroughMessagesWithoutWatchdogs) {

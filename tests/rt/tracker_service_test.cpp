@@ -1,11 +1,20 @@
 // TrackerService over real sockets: membership is the announce
 // connection. An announce is answered with the other members, a later
 // joiner is pushed to earlier members without any re-announce, and a
-// closed connection leaves the membership.
+// closed connection leaves the membership. A full fd table defers
+// accepting instead of ending the process.
 #include "src/rt/tracker_service.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -100,6 +109,87 @@ TEST(TrackerService, ClosedConnectionLeavesMembership) {
   EXPECT_EQ(b.lists[1], (Endpoints{{3, 1003}}));
   ASSERT_EQ(c.lists.size(), 1u);
   EXPECT_EQ(c.lists[0], (Endpoints{{2, 1002}}));
+}
+
+// Runs in a forked child, which alone sees the lowered fd limit; returns
+// its exit code. Blocking clients dial the tracker until socket() fails
+// with EMFILE, so their connections queue with no fd left to accept
+// them. Freeing two spare fds must then let the retry accept the first
+// queued client and answer its announce.
+int accept_past_fd_limit() {
+  Reactor reactor;
+  TrackerService tracker(reactor, TrackerService::Options{});
+  const auto run_for = [&reactor](double seconds) {
+    reactor.schedule(seconds, [&reactor] { reactor.stop(); });
+    reactor.run();
+  };
+
+  const int lowest_free = ::dup(0);
+  if (lowest_free < 0) return 10;
+  ::close(lowest_free);
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 10;
+  lim.rlim_cur = static_cast<rlim_t>(lowest_free) + 16;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return 10;
+  std::vector<int> spare;
+  for (int i = 0; i < 2; ++i) {
+    spare.push_back(::dup(0));
+    if (spare.back() < 0) return 11;
+  }
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(tracker.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const util::Bytes body = net::encode_message(
+      net::Message{net::AnnounceMsg{1, "t", 1001}});
+  util::Bytes frame{0, 0, 0, static_cast<std::uint8_t>(body.size())};
+  frame.insert(frame.end(), body.begin(), body.end());
+  std::vector<int> clients;
+  for (;;) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+      if (errno != EMFILE) return 12;
+      break;
+    }
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0 ||
+        ::write(fd, frame.data(), frame.size()) !=
+            static_cast<ssize_t>(frame.size())) {
+      return 12;
+    }
+    clients.push_back(fd);
+  }
+  if (clients.empty()) return 13;
+
+  run_for(0.05);
+  if (tracker.accept_emfile() == 0) return 14;
+
+  for (const int fd : spare) ::close(fd);
+  run_for(0.05);
+  // The first queued client is accepted first. Every client announced the
+  // same id, so its reply is an empty peer list and no push follows.
+  const timeval timeout{2, 0};
+  ::setsockopt(clients[0], SOL_SOCKET, SO_RCVTIMEO, &timeout,
+               sizeof(timeout));
+  std::uint8_t reply[64];
+  const ssize_t n = ::read(clients[0], reply, sizeof(reply));
+  if (n < 4 || reply[3] != n - 4) return 15;
+  const net::Message m =
+      net::decode_message(reply + 4, static_cast<std::size_t>(n - 4));
+  if (m != net::Message{net::PeerListMsg{}}) return 16;
+  return 0;
+}
+
+TEST(TrackerService, FullFdTableDefersAcceptInsteadOfExiting) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(accept_past_fd_limit());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace
