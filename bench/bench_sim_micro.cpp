@@ -95,7 +95,7 @@ void BM_AvailabilityWalk(benchmark::State& state) {
 BENCHMARK(BM_AvailabilityWalk)->Arg(256)->Arg(1024)->Arg(2048);
 
 void BM_TrackerNeighborList(benchmark::State& state) {
-  net::Tracker tracker(50);
+  net::Tracker tracker;
   for (net::PeerId p = 1; p <= static_cast<net::PeerId>(state.range(0)); ++p)
     tracker.announce(p);
   util::Rng rng(2);

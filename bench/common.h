@@ -74,7 +74,7 @@ inline double optimal_time(const bt::SwarmConfig& cfg) {
   }
   return analysis::optimal_completion_time(
       static_cast<double>(cfg.file_bytes),
-      util::kbps_to_bytes_per_sec(cfg.seeder_upload_kbps), ups);
+      util::kbps_to_bytes_per_sec(bt::kSeederUploadKbps), ups);
 }
 
 // Per-data-point aggregation: consumes the `seeds` consecutive records

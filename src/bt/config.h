@@ -2,13 +2,32 @@
 // file size, which benches scale down by default for single-core runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "src/core/policy.h"
 #include "src/sim/faults.h"
 #include "src/util/units.h"
 
 namespace tc::bt {
+
+// Fixed simulator parameters, no experiment varies them (DESIGN.md §6b):
+// the paper's setup (§IV-A) plus the repo's own delays and valve.
+inline constexpr double kSeederUploadKbps = 6000.0;
+// Overlay: a peer keeps at most kMaxNeighbors and asks the tracker for more
+// (net::kTrackerListSize per list) while it has fewer than kMinNeighbors.
+inline constexpr std::size_t kMaxNeighbors = 55;
+inline constexpr std::size_t kMinNeighbors = 30;
+inline constexpr double kControlLatency = 0.05;  // s, HAVE/receipt/key messages
+// Choking timers, and the regular unchokes (k in the paper's §II-A).
+inline constexpr double kRechokePeriod = 10.0;
+inline constexpr double kOptimisticPeriod = 30.0;
+inline constexpr std::size_t kUnchokeSlots = 4;
+// Safety valve: if NO leecher completes a piece for this long after all
+// arrivals happened, the run is over (remaining peers recorded as
+// unfinished) instead of burning simulated time to max_sim_time.
+inline constexpr double kGlobalStallTimeout = 10'000.0;
 
 // Piece selection discipline (§VI names streaming as future work; the
 // sliding-window policy is the standard adaptation: prefer the rarest
@@ -30,20 +49,8 @@ struct SwarmConfig {
   // --- Population -----------------------------------------------------------
   std::size_t leecher_count = 100;
   double freerider_fraction = 0.0;
-  double seeder_upload_kbps = 6000.0;
   // Heterogeneous leecher classes, assigned round-robin (paper: 400..1200).
   std::vector<double> leecher_upload_kbps = {400, 600, 800, 1000, 1200};
-
-  // --- Overlay --------------------------------------------------------------
-  std::size_t tracker_list_size = 50;
-  std::size_t max_neighbors = 55;
-  std::size_t min_neighbors = 30;
-  double control_latency = 0.05;  // seconds for HAVE/receipt/key messages
-
-  // --- Protocol timers --------------------------------------------------------
-  double rechoke_period = 10.0;
-  double optimistic_period = 30.0;
-  std::size_t unchoke_slots = 4;  // regular unchokes (k in the paper's §II-A)
 
   // --- Attack model ------------------------------------------------------------
   bool freerider_large_view = true;
@@ -51,10 +58,9 @@ struct SwarmConfig {
   bool freerider_collude = false;  // T-Chain false-receipt collusion
 
   // --- T-Chain knobs ------------------------------------------------------------
-  int pending_cap = 2;                  // flow-control k (§II-D2)
+  int pending_cap = core::kPendingCap;  // flow-control k (§II-D2)
   bool opportunistic_seeding = true;    // §II-D3
   bool allow_direct_reciprocity = true; // ablation: force indirect payees
-  std::size_t seeder_chain_slots = 8;  // concurrent chains the seeder feeds
 
   // --- Fault injection / robustness -------------------------------------------
   // All faults default OFF; a default FaultPlan leaves every run
@@ -62,11 +68,10 @@ struct SwarmConfig {
   sim::FaultPlan faults;
   // Per-transaction watchdog (0 = disabled): a T-Chain exchange stuck
   // awaiting its key or reciprocation for this long is re-kicked up to
-  // tx_max_retries times, then torn down so the piece can be re-fetched
-  // from another donor. Enable alongside faults; without it a lost control
-  // message waits for the coarse global_stall_timeout valve.
+  // core::kTxMaxRetries times, then torn down so the piece can be
+  // re-fetched from another donor. Enable alongside faults; without it a
+  // lost control message waits for the coarse kGlobalStallTimeout valve.
   double tx_timeout = 0.0;
-  int tx_max_retries = 2;
 
   // --- Scenario variants ------------------------------------------------------
   // Fig 13: a finished leecher is replaced by a fresh newcomer immediately.
@@ -82,10 +87,6 @@ struct SwarmConfig {
   // times); give up once no free-rider completes a piece for this long.
   bool wait_for_freeriders = true;
   double freerider_stall_timeout = 1500.0;
-  // Safety valve: if NO leecher completes a piece for this long after all
-  // arrivals happened, declare the run over (remaining peers recorded as
-  // unfinished) instead of burning simulated time to max_sim_time.
-  double global_stall_timeout = 10'000.0;
 
   std::size_t piece_count() const {
     return static_cast<std::size_t>((file_bytes + piece_bytes - 1) / piece_bytes);

@@ -23,25 +23,14 @@ Swarm::Swarm(SwarmConfig cfg, Protocol& proto, std::vector<SimTime> arrival_time
       bw_(sim_),
       rng_(cfg_.seed),
       faults_(cfg_.faults, cfg_.seed),
-      tracker_(cfg_.tracker_list_size),
       piece_count_(cfg_.piece_count()) {
   if (piece_count_ == 0) throw std::invalid_argument("empty file");
   if (cfg_.faults.churn()) {
-    using SK = sim::FaultPlan::SessionKind;
-    if (cfg_.faults.session_kind == SK::kExponential) {
-      sessions_ =
-          std::make_unique<trace::ExponentialSessions>(cfg_.faults.mean_session);
-    } else {
-      sessions_ = std::make_unique<trace::LogNormalSessions>(
-          cfg_.faults.mean_session, cfg_.faults.session_sigma);
-    }
+    sessions_.emplace(cfg_.faults.mean_session, cfg_.faults.session_sigma);
   }
   arrivals_ = std::move(arrival_times);
   if (arrivals_.empty()) {
-    // Paper §IV-A: flash crowd, all leechers join within the first 10 s.
-    arrivals_.resize(cfg_.leecher_count);
-    for (auto& t : arrivals_) t = rng_.uniform(0.0, 10.0);
-    std::sort(arrivals_.begin(), arrivals_.end());
+    arrivals_ = trace::flash_crowd_arrivals(cfg_.leecher_count, rng_);
   }
   if (arrivals_.empty()) throw std::invalid_argument("no leechers");
   cfg_.leecher_count = arrivals_.size();
@@ -101,7 +90,7 @@ bool Swarm::connect(PeerId a, PeerId b) {
   if (!pa || !pb || !pa->active || !pb->active) return false;
 
   const auto over_cap = [&](const Peer& p) {
-    if (p.neighbors.size() < cfg_.max_neighbors) return false;
+    if (p.neighbors.size() < kMaxNeighbors) return false;
     // Large-view free-riders accept (and hold) unbounded neighbor sets.
     return !(p.freerider && cfg_.freerider_large_view);
   };
@@ -295,16 +284,16 @@ void Swarm::send_control(std::function<void()> fn,
     if (faults_.drop_control()) {
       ++metrics_.resilience().control_dropped;
       if (on_lost) {
-        const double wait = std::max(cfg_.tx_timeout, cfg_.control_latency);
+        const double wait = std::max(cfg_.tx_timeout, kControlLatency);
         sim_.schedule_in(wait, std::move(on_lost));
       }
       return;
     }
-    sim_.schedule_in(cfg_.control_latency + faults_.control_delay(),
+    sim_.schedule_in(kControlLatency + faults_.control_delay(),
                      std::move(fn));
     return;
   }
-  sim_.schedule_in(cfg_.control_latency, std::move(fn));
+  sim_.schedule_in(kControlLatency, std::move(fn));
 }
 
 void Swarm::arm_faults(PeerId id) {
@@ -533,7 +522,7 @@ void Swarm::setup_peer_links(PeerId id) {
 
 void Swarm::schedule_maintenance(PeerId id) {
   // Periodic overlay maintenance (and the free-rider large-view loop).
-  sim_.schedule_in(cfg_.rechoke_period, [this, id] {
+  sim_.schedule_in(kRechokePeriod, [this, id] {
     if (!is_active(id)) return;
     maintenance_tick(id);
     schedule_maintenance(id);
@@ -549,7 +538,7 @@ void Swarm::maintenance_tick(PeerId id) {
     refresh_neighbors(id);
     return;
   }
-  if (p->neighbors.size() < cfg_.min_neighbors) {
+  if (p->neighbors.size() < kMinNeighbors) {
     refresh_neighbors(id);
     return;
   }
@@ -567,7 +556,7 @@ void Swarm::maintenance_tick(PeerId id) {
     }
     if (!useful) {
       // Make room before re-announcing if we're at the connection cap.
-      while (p->neighbors.size() + 5 > cfg_.max_neighbors) {
+      while (p->neighbors.size() + 5 > kMaxNeighbors) {
         disconnect(id, p->neighbors[rng_.index(p->neighbors.size())]);
       }
       refresh_neighbors(id);
@@ -652,7 +641,7 @@ void Swarm::check_done() {
   // Global liveness valve: a wedged swarm (nothing completing anywhere)
   // ends rather than idling to max_sim_time.
   if (sim_.now() - std::max(last_any_progress_, arrivals_.back()) >
-      cfg_.global_stall_timeout) {
+      kGlobalStallTimeout) {
     done_ = true;
     return;
   }
@@ -675,15 +664,15 @@ void Swarm::run() {
     auto s = std::make_unique<Peer>();
     s->id = seeder_id_;
     s->seeder = true;
-    s->upload_kbps = cfg_.seeder_upload_kbps;
+    s->upload_kbps = kSeederUploadKbps;
     s->have = Bitfield(piece_count_);
     for (PieceIndex i = 0; i < piece_count_; ++i) s->have.set(i);
     s->requested = s->have;
     auto& rec = metrics_.record(seeder_id_);
     rec.seeder = true;
-    rec.upload_kbps = cfg_.seeder_upload_kbps;
+    rec.upload_kbps = kSeederUploadKbps;
     bw_.set_capacity(seeder_id_,
-                     util::kbps_to_bytes_per_sec(cfg_.seeder_upload_kbps));
+                     util::kbps_to_bytes_per_sec(kSeederUploadKbps));
     slots_[seeder_id_].avail.assign(piece_count_, 0);
     slots_[seeder_id_].peer = std::move(s);
     tracker_.announce(seeder_id_);

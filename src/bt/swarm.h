@@ -60,7 +60,7 @@ class Swarm {
   std::size_t active_leecher_count() const { return active_leechers_; }
 
   // --- Neighbor overlay ----------------------------------------------------
-  // Connects a<->b respecting max_neighbors (large-view free-riders accept
+  // Connects a<->b respecting kMaxNeighbors (large-view free-riders accept
   // beyond the cap). Returns true if the link was created.
   bool connect(PeerId a, PeerId b);
   void disconnect(PeerId a, PeerId b);
@@ -95,10 +95,10 @@ class Swarm {
   void grant_piece(PeerId to, PieceIndex piece, PeerId from);
 
   // Control-plane message (receipt, key, reassignment): runs `fn` after
-  // cfg.control_latency simulated seconds (plus fault jitter). Under an
+  // kControlLatency simulated seconds (plus fault jitter). Under an
   // active FaultPlan the message may be silently dropped; `on_lost`, if
   // given, then runs after the sender-side detection delay
-  // (max(tx_timeout, control_latency)) to model timeout-based recovery.
+  // (max(tx_timeout, kControlLatency)) to model timeout-based recovery.
   void send_control(std::function<void()> fn,
                     std::function<void()> on_lost = {});
 
@@ -160,7 +160,7 @@ class Swarm {
   sim::BandwidthModel bw_;
   util::Rng rng_;
   sim::FaultInjector faults_;
-  std::unique_ptr<trace::SessionModel> sessions_;  // null: no churn
+  std::optional<trace::LogNormalSessions> sessions_;  // empty: no churn
   net::Tracker tracker_;
   analysis::SwarmMetrics metrics_;
   std::unique_ptr<obs::Trace> obs_owned_;

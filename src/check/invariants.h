@@ -109,7 +109,8 @@ struct CheckReport {
 };
 
 struct CheckerOptions {
-  // Flow-control cap k (§II-D2); mirror bt::SwarmConfig::pending_cap.
+  // Flow-control cap k (§II-D2). The default mirrors core::kPendingCap,
+  // which the oracle may not include.
   int pending_cap = 2;
   // Violations/warnings kept with full context; the counters keep counting.
   std::size_t max_findings = 64;

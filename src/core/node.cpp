@@ -40,7 +40,7 @@ Node::Node(const SwarmFileMeta& meta, const Options& opts, Effects& out)
       out_(out),
       have_(meta.piece_count),
       store_(opts.seeder ? 0 : meta.piece_count),
-      pending_(opts.pending_cap),
+      pending_(kPendingCap),
       rng_(opts.seed),
       keys_(opts.seed ^ 0x517cc1b727220a95ull) {
   if (opts_.seeder) {
@@ -139,7 +139,7 @@ void Node::on_watchdog(net::TxId tx) {
   DonorTx& d = it->second;
   const net::EncryptedPieceMsg& o = d.session.offer();
 
-  if (d.retries >= opts_.max_retries) {
+  if (d.retries >= kTxMaxRetries) {
     // Final timeout: break the chain, then settle the key gratis if the
     // requestor is still reachable — a banked buffer whose donor key never
     // arrives would stay encrypted forever, wedging the swarm.

@@ -93,12 +93,9 @@ class Node {
   struct Options {
     net::PeerId id = net::kNoPeer;
     bool seeder = false;
-    // Watchdog firings a donor transaction survives. Each re-runs payee
-    // selection (§II-B4); the next settles the key gratis if the requestor
-    // is still reachable, so banked ciphertexts never wedge the swarm.
-    int max_retries = 2;
-    int pending_cap = 2;           // flow-control k (§II-D2)
-    std::size_t seeder_slots = 8;  // open donor txs a (quasi-)seeder keeps
+    // Open donor txs a (quasi-)seeder keeps; tests lower it to isolate
+    // one transaction.
+    std::size_t seeder_slots = kSeederChainSlots;
     std::uint64_t seed = 1;
   };
 

@@ -18,7 +18,7 @@ using net::PeerId;
 
 class PendingTracker {
  public:
-  explicit PendingTracker(int cap = 2);
+  explicit PendingTracker(int cap);
 
   int cap() const { return cap_; }
 

@@ -18,6 +18,18 @@ namespace tc::core {
 using net::PeerId;
 using net::PieceIndex;
 
+// Parameters both drivers share; no experiment varies them but k.
+// Flow-control cap k (§II-D2): core::Node's, and the default of the
+// simulator's bt::SwarmConfig::pending_cap, which Table II sweeps.
+inline constexpr int kPendingCap = 2;
+// Donor transactions a (quasi-)seeder keeps open to start chains: "as
+// many chains as possible given its upload capacity" (footnote 3).
+inline constexpr std::size_t kSeederChainSlots = 8;
+// Watchdog firings a donor transaction survives (§II-B4 hardening). Each
+// re-kicks the exchange; the next tears the transaction down (simulator)
+// or settles its key gratis (core::Node).
+inline constexpr int kTxMaxRetries = 2;
+
 // Uniform choice over candidates offered one at a time, in one pass and
 // without allocation: a reservoir of one, so the k-th offer replaces the
 // choice with probability 1/k (one rng.index(k) draw per offer).

@@ -1,7 +1,7 @@
 // BitTorrent-style tracker for the simulator: keeps the swarm membership
 // and answers neighbor-list requests with up to `list_size` randomly
-// selected members (50 in the paper's setup). Purely a rendezvous service —
-// it plays no role in incentive enforcement, matching T-Chain's
+// selected members (kTrackerListSize). Purely a rendezvous service — it
+// plays no role in incentive enforcement, matching T-Chain's
 // no-trusted-third-party goal. The live runtime's tracker
 // (rt::TrackerService) needs no sampling: its membership is the set of
 // open announce connections.
@@ -16,9 +16,13 @@
 
 namespace tc::net {
 
+// Members per neighbor list (§IV-A).
+inline constexpr std::size_t kTrackerListSize = 50;
+
 class Tracker {
  public:
-  explicit Tracker(std::size_t list_size = 50) : list_size_(list_size) {}
+  explicit Tracker(std::size_t list_size = kTrackerListSize)
+      : list_size_(list_size) {}
 
   void announce(PeerId peer);
   void depart(PeerId peer);

@@ -31,7 +31,7 @@ std::vector<PeerId> ChokingProtocol::interested_neighbors(PeerId p) const {
 
 void ChokingProtocol::on_peer_join(PeerId id) {
   states_[id];  // materialize
-  // First rechoke shortly after joining, then every rechoke_period.
+  // First rechoke shortly after joining, then every kRechokePeriod.
   swarm_->simulator().schedule_in(0.1, [this, id] { rechoke_loop(id); });
 }
 
@@ -44,7 +44,7 @@ void ChokingProtocol::rechoke_loop(PeerId id) {
   ChokeState& st = state(id);
   st.recv_prev = std::move(st.recv_cur);
   st.recv_cur.clear();
-  swarm_->simulator().schedule_in(swarm_->config().rechoke_period,
+  swarm_->simulator().schedule_in(bt::kRechokePeriod,
                                   [this, id] { rechoke_loop(id); });
 }
 
@@ -154,7 +154,6 @@ void ChokingProtocol::fill_slots(PeerId from) {
 
 void BitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
   const bt::Peer* pp = swarm_->peer(p);
-  const auto& cfg = swarm_->config();
   std::vector<PeerId> interested = interested_neighbors(p);
   st.unchoked.clear();
 
@@ -162,7 +161,7 @@ void BitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
     // Seeder: rotate random interested leechers (altruistic).
     swarm_->rng().shuffle(interested);
     const std::size_t take =
-        std::min(interested.size(), cfg.unchoke_slots + 1);
+        std::min(interested.size(), bt::kUnchokeSlots + 1);
     for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
     return;
   }
@@ -174,14 +173,14 @@ void BitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
     ranked.emplace_back(score(st, n), n);
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::size_t i = 0; i < ranked.size() && i < cfg.unchoke_slots; ++i) {
+  for (std::size_t i = 0; i < ranked.size() && i < bt::kUnchokeSlots; ++i) {
     st.unchoked[ranked[i].second] = 1.0;
   }
 
   // Optimistic unchoke: random interested choked neighbor, rotated every
-  // optimistic_period (= every 3rd rechoke with the defaults).
-  const auto rounds_per_opt = static_cast<std::uint64_t>(
-      std::max(1.0, cfg.optimistic_period / cfg.rechoke_period));
+  // kOptimisticPeriod (every 3rd rechoke).
+  constexpr auto rounds_per_opt =
+      static_cast<std::uint64_t>(bt::kOptimisticPeriod / bt::kRechokePeriod);
   if (st.round % rounds_per_opt == 1 || st.optimistic == net::kNoPeer ||
       !swarm_->is_active(st.optimistic)) {
     std::vector<PeerId> choked;
@@ -197,14 +196,13 @@ void BitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
 
 void PropShareProtocol::compute_unchokes(PeerId p, ChokeState& st) {
   const bt::Peer* pp = swarm_->peer(p);
-  const auto& cfg = swarm_->config();
   std::vector<PeerId> interested = interested_neighbors(p);
   st.unchoked.clear();
 
   if (pp->seeder) {
     swarm_->rng().shuffle(interested);
     const std::size_t take =
-        std::min(interested.size(), cfg.unchoke_slots + 1);
+        std::min(interested.size(), bt::kUnchokeSlots + 1);
     for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
     return;
   }
@@ -234,11 +232,10 @@ void PropShareProtocol::compute_unchokes(PeerId p, ChokeState& st) {
 // --- Random BitTorrent ---------------------------------------------------------
 
 void RandomBitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
-  const auto& cfg = swarm_->config();
   std::vector<PeerId> interested = interested_neighbors(p);
   st.unchoked.clear();
   swarm_->rng().shuffle(interested);
-  const std::size_t take = std::min(interested.size(), cfg.unchoke_slots + 1);
+  const std::size_t take = std::min(interested.size(), bt::kUnchokeSlots + 1);
   for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
   (void)p;
 }

@@ -13,7 +13,7 @@ void FairTorrentProtocol::tick(PeerId id) {
   if (!swarm_->is_active(id)) return;
   next_send(id);
   // Periodic retry covers the idle case (nobody interested right now).
-  swarm_->simulator().schedule_in(swarm_->config().rechoke_period,
+  swarm_->simulator().schedule_in(bt::kRechokePeriod,
                                   [this, id] { tick(id); });
 }
 

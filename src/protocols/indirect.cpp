@@ -86,14 +86,13 @@ void EigenTrustProtocol::recompute_trust() {
 
 void EigenTrustProtocol::compute_unchokes(PeerId p, ChokeState& st) {
   const bt::Peer* pp = swarm_->peer(p);
-  const auto& cfg = swarm_->config();
   std::vector<PeerId> interested = interested_neighbors(p);
   st.unchoked.clear();
   if (interested.empty()) return;
 
   if (pp->seeder) {
     swarm_->rng().shuffle(interested);
-    const std::size_t take = std::min(interested.size(), cfg.unchoke_slots + 1);
+    const std::size_t take = std::min(interested.size(), bt::kUnchokeSlots + 1);
     for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
     return;
   }
@@ -104,7 +103,7 @@ void EigenTrustProtocol::compute_unchokes(PeerId p, ChokeState& st) {
   for (PeerId n : interested) ranked.emplace_back(trust(n), n);
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::size_t i = 0; i < ranked.size() && i < cfg.unchoke_slots; ++i) {
+  for (std::size_t i = 0; i < ranked.size() && i < bt::kUnchokeSlots; ++i) {
     st.unchoked[ranked[i].second] = 1.0;
   }
   // ...and ~10% of resources go to zero-trust newcomers (one slot with a
@@ -144,7 +143,7 @@ void DandelionProtocol::tick(PeerId id) {
     if (st.credit < 1.0) st.credit = 1.0;
   }
   pump(id);
-  swarm_->simulator().schedule_in(swarm_->config().rechoke_period,
+  swarm_->simulator().schedule_in(bt::kRechokePeriod,
                                   [this, id] { tick(id); });
 }
 

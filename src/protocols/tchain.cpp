@@ -37,7 +37,7 @@ void TChainProtocol::on_peer_join(PeerId id) {
     return;
   }
   // Per-leecher opportunistic-seeding / stall-recovery loop (§II-D3).
-  swarm_->simulator().schedule_in(swarm_->config().rechoke_period,
+  swarm_->simulator().schedule_in(bt::kRechokePeriod,
                                   [this, id] { opp_loop(id); });
 }
 
@@ -123,7 +123,7 @@ void TChainProtocol::count(const char* name) {
 void TChainProtocol::opp_loop(PeerId id) {
   if (!swarm_->is_active(id)) return;
   opportunistic_tick(id);
-  swarm_->simulator().schedule_in(swarm_->config().rechoke_period,
+  swarm_->simulator().schedule_in(bt::kRechokePeriod,
                                   [this, id] { opp_loop(id); });
 }
 
@@ -135,7 +135,7 @@ void TChainProtocol::prune_banned_neighbors(PeerId id) {
   // (otherwise large-view free-riders squat on the seeder's connections).
   bt::Peer* p = swarm_->peer(id);
   if (p == nullptr || !p->active) return;
-  if (p->neighbors.size() * 5 < swarm_->config().max_neighbors * 4) return;
+  if (p->neighbors.size() * 5 < bt::kMaxNeighbors * 4) return;
   PeerState& st = state(id);
   std::vector<PeerId> drop;
   for (PeerId n : p->neighbors) {
@@ -164,7 +164,7 @@ void TChainProtocol::start_chains(PeerId donor) {
   PeerState& ds = state(donor);
   const std::size_t budget =
       core::chain_budget(d->seeder, d->have.count(), ds.obligations,
-                         swarm_->config().seeder_chain_slots);
+                         core::kSeederChainSlots);
   for (std::size_t guard = 0; ds.active_uploads < budget && guard < 2 * budget;
        ++guard) {
     if (!initiate_chain(donor, d->seeder)) break;
@@ -625,7 +625,7 @@ void TChainProtocol::watchdog_fire(TxId txid, int retries) {
     return;
   }
 
-  if (retries < swarm_->config().tx_max_retries) {
+  if (retries < core::kTxMaxRetries) {
     if (obs::Trace* tr = swarm_->obs()) {
       tr->emit({.t = swarm_->simulator().now(),
                 .kind = obs::EventKind::kTxRetry,

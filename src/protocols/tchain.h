@@ -1,7 +1,7 @@
 // T-Chain incentive protocol bound to the swarm simulator (paper §II).
 //
 // Chain lifecycle in the simulator:
-//   * the seeder keeps `seeder_chain_slots` chains fed (initiation, Fig 1a);
+//   * the seeder keeps core::kSeederChainSlots chains fed (initiation, Fig 1a);
 //   * each delivered encrypted piece obliges its requestor to reciprocate
 //     to the designated payee — that upload is the next transaction
 //     (continuation, Fig 1b);
@@ -88,7 +88,7 @@ class TChainProtocol : public bt::Protocol {
 
   // Per-transaction watchdog (§II-B4 hardening): armed when a tx enters
   // AwaitKey; re-kicks a stalled exchange (lost receipt / lost
-  // reassignment trigger) up to cfg.tx_max_retries times, then tears it
+  // reassignment trigger) up to core::kTxMaxRetries times, then tears it
   // down so the requestor can re-fetch the piece elsewhere. Disabled when
   // cfg.tx_timeout == 0.
   void arm_watchdog(TxId txid, int retries);

@@ -47,7 +47,10 @@ std::unique_ptr<FrameConn> FrameConn::dial(Reactor& reactor,
                                            std::uint16_t port,
                                            Delegate* delegate) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) throw_errno("dial: socket", errno);
+  if (fd < 0) {
+    if (errno == EMFILE || errno == ENFILE) return nullptr;
+    throw_errno("dial: socket", errno);
+  }
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

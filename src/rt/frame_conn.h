@@ -62,6 +62,8 @@ class FrameConn : public Reactor::Handler {
 
   // Asynchronous connect to 127.0.0.1-style hosts; on_conn_open (or
   // on_conn_closed) fires from the reactor once the handshake resolves.
+  // Null when the fd table is full (EMFILE/ENFILE); throws
+  // std::runtime_error on any other setup failure.
   static std::unique_ptr<FrameConn> dial(Reactor& reactor,
                                          const std::string& host,
                                          std::uint16_t port,

@@ -1,5 +1,6 @@
 #include "src/rt/peer_node.h"
 
+#include <stdexcept>
 #include <utility>
 #include <variant>
 
@@ -27,6 +28,7 @@ void PeerNode::start() {
   reactor_.add(listener_.fd(), this);
   auto conn =
       FrameConn::dial(reactor_, "127.0.0.1", opts_.tracker_port, this);
+  if (conn == nullptr) throw std::runtime_error("dial tracker: fd table full");
   conn->send(net::Message{
       net::AnnounceMsg{opts_.id, ctx_.swarm_name, listener_.port()}});
   tracker_ = conn.get();
@@ -111,6 +113,12 @@ void PeerNode::maybe_dial(net::PeerId peer, std::uint16_t port) {
   if (peer >= opts_.id) return;
   if (neighbors_.count(peer) != 0 || dialing_.count(peer) != 0) return;
   auto conn = FrameConn::dial(reactor_, "127.0.0.1", port, this);
+  if (conn == nullptr) {
+    // A full fd table skips this endpoint only: the tracker link stays, so
+    // the rest of the list and later pushes are still dialed.
+    count("rt.dial_emfile");
+    return;
+  }
   conn->peer = peer;
   conns_[conn.get()] = std::move(conn);
   dialing_.insert(peer);

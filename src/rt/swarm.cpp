@@ -4,7 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/rt/peer_node.h"
+#include "src/core/policy.h"
 #include "src/rt/reactor.h"
 #include "src/rt/swarm_context.h"
 #include "src/rt/tracker_service.h"
@@ -22,7 +22,7 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
   obs::Trace trace(tcfg);
 
   check::CheckerOptions copts;
-  copts.pending_cap = opts.pending_cap;
+  copts.pending_cap = core::kPendingCap;
   check::Checker checker(copts);
   trace.set_sink(&checker);
 
@@ -58,9 +58,6 @@ SwarmResult run_local_swarm(const SwarmOptions& opts) {
     popts.seeder = (i == 0);
     popts.tracker_port = tracker.port();
     popts.watchdog_seconds = opts.watchdog_seconds;
-    popts.max_retries = opts.max_retries;
-    popts.pending_cap = opts.pending_cap;
-    popts.seeder_slots = opts.seeder_slots;
     popts.seed = opts.seed * 1000003ull + popts.id;
     popts.on_complete = [&](net::PeerId) {
       if (++completed != leechers) return;

@@ -15,6 +15,7 @@
 #include "src/check/invariants.h"
 #include "src/net/peer_id.h"
 #include "src/obs/trace.h"
+#include "src/rt/peer_node.h"
 
 namespace tc::rt {
 
@@ -23,10 +24,7 @@ struct SwarmOptions {
   std::uint32_t piece_count = 32;
   std::uint32_t piece_bytes = 16 * 1024;
   std::uint64_t seed = 1;
-  int pending_cap = 2;
-  std::size_t seeder_slots = 8;
-  double watchdog_seconds = 0.2;
-  int max_retries = 2;
+  double watchdog_seconds = PeerNode::Options{}.watchdog_seconds;
   double deadline_seconds = 30.0;
 };
 

@@ -28,13 +28,12 @@ struct FaultPlan {
 
   // --- Churn: session durations end in departure ---------------------------
   enum class SessionKind : std::uint8_t {
-    kNone,         // peers stay until they finish (the paper's model)
-    kExponential,  // memoryless sessions with the given mean
-    kLogNormal,    // heavy-tailed sessions (measured P2P shape)
+    kNone,       // peers stay until they finish (the paper's model)
+    kLogNormal,  // heavy-tailed sessions (measured P2P shape)
   };
   SessionKind session_kind = SessionKind::kNone;
-  double mean_session = 0.0;    // seconds; scale of the session model
-  double session_sigma = 1.0;   // log-normal shape (ignored for exponential)
+  double mean_session = 0.0;    // seconds; the log-normal's median
+  double session_sigma = 1.0;   // log-normal shape
   // Fraction of session ends that are abrupt crashes (no escrow handoff,
   // no goodbye) rather than graceful departures.
   double crash_fraction = 0.5;

@@ -5,23 +5,11 @@
 
 namespace tc::trace {
 
-std::vector<SimTime> FlashCrowdArrivals::generate(std::size_t count,
-                                                  util::Rng& rng) const {
+std::vector<SimTime> flash_crowd_arrivals(std::size_t count,
+                                          util::Rng& rng) {
   std::vector<SimTime> t(count);
-  for (auto& x : t) x = rng.uniform(0.0, window_);
+  for (auto& x : t) x = rng.uniform(0.0, 10.0);
   std::sort(t.begin(), t.end());
-  return t;
-}
-
-std::vector<SimTime> PoissonArrivals::generate(std::size_t count,
-                                               util::Rng& rng) const {
-  std::vector<SimTime> t;
-  t.reserve(count);
-  SimTime now = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    now += rng.exponential(rate_);
-    t.push_back(now);
-  }
   return t;
 }
 
@@ -44,13 +32,6 @@ std::vector<SimTime> RedHatTraceArrivals::generate(std::size_t count,
     if (rng.uniform() <= rate_at(now) / envelope) t.push_back(now);
   }
   return t;
-}
-
-ExponentialSessions::ExponentialSessions(SimTime mean_seconds)
-    : mean_(mean_seconds) {}
-
-SimTime ExponentialSessions::duration(util::Rng& rng) const {
-  return rng.exponential(1.0 / mean_);
 }
 
 LogNormalSessions::LogNormalSessions(SimTime median_seconds, double sigma)

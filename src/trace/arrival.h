@@ -1,21 +1,18 @@
 // Leecher arrival models used by the paper's evaluation:
 //  - flash crowd: all leechers join within the first 10 seconds (§IV-A);
-//  - Poisson: constant-rate arrivals (used by the §III-B analytic model);
 //  - RedHat-9-like trace: a synthetic stand-in for the RedHat 9 tracker
 //    trace [28] the paper replays (see DESIGN.md §5 Substitutions) —
 //    release-day surge followed by exponentially decaying arrival rate
 //    with diurnal modulation.
 //
-// Session-duration (churn) models live here too: how long a leecher stays
-// before leaving, finished or not. The paper assumes peers stay to
+// The session-duration (churn) model lives here too: how long a leecher
+// stays before leaving, finished or not. The paper assumes peers stay to
 // completion; measured swarms do not, so the fault-injection layer
 // (src/sim/faults.*) pairs an arrival model with a session model to drive
 // mid-download departures.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -25,45 +22,15 @@ namespace tc::trace {
 
 using util::SimTime;
 
-class ArrivalModel {
- public:
-  virtual ~ArrivalModel() = default;
-  virtual std::string name() const = 0;
-  // Join times (seconds, non-decreasing) for `count` leechers.
-  virtual std::vector<SimTime> generate(std::size_t count,
-                                        util::Rng& rng) const = 0;
-};
-
-// All peers join uniformly at random within [0, window).
-class FlashCrowdArrivals final : public ArrivalModel {
- public:
-  explicit FlashCrowdArrivals(SimTime window = 10.0) : window_(window) {}
-  std::string name() const override { return "flash-crowd"; }
-  std::vector<SimTime> generate(std::size_t count,
-                                util::Rng& rng) const override;
-
- private:
-  SimTime window_;
-};
-
-// Homogeneous Poisson process with the given rate (peers/second).
-class PoissonArrivals final : public ArrivalModel {
- public:
-  explicit PoissonArrivals(double rate_per_sec) : rate_(rate_per_sec) {}
-  std::string name() const override { return "poisson"; }
-  std::vector<SimTime> generate(std::size_t count,
-                                util::Rng& rng) const override;
-
- private:
-  double rate_;
-};
+// Flash crowd (§IV-A): `count` join times uniform in [0, 10 s), sorted.
+std::vector<SimTime> flash_crowd_arrivals(std::size_t count, util::Rng& rng);
 
 // Non-homogeneous Poisson process whose rate decays exponentially from a
 // release-day peak, modulated by a diurnal cycle:
 //   lambda(t) = peak * exp(-t / decay) * (1 + diurnal * sin(2*pi*t/86400))
 // Arrivals are drawn by thinning. Defaults approximate the published
 // RedHat 9 swarm's shape (most joins in the first days, long tail).
-class RedHatTraceArrivals final : public ArrivalModel {
+class RedHatTraceArrivals {
  public:
   struct Params {
     double peak_rate = 0.5;       // peers/second at release
@@ -74,9 +41,8 @@ class RedHatTraceArrivals final : public ArrivalModel {
 
   RedHatTraceArrivals() : p_() {}
   explicit RedHatTraceArrivals(Params p) : p_(p) {}
-  std::string name() const override { return "redhat9-like"; }
-  std::vector<SimTime> generate(std::size_t count,
-                                util::Rng& rng) const override;
+  // Join times (seconds, non-decreasing) for `count` leechers.
+  std::vector<SimTime> generate(std::size_t count, util::Rng& rng) const;
 
   double rate_at(SimTime t) const;
 
@@ -84,35 +50,16 @@ class RedHatTraceArrivals final : public ArrivalModel {
   Params p_;
 };
 
-// --- Session-duration (churn) models ---------------------------------------
-
-class SessionModel {
- public:
-  virtual ~SessionModel() = default;
-  virtual std::string name() const = 0;
-  // How long the peer stays in the swarm from its join (seconds, > 0).
-  virtual SimTime duration(util::Rng& rng) const = 0;
-};
-
-// Memoryless sessions: classic analytic churn with the given mean.
-class ExponentialSessions final : public SessionModel {
- public:
-  explicit ExponentialSessions(SimTime mean_seconds);
-  std::string name() const override { return "exp-sessions"; }
-  SimTime duration(util::Rng& rng) const override;
-
- private:
-  SimTime mean_;
-};
+// --- Session-duration (churn) model ----------------------------------------
 
 // Heavy-tailed sessions: most peers leave early, a few stay very long —
 // the shape tracker measurements consistently report. `median_seconds` is
 // exp(mu); `sigma` controls the tail weight.
-class LogNormalSessions final : public SessionModel {
+class LogNormalSessions {
  public:
   LogNormalSessions(SimTime median_seconds, double sigma);
-  std::string name() const override { return "lognormal-sessions"; }
-  SimTime duration(util::Rng& rng) const override;
+  // How long the peer stays in the swarm from its join (seconds, > 0).
+  SimTime duration(util::Rng& rng) const;
 
  private:
   double mu_;

@@ -1,5 +1,6 @@
 #include "src/util/flags.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
@@ -58,6 +59,17 @@ double Flags::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   return std::strtod(it->second.c_str(), nullptr);
+}
+
+std::vector<std::string> Flags::unknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      out.push_back(name);
+    }
+  }
+  return out;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -321,7 +321,7 @@ TEST(Swarm, ControlMessageLatency) {
   const double t0 = swarm.simulator().now();
   swarm.send_control([&] { fired_at = swarm.simulator().now(); });
   swarm.simulator().run(swarm.simulator().now() + 10.0);
-  EXPECT_NEAR(fired_at - t0, swarm.config().control_latency, 1e-9);
+  EXPECT_NEAR(fired_at - t0, kControlLatency, 1e-9);
 }
 
 }  // namespace

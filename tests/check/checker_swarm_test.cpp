@@ -60,7 +60,7 @@ TEST(CheckerSwarm, FaultsAndChurnRunIsClean) {
   spec.config = fig7_style_config();
   spec.config.leecher_count = 30;
   spec.config.faults.control_loss = 0.05;
-  spec.config.faults.session_kind = sim::FaultPlan::SessionKind::kExponential;
+  spec.config.faults.session_kind = sim::FaultPlan::SessionKind::kLogNormal;
   spec.config.faults.mean_session = 2'000.0;
   spec.config.faults.crash_fraction = 0.5;
   spec.config.tx_timeout = 60.0;

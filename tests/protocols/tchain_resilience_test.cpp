@@ -26,7 +26,6 @@ bt::SwarmConfig faulty_cfg(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.max_sim_time = 20'000.0;
   cfg.tx_timeout = 15.0;
-  cfg.tx_max_retries = 2;
   cfg.faults.control_loss = 0.10;
   cfg.faults.control_jitter = 0.02;
   cfg.faults.session_kind = sim::FaultPlan::SessionKind::kLogNormal;

@@ -2,7 +2,8 @@
 // connection. An announce is answered with the other members, a later
 // joiner is pushed to earlier members without any re-announce, and a
 // closed connection leaves the membership. A full fd table defers
-// accepting instead of ending the process.
+// accepting instead of ending the process, and a PeerNode that cannot
+// dial a listed peer keeps its tracker connection.
 #include "src/rt/tracker_service.h"
 
 #include <arpa/inet.h>
@@ -18,6 +19,9 @@
 #include <functional>
 #include <memory>
 #include <vector>
+
+#include "src/rt/peer_node.h"
+#include "src/rt/swarm_context.h"
 
 namespace tc::rt {
 namespace {
@@ -181,15 +185,91 @@ int accept_past_fd_limit() {
   return 0;
 }
 
-TEST(TrackerService, FullFdTableDefersAcceptInsteadOfExiting) {
+// Runs `body` in a forked child and expects it to exit 0.
+void expect_child_passes(int (*body)()) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
-  if (pid == 0) ::_exit(accept_past_fd_limit());
+  if (pid == 0) ::_exit(body());
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
                                  << WTERMSIG(status);
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(TrackerService, FullFdTableDefersAcceptInsteadOfExiting) {
+  expect_child_passes(accept_past_fd_limit);
+}
+
+// Runs in a forked child, which alone sees the lowered fd limit; returns
+// its exit code. Peer 100's announce reply names 16 lower-id endpoints
+// (a listener that never accepts, so every dial holds its fd), more than
+// its fd table has room for. The dials past the limit are skipped and
+// counted; the tracker link stays, so once spare fds are freed peer 100
+// still dials joiner 1, pushed to it later.
+int dial_past_fd_limit() {
+  Reactor reactor;
+  obs::Trace trace(obs::TraceConfig{});
+  SwarmContext ctx(reactor, &trace, core::SwarmFileMeta::make(4, 1024, 1),
+                   "t");
+  const auto counter = [&trace](const char* name) {
+    return trace.registry().counter(name).value();
+  };
+  const auto run_for = [&reactor](double seconds) {
+    reactor.schedule(seconds, [&reactor] { reactor.stop(); });
+    reactor.run();
+  };
+  // Runs the reactor in 10 ms slices until `done`, for at most 2 s.
+  const auto run_until = [&run_for](const std::function<bool()>& done) {
+    for (int i = 0; i < 200 && !done(); ++i) run_for(0.01);
+    return done();
+  };
+
+  const int lowest_free = ::dup(0);
+  if (lowest_free < 0) return 10;
+  ::close(lowest_free);
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 10;
+  lim.rlim_cur = static_cast<rlim_t>(lowest_free) + 48;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return 10;
+
+  TrackerService tracker(reactor, TrackerService::Options{});
+  Listener sink(0);  // never accepts: dialed connections wait in its queue
+  const auto make_peer = [&](net::PeerId id) {
+    PeerNode::Options opts;
+    opts.id = id;
+    opts.tracker_port = tracker.port();
+    opts.seed = id;
+    return std::make_unique<PeerNode>(ctx, opts);
+  };
+  auto dialer = make_peer(100);
+  auto joiner = make_peer(1);
+  std::vector<int> spare;
+  for (int i = 0; i < 8; ++i) {
+    spare.push_back(::dup(0));
+    if (spare.back() < 0) return 11;
+  }
+
+  std::vector<std::unique_ptr<Client>> fakes;
+  std::vector<std::unique_ptr<FrameConn>> fake_conns;
+  for (net::PeerId id = 2; id < 18; ++id) {
+    fakes.push_back(std::make_unique<Client>(id, sink.port()));
+    fake_conns.push_back(FrameConn::dial(reactor, "127.0.0.1",
+                                         tracker.port(), fakes.back().get()));
+    if (fake_conns.back() == nullptr) return 12;
+  }
+  run_for(0.05);  // the tracker takes every announce
+  dialer->start();
+  if (!run_until([&] { return counter("rt.dial_emfile") > 0; })) return 13;
+
+  for (const int fd : spare) ::close(fd);
+  joiner->start();
+  if (!run_until([&] { return counter("rt.conns_accepted") > 0; })) return 14;
+  return 0;
+}
+
+TEST(PeerNode, FullFdTableSkipsADialButKeepsTheTrackerLink) {
+  expect_child_passes(dial_past_fd_limit);
 }
 
 }  // namespace

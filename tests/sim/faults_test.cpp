@@ -29,7 +29,7 @@ TEST(FaultPlan, EachKnobEnables) {
   }
   {
     FaultPlan p;
-    p.session_kind = FaultPlan::SessionKind::kExponential;
+    p.session_kind = FaultPlan::SessionKind::kLogNormal;
     EXPECT_FALSE(p.churn()) << "mean_session still 0";
     p.mean_session = 60.0;
     EXPECT_TRUE(p.churn());

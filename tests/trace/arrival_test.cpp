@@ -9,8 +9,7 @@ namespace {
 
 TEST(FlashCrowd, AllWithinWindowAndSorted) {
   util::Rng rng(1);
-  FlashCrowdArrivals model(10.0);
-  const auto t = model.generate(500, rng);
+  const auto t = flash_crowd_arrivals(500, rng);
   ASSERT_EQ(t.size(), 500u);
   EXPECT_TRUE(std::is_sorted(t.begin(), t.end()));
   EXPECT_GE(t.front(), 0.0);
@@ -19,19 +18,10 @@ TEST(FlashCrowd, AllWithinWindowAndSorted) {
 
 TEST(FlashCrowd, SpreadsAcrossWindow) {
   util::Rng rng(2);
-  FlashCrowdArrivals model(10.0);
-  const auto t = model.generate(1000, rng);
+  const auto t = flash_crowd_arrivals(1000, rng);
   // Roughly uniform: each half should hold ~500.
   const auto mid = std::lower_bound(t.begin(), t.end(), 5.0) - t.begin();
   EXPECT_NEAR(static_cast<double>(mid), 500.0, 80.0);
-}
-
-TEST(Poisson, MeanInterarrivalMatchesRate) {
-  util::Rng rng(3);
-  PoissonArrivals model(2.0);  // 2 peers/s
-  const auto t = model.generate(10000, rng);
-  EXPECT_TRUE(std::is_sorted(t.begin(), t.end()));
-  EXPECT_NEAR(t.back() / 10000.0, 0.5, 0.03);
 }
 
 TEST(RedHatTrace, RateDecaysFromPeak) {
@@ -59,28 +49,6 @@ TEST(RedHatTrace, FrontLoaded) {
   const auto second =
       std::lower_bound(t.begin(), t.end(), 2 * span) - t.begin() - first;
   EXPECT_GT(first, second);
-}
-
-TEST(ArrivalModels, Names) {
-  util::Rng rng(1);
-  EXPECT_EQ(FlashCrowdArrivals().name(), "flash-crowd");
-  EXPECT_EQ(PoissonArrivals(1.0).name(), "poisson");
-  EXPECT_EQ(RedHatTraceArrivals().name(), "redhat9-like");
-  EXPECT_EQ(ExponentialSessions(60.0).name(), "exp-sessions");
-  EXPECT_EQ(LogNormalSessions(60.0, 1.0).name(), "lognormal-sessions");
-}
-
-TEST(SessionModels, ExponentialMeanMatches) {
-  util::Rng rng(11);
-  ExponentialSessions model(120.0);
-  double sum = 0.0;
-  const int n = 20'000;
-  for (int i = 0; i < n; ++i) {
-    const double d = model.duration(rng);
-    EXPECT_GT(d, 0.0);
-    sum += d;
-  }
-  EXPECT_NEAR(sum / n, 120.0, 5.0);
 }
 
 TEST(SessionModels, LogNormalMedianAndTail) {

@@ -64,5 +64,14 @@ TEST(Flags, LastOccurrenceWins) {
   EXPECT_EQ(f.get_int("n", 0), 2);
 }
 
+TEST(Flags, UnknownNamesEveryFlagOutsideTheKnownList) {
+  const auto f =
+      make({"-n", "4", "--retries", "3", "--watchdg=30", "--quiet", "x"});
+  EXPECT_EQ(f.unknown({"n", "quiet", "watchdog"}),
+            (std::vector<std::string>{"retries", "watchdg"}));
+  EXPECT_TRUE(f.unknown({"n", "quiet", "retries", "watchdg"}).empty());
+  EXPECT_TRUE(make({"positional"}).unknown({}).empty());
+}
+
 }  // namespace
 }  // namespace tc::util

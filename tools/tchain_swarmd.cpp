@@ -4,21 +4,20 @@
 // the run's full event trace against the protocol invariant catalogue.
 //
 //   tchain-swarmd [-n PEERS] [--pieces N] [--piece-kb KB] [--seed S]
-//                 [--deadline SECONDS] [--pending-cap K]
-//                 [--watchdog SECONDS] [--retries N] [--seeder-slots N]
+//                 [--deadline SECONDS] [--watchdog SECONDS]
 //                 [--trace-csv FILE] [--trace-json FILE] [--quiet]
 //
-// --watchdog is the donor's per-transaction receipt timeout (default
-// 0.2 s), --retries the watchdog firings a transaction survives before it
-// settles gratis (default 2), --seeder-slots the donor transactions a
-// seeder keeps open (default 8). After the wall time, the summary prints
-// the seconds from the last leecher's completion to the stop and the
-// tx-retry and tx-timeout counts by cause, then the engine's rt.* counters
-// summed over the swarm (rt.advances: Node::advance() calls).
+// Defaults are rt::SwarmOptions{}'s. --watchdog is the donor's
+// per-transaction receipt timeout; the protocol parameters (k, seeder
+// chain slots, watchdog retries) are core/policy.h's constants. After the
+// wall time, the summary prints the seconds from the last leecher's
+// completion to the stop and the tx-retry and tx-timeout counts by cause,
+// then the engine's rt.* counters summed over the swarm (rt.advances:
+// Node::advance() calls).
 //
 // Exit code: 0 = every leecher completed and the checker PASSed,
 // 1 = a peer failed to complete before the deadline, 2 = invariant
-// violations (or an unsound trace), 3 = setup error.
+// violations (or an unsound trace), 3 = setup error or unknown flag.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -86,29 +85,32 @@ int main(int argc, char** argv) {
     std::cout << "usage: tchain-swarmd [-n PEERS] [--pieces N] "
                  "[--piece-kb KB] [--seed S]\n"
                  "                     [--deadline SECONDS] "
-                 "[--pending-cap K]\n"
-                 "                     [--watchdog SECONDS] [--retries N] "
-                 "[--seeder-slots N]\n"
+                 "[--watchdog SECONDS]\n"
                  "                     [--trace-csv FILE] "
                  "[--trace-json FILE] [--quiet]\n";
     return 0;
   }
+  const auto unknown =
+      flags.unknown({"h", "help", "n", "pieces", "piece-kb", "seed",
+                     "deadline", "watchdog", "trace-csv", "trace-json",
+                     "quiet"});
+  if (!unknown.empty()) {
+    std::cerr << "tchain-swarmd: unknown flag --" << unknown.front()
+              << " (--help lists the flags)\n";
+    return 3;
+  }
 
   tc::rt::SwarmOptions opts;
   opts.peers = static_cast<std::size_t>(
-      flags.get_int("peers", flags.get_int("n", 16)));
-  opts.piece_count = static_cast<std::uint32_t>(flags.get_int("pieces", 32));
-  opts.piece_bytes =
-      static_cast<std::uint32_t>(flags.get_int("piece-kb", 16) * 1024);
-  opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  opts.deadline_seconds = flags.get_double("deadline", 30.0);
-  opts.pending_cap = static_cast<int>(flags.get_int("pending-cap", 2));
-  opts.watchdog_seconds =
-      flags.get_double("watchdog", opts.watchdog_seconds);
-  opts.max_retries =
-      static_cast<int>(flags.get_int("retries", opts.max_retries));
-  opts.seeder_slots = static_cast<std::size_t>(
-      flags.get_int("seeder-slots", static_cast<std::int64_t>(opts.seeder_slots)));
+      flags.get_int("n", static_cast<std::int64_t>(opts.peers)));
+  opts.piece_count =
+      static_cast<std::uint32_t>(flags.get_int("pieces", opts.piece_count));
+  opts.piece_bytes = static_cast<std::uint32_t>(
+      flags.get_int("piece-kb", opts.piece_bytes / 1024) * 1024);
+  opts.seed = static_cast<std::uint64_t>(
+      flags.get_int("seed", static_cast<std::int64_t>(opts.seed)));
+  opts.deadline_seconds = flags.get_double("deadline", opts.deadline_seconds);
+  opts.watchdog_seconds = flags.get_double("watchdog", opts.watchdog_seconds);
   const bool quiet = flags.get_bool("quiet");
 
   if (opts.peers < 2 || opts.piece_count == 0 || opts.piece_bytes == 0) {

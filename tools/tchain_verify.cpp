@@ -5,11 +5,14 @@
 //     --dropped N       events the producer's ring dropped for this trace
 //                       (record extra "obs.events.dropped"); any N > 0
 //                       downgrades the verdict to UNSOUND
-//     --pending-cap K   flow-control cap to check against (default 2)
-//     --max-findings N  findings kept/printed per trace (default 64)
+//     --pending-cap K   flow-control cap to check against
+//     --max-findings N  findings kept/printed per trace
+//
+// Defaults are check::CheckerOptions{}'s.
 //
 // Exit code: 0 = every trace PASSed, 1 = violations found, 2 = I/O or
-// parse error, 3 = no violations but at least one trace was UNSOUND.
+// parse error or unknown flag, 3 = no violations but at least one trace
+// was UNSOUND.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -28,10 +31,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const auto unknown =
+      flags.unknown({"dropped", "pending-cap", "max-findings"});
+  if (!unknown.empty()) {
+    std::cerr << "tchain-verify: unknown flag --" << unknown.front() << "\n";
+    return 2;
+  }
+
   tc::check::CheckerOptions opts;
-  opts.pending_cap = static_cast<int>(flags.get_int("pending-cap", 2));
-  opts.max_findings =
-      static_cast<std::size_t>(flags.get_int("max-findings", 64));
+  opts.pending_cap = static_cast<int>(
+      flags.get_int("pending-cap", opts.pending_cap));
+  opts.max_findings = static_cast<std::size_t>(flags.get_int(
+      "max-findings", static_cast<std::int64_t>(opts.max_findings)));
   const auto dropped =
       static_cast<std::uint64_t>(flags.get_int("dropped", 0));
 
