@@ -54,15 +54,12 @@ bool Bitfield::interested_in(const Bitfield& other) const {
 
 std::vector<PieceIndex> Bitfield::missing_from(const Bitfield& other) const {
   if (other.size_ != size_) throw std::invalid_argument("bitfield size mismatch");
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w)
+    n += static_cast<std::size_t>(std::popcount(other.words_[w] & ~words_[w]));
   std::vector<PieceIndex> out;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t bits = other.words_[w] & ~words_[w];
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      out.push_back(static_cast<PieceIndex>(w * 64 + static_cast<std::size_t>(b)));
-      bits &= bits - 1;
-    }
-  }
+  out.reserve(n);  // one allocation, not one per doubling
+  for_each_missing_from(other, [&out](PieceIndex i) { out.push_back(i); });
   return out;
 }
 

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/net/message.h"
@@ -36,6 +37,22 @@ class Bitfield {
 
   // Pieces that `other` has and this lacks.
   std::vector<PieceIndex> missing_from(const Bitfield& other) const;
+
+  // Calls fn(i) for every piece `other` has and this lacks, in ascending
+  // order: missing_from() without the allocation. Throws on a size
+  // mismatch.
+  template <typename Fn>
+  void for_each_missing_from(const Bitfield& other, Fn&& fn) const {
+    if (other.size_ != size_)
+      throw std::invalid_argument("bitfield size mismatch");
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = other.words_[w] & ~words_[w]; bits != 0;
+           bits &= bits - 1) {
+        fn(static_cast<PieceIndex>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+    }
+  }
 
   // All set pieces.
   std::vector<PieceIndex> to_vector() const;

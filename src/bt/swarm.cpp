@@ -136,13 +136,6 @@ bool Swarm::needs_from(PeerId a, PeerId b) const {
   return pa->requested.interested_in(pb->have);
 }
 
-std::vector<PieceIndex> Swarm::needed_pieces(PeerId chooser, PeerId owner) const {
-  const Peer* pc = peer(chooser);
-  const Peer* po = peer(owner);
-  if (!pc || !po) return {};
-  return pc->requested.missing_from(po->have);
-}
-
 std::uint32_t Swarm::availability(PeerId p, PieceIndex i) const {
   if (p >= slots_.size()) return 0;
   const auto& av = slots_[p].avail;
@@ -150,39 +143,37 @@ std::uint32_t Swarm::availability(PeerId p, PieceIndex i) const {
 }
 
 std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
-  std::vector<PieceIndex> candidates = needed_pieces(chooser, owner);
-  if (candidates.empty()) return std::nullopt;
+  const Peer* pc = peer(chooser);
+  const Peer* po = peer(owner);
+  if (!pc || !po) return std::nullopt;
+  const auto& av = slots_[chooser].avail;
+  // Candidates are the pieces of `owner` that `chooser` needs, walked in
+  // place in ascending order.
+  const auto for_each_candidate = [&](auto&& fn) {
+    pc->requested.for_each_missing_from(po->have, fn);
+  };
 
   if (cfg_.piece_policy == PiecePolicy::kSequentialWindow) {
     // Streaming: restrict to the playback window past the playhead; rarest
     // within the window, lowest index on ties (deadline pressure). Falls
     // back to plain LRF when the window is fully claimed, preserving
     // liveness.
-    const Peer* pc = peer(chooser);
     const PieceIndex playhead = pc->have.first_missing();
     const PieceIndex window_end = static_cast<PieceIndex>(
         std::min<std::size_t>(piece_count_, playhead + cfg_.stream_window));
-    std::vector<PieceIndex> windowed;
-    for (PieceIndex c : candidates) {
-      if (c >= playhead && c < window_end) windowed.push_back(c);
-    }
-    if (!windowed.empty()) {
-      const auto& av = slots_[chooser].avail;
-      PieceIndex best = windowed.front();
-      for (PieceIndex c : windowed) {
-        if (av[c] < av[best] || (av[c] == av[best] && c < best)) best = c;
-      }
-      return best;
-    }
+    std::optional<PieceIndex> best;
+    for_each_candidate([&](PieceIndex c) {
+      if (c < playhead || c >= window_end) return;
+      if (!best || av[c] < av[*best]) best = c;
+    });
+    if (best) return best;
   }
 
-  const auto& av = slots_[chooser].avail;
-  PieceIndex best = candidates.front();
-  std::uint32_t best_avail = av[best];
-  std::size_t ties = 1;
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    const PieceIndex c = candidates[i];
-    if (av[c] < best_avail) {
+  std::optional<PieceIndex> best;
+  std::uint32_t best_avail = 0;
+  std::size_t ties = 0;
+  for_each_candidate([&](PieceIndex c) {
+    if (!best || av[c] < best_avail) {
       best = c;
       best_avail = av[c];
       ties = 1;
@@ -191,7 +182,7 @@ std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
       ++ties;
       if (rng_.index(ties) == 0) best = c;
     }
-  }
+  });
   return best;
 }
 
@@ -209,7 +200,7 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
         const auto it = flows_.find(fid);
         if (it == flows_.end()) return;
         FlowInfo info = std::move(it->second);
-        flows_.erase(it);
+        erase_flow(it);
 
         auto& up = metrics_.record(info.from);
         up.pieces_uploaded += 1;
@@ -229,6 +220,8 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
       },
       weight);
   flows_[id] = FlowInfo{from, to, piece, std::move(on_done)};
+  ++slots_[from].live_flows;
+  ++slots_[to].live_flows;
   if (obs_ != nullptr) {
     obs_->emit({.t = sim_.now(),
                 .kind = obs::EventKind::kPieceSent,
@@ -410,7 +403,9 @@ void Swarm::cut_off(PeerId id) {
   // The order is observable: each abort callback may draw from rng_ or
   // start flows, and aborting in FlowId order changes the runs' output.
   // Switching to FlowId order waits for a change allowed to move bench
-  // numbers (ROADMAP, one T-Chain engine).
+  // numbers (ROADMAP, one T-Chain engine). A leaver with no live flow (the
+  // common case: a finisher) skips the scan.
+  if (slots_[id].live_flows == 0) return;
   std::vector<sim::FlowId> dead;
   for (const auto& [fid, info] : flows_) {
     if (info.from == id || info.to == id) dead.push_back(fid);
@@ -419,8 +414,8 @@ void Swarm::cut_off(PeerId id) {
     auto it = flows_.find(fid);
     if (it == flows_.end()) continue;
     FlowInfo info = std::move(it->second);
-    flows_.erase(it);
-    bw_.cancel_flow(fid);
+    erase_flow(it);
+    bw_.cancel_flow(info.from, fid);
     if (Peer* dst = peer(info.to); dst && !dst->have.get(info.piece)) {
       dst->requested.clear(info.piece);  // allow a re-fetch elsewhere
     }
@@ -434,6 +429,12 @@ void Swarm::cut_off(PeerId id) {
     }
     if (info.on_done) info.on_done(info.from, info.to, info.piece, false);
   }
+}
+
+void Swarm::erase_flow(std::unordered_map<sim::FlowId, FlowInfo>::iterator it) {
+  --slots_[it->second.from].live_flows;
+  --slots_[it->second.to].live_flows;
+  flows_.erase(it);
 }
 
 void Swarm::depart(PeerId id, DepartKind kind) {
@@ -488,6 +489,8 @@ PeerId Swarm::whitewash(PeerId id) {
   // slot is left empty, its row freed.
   const PeerId fresh = allocate_id();
   slots_[fresh] = std::exchange(slots_[id], Slot{});
+  // Live flows stay counted against the id they were started with.
+  std::swap(slots_[fresh].live_flows, slots_[id].live_flows);
   Peer& moved = *slots_[fresh].peer;
   moved.id = fresh;
   moved.requested = moved.have;  // in-flight claims die with the identity

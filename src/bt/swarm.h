@@ -71,8 +71,6 @@ class Swarm {
   // True if `a` needs at least one completed piece of `b` that `a` neither
   // has nor has in flight.
   bool needs_from(PeerId a, PeerId b) const;
-  // Pieces of `owner` that `chooser` needs (not had, not in flight).
-  std::vector<PieceIndex> needed_pieces(PeerId chooser, PeerId owner) const;
   // How many of `p`'s neighbors have piece `i`.
   std::uint32_t availability(PeerId p, PieceIndex i) const;
   // Local-Rarest-First: rarest (w.r.t. chooser's neighborhood) piece that
@@ -178,6 +176,8 @@ class Swarm {
     std::unique_ptr<Peer> peer;  // heap-held: Peer* outlives slots_ growth
     // avail[i]: how many of peer's neighbours hold piece i.
     std::vector<std::uint32_t> avail;
+    // flows_ entries from or to this id; cut_off scans flows_ only if > 0.
+    std::uint32_t live_flows = 0;
   };
   std::vector<Slot> slots_;
 
@@ -187,6 +187,8 @@ class Swarm {
     TransferFn on_done;
   };
   std::unordered_map<sim::FlowId, FlowInfo> flows_;
+  // Erases a flows_ entry and uncounts it from both endpoints' slots.
+  void erase_flow(std::unordered_map<sim::FlowId, FlowInfo>::iterator it);
 
   std::vector<SimTime> arrivals_;
   std::size_t arrivals_started_ = 0;

@@ -8,18 +8,22 @@ PendingTracker::PendingTracker(int cap) : cap_(cap) {
   if (cap < 1) throw std::invalid_argument("pending cap must be >= 1");
 }
 
-void PendingTracker::add(PeerId n) { ++counts_[n]; }
-
-void PendingTracker::resolve(PeerId n) {
-  const auto it = counts_.find(n);
-  if (it == counts_.end() || it->second == 0) return;  // idempotent
-  --it->second;
-  if (it->second == 0) counts_.erase(it);
+void PendingTracker::add(PeerId n) {
+  const std::size_t i = index_of(n);
+  if (i < counts_.size()) {
+    ++counts_[i].second;
+  } else {
+    counts_.emplace_back(n, 1);
+  }
 }
 
-int PendingTracker::pending(PeerId n) const {
-  const auto it = counts_.find(n);
-  return it == counts_.end() ? 0 : it->second;
+void PendingTracker::resolve(PeerId n) {
+  const std::size_t i = index_of(n);
+  if (i == counts_.size()) return;  // idempotent
+  if (--counts_[i].second == 0) {
+    counts_[i] = counts_.back();
+    counts_.pop_back();
+  }
 }
 
 }  // namespace tc::core

@@ -6,9 +6,14 @@
 // until its pending count drops below k. Uncooperative neighbors (free-
 // riders) accumulate pending pieces and end up banned — with no central
 // monitoring or information sharing.
+//
+// The counts are a flat list of (neighbor, count) pairs holding only
+// neighbors with something outstanding: a lookup is a short linear scan,
+// and resolving a count to zero swaps the last pair into its place.
 #pragma once
 
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/net/peer_id.h"
 
@@ -20,21 +25,30 @@ class PendingTracker {
  public:
   explicit PendingTracker(int cap);
 
-  int cap() const { return cap_; }
-
   // An encrypted piece to `n` is now awaiting reciprocation.
   void add(PeerId n);
   // `n` reciprocated one piece (or the obligation died with the tx).
   void resolve(PeerId n);
 
-  int pending(PeerId n) const;
+  int pending(PeerId n) const {
+    const std::size_t i = index_of(n);
+    return i < counts_.size() ? counts_[i].second : 0;
+  }
   // Paper: banned while pending >= k... "more than k" with k = 2 buffered;
   // we use pending < cap as eligibility, i.e. at most `cap` outstanding.
   bool eligible(PeerId n) const { return pending(n) < cap_; }
 
  private:
+  // Position of n's pair in counts_, or counts_.size() if none.
+  std::size_t index_of(PeerId n) const {
+    std::size_t i = 0;
+    while (i < counts_.size() && counts_[i].first != n) ++i;
+    return i;
+  }
+
   int cap_;
-  std::unordered_map<PeerId, int> counts_;
+  // Every count > 0, in no particular order.
+  std::vector<std::pair<PeerId, int>> counts_;
 };
 
 }  // namespace tc::core

@@ -11,11 +11,11 @@ PeerNode::PeerNode(SwarmContext& ctx, const Options& opts)
       reactor_(ctx.reactor),
       opts_(opts),
       listener_(0),
+      fd_retry_(ctx.reactor, [this] { retry_fd_work(); }),
       node_(ctx.meta, opts, *this) {}
 
 PeerNode::~PeerNode() {
   reactor_.cancel(advance_timer_);
-  reactor_.cancel(accept_retry_);
   for (const auto& [tx, timer] : watchdogs_) reactor_.cancel(timer);
   reactor_.remove(listener_.fd());
 }
@@ -90,39 +90,55 @@ void PeerNode::after_input() {
 
 void PeerNode::on_readable(bool hangup) {
   (void)hangup;
+  bool accepted = false;
   while (const auto fd = listener_.accept()) {
     auto conn = std::make_unique<FrameConn>(reactor_, *fd, this);
     FrameConn* raw = conn.get();
     conns_[raw] = std::move(conn);
     count("rt.conns_accepted");
+    accepted = true;
   }
+  if (accepted) fd_retry_.reset();
   if (!listener_.fd_table_full()) return;
   count("rt.accept_emfile");
-  // The queued connections bring no new edge: look again in a few ms.
-  if (accept_retry_ != 0) return;
-  accept_retry_ = reactor_.schedule(0.005, [this] {
-    accept_retry_ = 0;
-    on_readable(false);
-  });
+  // The queued connections bring no new edge: look again once fds may be
+  // free, backing off while the table stays full.
+  fd_retry_.arm();
 }
 
-void PeerNode::maybe_dial(net::PeerId peer, std::uint16_t port) {
+void PeerNode::retry_fd_work() {
+  if (listener_.fd_table_full()) on_readable(false);
+  // Re-dial skipped endpoints in id order, up to the first that finds the
+  // table still full (maybe_dial keeps it and the rest, and re-arms).
+  while (!skipped_dials_.empty()) {
+    const auto [peer, port] = *skipped_dials_.begin();
+    skipped_dials_.erase(skipped_dials_.begin());
+    if (!maybe_dial(peer, port)) break;
+  }
+}
+
+bool PeerNode::maybe_dial(net::PeerId peer, std::uint16_t port) {
   // Dial discipline: the higher id dials, so each pair keeps exactly one
   // connection (no simultaneous-open dedup needed). This also skips our
   // own id and kNoPeer.
-  if (peer >= opts_.id) return;
-  if (neighbors_.count(peer) != 0 || dialing_.count(peer) != 0) return;
+  if (peer >= opts_.id) return true;
+  if (neighbors_.count(peer) != 0 || dialing_.count(peer) != 0) return true;
   auto conn = FrameConn::dial(reactor_, "127.0.0.1", port, this);
   if (conn == nullptr) {
-    // A full fd table skips this endpoint only: the tracker link stays, so
-    // the rest of the list and later pushes are still dialed.
+    // A full fd table skips this endpoint for now: the tracker link stays,
+    // so the rest of the list and later pushes are still dialed, and the
+    // endpoint is dialed again on the retry timer.
     count("rt.dial_emfile");
-    return;
+    skipped_dials_[peer] = port;
+    fd_retry_.arm();
+    return false;
   }
+  fd_retry_.reset();
   conn->peer = peer;
   conns_[conn.get()] = std::move(conn);
   dialing_.insert(peer);
   count("rt.dials");
+  return true;
 }
 
 void PeerNode::on_conn_open(FrameConn& c) {

@@ -56,7 +56,7 @@ class PeerNode : public Reactor::Handler,
   std::size_t open_donor_txs() const { return node_.open_donor_txs(); }
 
   // Reactor::Handler — the listening socket. A full fd table leaves
-  // connections queued; they are retried a few ms later.
+  // connections queued; they are retried on the backoff timer.
   void on_readable(bool hangup) override;
 
   // FrameConn::Delegate.
@@ -75,7 +75,12 @@ class PeerNode : public Reactor::Handler,
   // Runs after every engine input. Schedules the loop turn's one
   // Node::advance(), then reports completion and settlement.
   void after_input();
-  void maybe_dial(net::PeerId peer, std::uint16_t port);
+  // Dials `peer` if dial discipline says so. False only when a full fd
+  // table skipped the dial; the endpoint then waits in skipped_dials_.
+  bool maybe_dial(net::PeerId peer, std::uint16_t port);
+  // The backoff timer's work: the accept loop a full fd table stopped,
+  // then the skipped dials.
+  void retry_fd_work();
   void handle_handshake(FrameConn& c, const net::HandshakeMsg& m);
 
   SwarmContext& ctx_;
@@ -87,10 +92,13 @@ class PeerNode : public Reactor::Handler,
   FrameConn* tracker_ = nullptr;
   std::map<net::PeerId, FrameConn*> neighbors_;  // handshake completed
   std::set<net::PeerId> dialing_;
+  // Endpoints a full fd table kept us from dialing: the tracker names each
+  // peer once, so they are re-dialed on fd_retry_.
+  std::map<net::PeerId, std::uint16_t> skipped_dials_;
   std::map<net::TxId, Reactor::TimerId> watchdogs_;
 
   Reactor::TimerId advance_timer_ = 0;  // 0: no advance() scheduled
-  Reactor::TimerId accept_retry_ = 0;   // 0: no accept retry scheduled
+  RetryTimer fd_retry_;  // accept loop and skipped dials
   double finish_t_ = -1.0;
   std::size_t open_txs_ = 0;  // node_.open_donor_txs() after the last advance
   core::Node node_;

@@ -140,4 +140,13 @@ void Reactor::run() {
   }
 }
 
+void RetryTimer::arm() {
+  if (timer_ != 0) return;
+  timer_ = reactor_.schedule(delay_, [this] {
+    timer_ = 0;
+    fn_();
+  });
+  delay_ = std::min(delay_ * 2, kMaxDelay);
+}
+
 }  // namespace tc::rt

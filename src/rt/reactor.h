@@ -100,4 +100,32 @@ class Reactor {
   double turn_max_ = 0.0;
 };
 
+// Retries work that a full fd table (EMFILE/ENFILE) stopped: a listener's
+// accept loop, a skipped dial. arm() schedules one call of `fn` after the
+// current delay and doubles the delay for the next consecutive retry, from
+// kFirstDelay up to kMaxDelay; reset() returns it to kFirstDelay once the
+// work succeeds again. At most one retry is pending; arm() while one is
+// pending is a no-op, and the destructor cancels it.
+class RetryTimer {
+ public:
+  static constexpr double kFirstDelay = 0.005;
+  static constexpr double kMaxDelay = 0.32;
+
+  RetryTimer(Reactor& reactor, std::function<void()> fn)
+      : reactor_(reactor), fn_(std::move(fn)) {}
+  ~RetryTimer() { reactor_.cancel(timer_); }
+
+  RetryTimer(const RetryTimer&) = delete;
+  RetryTimer& operator=(const RetryTimer&) = delete;
+
+  void arm();
+  void reset() { delay_ = kFirstDelay; }
+
+ private:
+  Reactor& reactor_;
+  std::function<void()> fn_;
+  Reactor::TimerId timer_ = 0;  // 0: no retry pending
+  double delay_ = kFirstDelay;
+};
+
 }  // namespace tc::rt

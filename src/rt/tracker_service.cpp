@@ -6,30 +6,29 @@
 namespace tc::rt {
 
 TrackerService::TrackerService(Reactor& reactor, const Options& opts)
-    : reactor_(reactor), listener_(opts.port) {
+    : reactor_(reactor),
+      listener_(opts.port),
+      accept_retry_(reactor, [this] { on_readable(false); }) {
   reactor_.add(listener_.fd(), this);
 }
 
-TrackerService::~TrackerService() {
-  reactor_.cancel(accept_retry_);
-  reactor_.remove(listener_.fd());
-}
+TrackerService::~TrackerService() { reactor_.remove(listener_.fd()); }
 
 void TrackerService::on_readable(bool hangup) {
   (void)hangup;
+  bool accepted = false;
   while (const auto fd = listener_.accept()) {
     auto conn = std::make_unique<FrameConn>(reactor_, *fd, this);
     FrameConn* raw = conn.get();
     conns_[raw] = std::move(conn);
+    accepted = true;
   }
+  if (accepted) accept_retry_.reset();
   if (!listener_.fd_table_full()) return;
   ++accept_emfile_;
-  // The queued connections bring no new edge: look again in a few ms.
-  if (accept_retry_ != 0) return;
-  accept_retry_ = reactor_.schedule(0.005, [this] {
-    accept_retry_ = 0;
-    on_readable(false);
-  });
+  // The queued connections bring no new edge: look again once fds may be
+  // free, backing off while the table stays full.
+  accept_retry_.arm();
 }
 
 void TrackerService::on_message(FrameConn& c, net::Message m) {

@@ -31,7 +31,7 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
 
   std::uint16_t port() const { return listener_.port(); }
   // Accept loops stopped by a full fd table (EMFILE/ENFILE); each is
-  // retried a few ms later.
+  // retried later, with backoff (RetryTimer).
   std::uint64_t accept_emfile() const { return accept_emfile_; }
 
   // Reactor::Handler (listening socket).
@@ -51,7 +51,7 @@ class TrackerService : public Reactor::Handler, public FrameConn::Delegate {
   Listener listener_;
   std::map<net::PeerId, Member> members_;  // id order is the reply order
   std::map<FrameConn*, std::unique_ptr<FrameConn>> conns_;
-  Reactor::TimerId accept_retry_ = 0;  // 0: no accept retry scheduled
+  RetryTimer accept_retry_;
   std::uint64_t accept_emfile_ = 0;
 };
 

@@ -11,18 +11,17 @@ namespace {
 constexpr double kEps = 1e-6;
 }  // namespace
 
-void BandwidthModel::set_capacity(NodeId uploader, double bytes_per_sec) {
+void BandwidthModel::set_capacity(NodeId src, double bytes_per_sec) {
   if (bytes_per_sec < 0) throw std::invalid_argument("negative capacity");
-  settle(uploader, uploaders_[uploader]);
-  // settle() may fire callbacks that rehash the map; re-find.
-  auto& u = uploaders_[uploader];
+  settle(src);
+  // settle() may fire callbacks that grow uploaders_; re-index.
+  auto& u = uploaders_[src];
   u.capacity = bytes_per_sec;
-  reschedule(uploader, u);
+  reschedule(src, u);
 }
 
-double BandwidthModel::capacity(NodeId uploader) const {
-  const auto it = uploaders_.find(uploader);
-  return it == uploaders_.end() ? 0.0 : it->second.capacity;
+double BandwidthModel::capacity(NodeId src) const {
+  return src < uploaders_.size() ? uploaders_[src].capacity : 0.0;
 }
 
 double BandwidthModel::total_weight(const Uploader& u) const {
@@ -31,7 +30,9 @@ double BandwidthModel::total_weight(const Uploader& u) const {
   return w;
 }
 
-void BandwidthModel::settle(NodeId src, Uploader& u) {
+void BandwidthModel::settle(NodeId src) {
+  if (src >= uploaders_.size()) uploaders_.resize(std::size_t{src} + 1);
+  Uploader& u = uploaders_[src];
   const SimTime now = sim_.now();
   const double dt = now - u.last_settle;
   u.last_settle = now;
@@ -48,10 +49,10 @@ void BandwidthModel::settle(NodeId src, Uploader& u) {
 
   // Extract finished flows, then fire their callbacks with internal state
   // already consistent (callbacks may start or cancel flows reentrantly).
-  std::vector<Flow> done;
+  // The list borrows done_'s buffer; a reentrant settle finds it empty.
+  std::vector<Flow> done = std::move(done_);
   for (auto it = u.flows.begin(); it != u.flows.end();) {
     if (it->remaining <= kEps) {
-      flow_owner_.erase(it->id);
       done.push_back(std::move(*it));
       it = u.flows.erase(it);
     } else {
@@ -60,12 +61,14 @@ void BandwidthModel::settle(NodeId src, Uploader& u) {
   }
   if (!done.empty()) {
     reschedule(src, u);
-    // NOTE: `u` may dangle once callbacks mutate uploaders_; don't touch it
+    // NOTE: `u` may dangle once callbacks grow uploaders_; don't touch it
     // after this point.
     for (auto& f : done) {
       if (f.on_complete) f.on_complete(f.id);
     }
+    done.clear();
   }
+  if (done.capacity() > done_.capacity()) done_ = std::move(done);
 }
 
 void BandwidthModel::reschedule(NodeId src, Uploader& u) {
@@ -82,13 +85,10 @@ void BandwidthModel::reschedule(NodeId src, Uploader& u) {
     earliest = std::min(earliest, f.remaining / rate);
   }
   u.next_completion = sim_.schedule_in(earliest, [this, src] {
-    auto it = uploaders_.find(src);
-    if (it == uploaders_.end()) return;
-    it->second.next_completion = {};
-    settle(src, it->second);
-    auto again = uploaders_.find(src);
-    if (again != uploaders_.end() && !again->second.next_completion.valid())
-      reschedule(src, again->second);
+    uploaders_[src].next_completion = {};
+    settle(src);
+    Uploader& again = uploaders_[src];
+    if (!again.next_completion.valid()) reschedule(src, again);
   });
 }
 
@@ -97,42 +97,40 @@ FlowId BandwidthModel::start_flow(NodeId src, NodeId dst, double bytes,
   if (weight <= 0) throw std::invalid_argument("flow weight must be positive");
   if (bytes < 0) throw std::invalid_argument("negative flow size");
   const FlowId id = next_flow_id_++;
+  if (dst >= downloaded_.size()) downloaded_.resize(std::size_t{dst} + 1, 0.0);
+  settle(src);
+  // settle() may have fired callbacks that grew uploaders_; re-index.
   auto& u = uploaders_[src];
-  settle(src, u);
-  // settle() may have fired callbacks that rehashed the map; re-find.
-  auto& u2 = uploaders_[src];
-  u2.flows.push_back(Flow{id, dst, bytes, weight, std::move(on_complete)});
-  flow_owner_[id] = src;
-  reschedule(src, u2);
+  u.flows.push_back(Flow{id, dst, bytes, weight, std::move(on_complete)});
+  reschedule(src, u);
   return id;
 }
 
-bool BandwidthModel::cancel_flow(FlowId id) {
-  const auto owner = flow_owner_.find(id);
-  if (owner == flow_owner_.end()) return false;
-  const NodeId src = owner->second;
+bool BandwidthModel::cancel_flow(NodeId src, FlowId id) {
+  const auto is_it = [id](const Flow& f) { return f.id == id; };
+  // An unknown flow changes nothing at src: no settle.
+  if (src >= uploaders_.size() ||
+      std::none_of(uploaders_[src].flows.begin(), uploaders_[src].flows.end(),
+                   is_it)) {
+    return false;
+  }
+  settle(src);
   auto& u = uploaders_[src];
-  settle(src, u);
-  auto& u2 = uploaders_[src];
-  auto it = std::find_if(u2.flows.begin(), u2.flows.end(),
-                         [&](const Flow& f) { return f.id == id; });
-  if (it == u2.flows.end()) return false;  // completed during settle
-  u2.flows.erase(it);
-  flow_owner_.erase(id);
-  reschedule(src, u2);
+  const auto it = std::find_if(u.flows.begin(), u.flows.end(), is_it);
+  if (it == u.flows.end()) return false;  // completed during settle
+  u.flows.erase(it);
+  reschedule(src, u);
   return true;
 }
 
 std::size_t BandwidthModel::active_flow_count(NodeId src) const {
-  const auto it = uploaders_.find(src);
-  return it == uploaders_.end() ? 0 : it->second.flows.size();
+  return src < uploaders_.size() ? uploaders_[src].flows.size() : 0;
 }
 
 double BandwidthModel::bytes_uploaded(NodeId src) const {
-  const auto it = uploaders_.find(src);
-  if (it == uploaders_.end()) return 0.0;
+  if (src >= uploaders_.size()) return 0.0;
   // Include unsettled progress so metrics are exact at query time.
-  const Uploader& u = it->second;
+  const Uploader& u = uploaders_[src];
   double total = u.uploaded;
   const double dt = sim_.now() - u.last_settle;
   if (dt > 0 && u.capacity > 0 && !u.flows.empty()) {
@@ -144,8 +142,7 @@ double BandwidthModel::bytes_uploaded(NodeId src) const {
 }
 
 double BandwidthModel::bytes_downloaded(NodeId dst) const {
-  const auto it = downloaded_.find(dst);
-  return it == downloaded_.end() ? 0.0 : it->second;
+  return dst < downloaded_.size() ? downloaded_[dst] : 0.0;
 }
 
 }  // namespace tc::sim

@@ -8,9 +8,18 @@ namespace tc::sim {
 Simulator::EventId Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   if (t < now_) t = now_;  // never schedule in the past
   const std::uint64_t id = next_id_++;
-  heap_.push_back(Entry{t, next_seq_++, id, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
-  if (heap_.size() > peak_heap_) peak_heap_ = heap_.size();
+  if (live_ == keys_.size()) {  // no free slot: grow the slab
+    keys_.push_back(Key{t, id, static_cast<std::uint32_t>(fns_.size())});
+    fns_.push_back(std::move(fn));
+  } else {
+    Key& k = keys_[live_];
+    k.t = t;
+    k.id = id;
+    fns_[k.slot] = std::move(fn);
+  }
+  ++live_;
+  std::push_heap(keys_.begin(), keys_.begin() + live_, FiresLater{});
+  if (live_ > peak_heap_) peak_heap_ = live_;
   return EventId{id};
 }
 
@@ -21,7 +30,7 @@ Simulator::EventId Simulator::schedule_in(SimTime delay, std::function<void()> f
 
 bool Simulator::cancel(EventId id) {
   // Unknown, already fired, or already cancelled: nothing to do. The heap
-  // entry stays behind as a tombstone and is skipped on pop.
+  // key stays behind as a tombstone and is skipped on pop.
   if (!id.valid() || id.id >= next_id_ || done(id.id)) return false;
   mark_done(id.id);
   ++cancelled_pending_;
@@ -29,39 +38,37 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-Simulator::Entry Simulator::pop_entry() {
-  std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  return e;
+Simulator::Key Simulator::pop_key() {
+  std::pop_heap(keys_.begin(), keys_.begin() + live_, FiresLater{});
+  return keys_[--live_];
+}
+
+void Simulator::drop_tombstones() {
+  while (live_ > 0 && done(keys_.front().id)) {
+    fns_[pop_key().slot] = nullptr;  // releases the cancelled captures
+    --cancelled_pending_;
+  }
 }
 
 bool Simulator::step() {
-  while (!heap_.empty()) {
-    Entry e = pop_entry();
-    if (done(e.id)) {  // tombstone of a cancelled event
-      --cancelled_pending_;
-      continue;
-    }
-    assert(e.t >= now_);
-    now_ = e.t;
-    mark_done(e.id);
-    ++processed_;
-    e.fn();  // may schedule/cancel freely; `e` is off the heap already
-    return true;
-  }
-  return false;
+  drop_tombstones();
+  if (live_ == 0) return false;
+  const Key k = pop_key();
+  assert(k.t >= now_);
+  now_ = k.t;
+  mark_done(k.id);
+  ++processed_;
+  // Moved out before the call: the callback may schedule, which can grow
+  // fns_ or hand this slot to a new event.
+  const std::function<void()> fn = std::move(fns_[k.slot]);
+  fn();
+  return true;
 }
 
 void Simulator::run(SimTime until) {
-  while (!heap_.empty()) {
-    // Drop tombstones to see the real next event time.
-    while (!heap_.empty() && done(heap_.front().id)) {
-      pop_entry();
-      --cancelled_pending_;
-    }
-    if (heap_.empty()) break;
-    if (heap_.front().t > until) break;
+  for (;;) {
+    drop_tombstones();  // to see the real next event time
+    if (live_ == 0 || keys_.front().t > until) break;
     step();
   }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/util/rng.h"
+
 namespace tc::bt {
 namespace {
 
@@ -72,6 +76,34 @@ TEST(Bitfield, MissingFrom) {
   mine.set(64);
   const auto missing = mine.missing_from(theirs);
   EXPECT_EQ(missing, (std::vector<PieceIndex>{0, 129}));
+}
+
+TEST(Bitfield, ForEachMissingFromMatchesMissingFrom) {
+  // Random bitfields at sizes on, below and past 64-bit word edges.
+  util::Rng rng(17);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 200u, 256u}) {
+    for (int round = 0; round < 20; ++round) {
+      Bitfield mine(n), theirs(n);
+      const double p_mine = rng.uniform(0.0, 1.0);
+      const double p_theirs = rng.uniform(0.0, 1.0);
+      for (PieceIndex i = 0; i < n; ++i) {
+        if (rng.bernoulli(p_mine)) mine.set(i);
+        if (rng.bernoulli(p_theirs)) theirs.set(i);
+      }
+      std::vector<PieceIndex> walked;
+      mine.for_each_missing_from(
+          theirs, [&walked](PieceIndex i) { walked.push_back(i); });
+      EXPECT_EQ(walked, mine.missing_from(theirs)) << n;
+    }
+  }
+}
+
+TEST(Bitfield, ForEachMissingFromSizeMismatchThrows) {
+  Bitfield a(64), b(65);
+  std::size_t calls = 0;
+  EXPECT_THROW(a.for_each_missing_from(b, [&calls](PieceIndex) { ++calls; }),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(Bitfield, ToVector) {

@@ -97,7 +97,9 @@ TEST(Swarm, NeedsFromAndLrfRespectAvailability) {
 
   EXPECT_TRUE(swarm.needs_from(leecher, seeder));
   EXPECT_FALSE(swarm.needs_from(seeder, leecher));
-  EXPECT_EQ(swarm.needed_pieces(leecher, seeder).size(), 4u);
+  EXPECT_EQ(swarm.peer(leecher)->requested.missing_from(
+                swarm.peer(seeder)->have).size(),
+            4u);
   EXPECT_TRUE(swarm.select_lrf(leecher, seeder).has_value());
   EXPECT_FALSE(swarm.select_lrf(seeder, leecher).has_value());
 }

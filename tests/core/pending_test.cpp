@@ -39,8 +39,29 @@ TEST(PendingTracker, PerNeighborIndependence) {
 
 TEST(PendingTracker, CapValidation) {
   EXPECT_THROW(PendingTracker(0), std::invalid_argument);
-  PendingTracker t(1);
-  EXPECT_EQ(t.cap(), 1);
+}
+
+TEST(PendingTracker, ResolvingMiddleAndLastLeavesOtherCountsIntact) {
+  // More neighbours than kMaxNeighbors (55), each with its own count.
+  constexpr PeerId kN = 60;
+  PendingTracker t(100);
+  for (PeerId n = 1; n <= kN; ++n) {
+    for (PeerId i = 0; i < n % 5 + 1; ++i) t.add(n);
+  }
+  const auto expected = [](PeerId n) { return static_cast<int>(n % 5 + 1); };
+  // Drain the middle entry, then the last one, to zero.
+  for (const PeerId gone : {kN / 2, kN}) {
+    for (int i = 0; i < expected(gone); ++i) t.resolve(gone);
+  }
+  t.resolve(kN);  // idempotent at zero
+  for (PeerId n = 1; n <= kN; ++n) {
+    const int want = n == kN / 2 || n == kN ? 0 : expected(n);
+    EXPECT_EQ(t.pending(n), want) << n;
+  }
+  // A drained neighbour counts from zero again.
+  t.add(kN / 2);
+  EXPECT_EQ(t.pending(kN / 2), 1);
+  EXPECT_EQ(t.pending(kN - 1), expected(kN - 1));
 }
 
 TEST(PendingTracker, FreeRiderAccumulatesAndStaysBanned) {

@@ -203,10 +203,11 @@ TEST(TrackerService, FullFdTableDefersAcceptInsteadOfExiting) {
 
 // Runs in a forked child, which alone sees the lowered fd limit; returns
 // its exit code. Peer 100's announce reply names 16 lower-id endpoints
-// (a listener that never accepts, so every dial holds its fd), more than
-// its fd table has room for. The dials past the limit are skipped and
-// counted; the tracker link stays, so once spare fds are freed peer 100
-// still dials joiner 1, pushed to it later.
+// (listeners that never answer, so every dial holds its fd), more than its
+// fd table has room for. The dials past the limit are skipped and counted;
+// the tracker link stays. Once the soft limit is raised back, the retry
+// timer dials the skipped endpoints (the last, 17, is a listener the test
+// accepts from), and peer 100 still dials joiner 1, pushed to it later.
 int dial_past_fd_limit() {
   Reactor reactor;
   obs::Trace trace(obs::TraceConfig{});
@@ -230,11 +231,13 @@ int dial_past_fd_limit() {
   ::close(lowest_free);
   rlimit lim{};
   if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 10;
+  const rlimit original = lim;
   lim.rlim_cur = static_cast<rlim_t>(lowest_free) + 48;
   if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return 10;
 
   TrackerService tracker(reactor, TrackerService::Options{});
   Listener sink(0);  // never accepts: dialed connections wait in its queue
+  Listener last(0);  // endpoint 17: accepted by hand below
   const auto make_peer = [&](net::PeerId id) {
     PeerNode::Options opts;
     opts.id = id;
@@ -244,7 +247,7 @@ int dial_past_fd_limit() {
   };
   auto dialer = make_peer(100);
   auto joiner = make_peer(1);
-  std::vector<int> spare;
+  std::vector<int> spare;  // held to the end: fills the table
   for (int i = 0; i < 8; ++i) {
     spare.push_back(::dup(0));
     if (spare.back() < 0) return 11;
@@ -253,7 +256,8 @@ int dial_past_fd_limit() {
   std::vector<std::unique_ptr<Client>> fakes;
   std::vector<std::unique_ptr<FrameConn>> fake_conns;
   for (net::PeerId id = 2; id < 18; ++id) {
-    fakes.push_back(std::make_unique<Client>(id, sink.port()));
+    fakes.push_back(std::make_unique<Client>(
+        id, id == 17 ? last.port() : sink.port()));
     fake_conns.push_back(FrameConn::dial(reactor, "127.0.0.1",
                                          tracker.port(), fakes.back().get()));
     if (fake_conns.back() == nullptr) return 12;
@@ -261,10 +265,19 @@ int dial_past_fd_limit() {
   run_for(0.05);  // the tracker takes every announce
   dialer->start();
   if (!run_until([&] { return counter("rt.dial_emfile") > 0; })) return 13;
+  run_for(0.05);  // retries find the table still full
+  if (counter("rt.dials") >= 16) return 14;
 
-  for (const int fd : spare) ::close(fd);
+  if (::setrlimit(RLIMIT_NOFILE, &original) != 0) return 10;
+  bool linked = false;  // run_until polls once more after its last slice
+  const auto last_dialed = [&] {
+    if (!linked) linked = last.accept().has_value();
+    return linked;
+  };
+  if (!run_until(last_dialed)) return 15;
+
   joiner->start();
-  if (!run_until([&] { return counter("rt.conns_accepted") > 0; })) return 14;
+  if (!run_until([&] { return counter("rt.conns_accepted") > 0; })) return 16;
   return 0;
 }
 

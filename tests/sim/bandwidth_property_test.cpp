@@ -76,7 +76,7 @@ TEST_P(BandwidthRandomized, CancellationsNeverBreakAccounting) {
   for (std::size_t i = 0; i < ids.size(); i += 2) {
     const FlowId f = ids[i];
     sim.schedule_at(rng.uniform(0.0, 20.0), [&bw, &cancelled, f] {
-      if (bw.cancel_flow(f)) ++cancelled;
+      if (bw.cancel_flow(1, f)) ++cancelled;
     });
   }
   sim.run();

@@ -64,12 +64,12 @@ TEST_F(BandwidthTest, CancelFlowStopsDelivery) {
   bw.set_capacity(1, 100.0);
   bool fired = false;
   const FlowId f = bw.start_flow(1, 2, 1000.0, [&](FlowId) { fired = true; });
-  sim.schedule_at(2.0, [&] { EXPECT_TRUE(bw.cancel_flow(f)); });
+  sim.schedule_at(2.0, [&] { EXPECT_TRUE(bw.cancel_flow(1, f)); });
   sim.run();
   EXPECT_FALSE(fired);
   // Partial progress still counted.
   EXPECT_NEAR(bw.bytes_uploaded(1), 200.0, 1e-6);
-  EXPECT_FALSE(bw.cancel_flow(f));  // already gone
+  EXPECT_FALSE(bw.cancel_flow(1, f));  // already gone
 }
 
 TEST_F(BandwidthTest, ZeroCapacityNeverCompletes) {

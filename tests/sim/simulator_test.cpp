@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace tc::sim {
@@ -115,6 +116,58 @@ TEST(Simulator, PendingCountTracksCancellations) {
   EXPECT_EQ(sim.pending_events(), 2u);
   sim.cancel(a);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, EqualTimestampsStayFifoAcrossCancelsAndSlotReuse) {
+  Simulator sim;
+  std::vector<int> order;
+  // Fire and cancel a first batch so the second batch reuses freed slots
+  // in a different order than it schedules.
+  std::vector<Simulator::EventId> ids;
+  for (int i = 0; i < 8; ++i)
+    ids.push_back(sim.schedule_at(1.0, [&order, i] { order.push_back(i); }));
+  for (int i = 1; i < 8; i += 2) EXPECT_TRUE(sim.cancel(ids[static_cast<std::size_t>(i)]));
+  sim.run(1.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6}));
+
+  order.clear();
+  ids.clear();
+  for (int i = 10; i < 20; ++i)
+    ids.push_back(sim.schedule_at(2.0, [&order, i] { order.push_back(i); }));
+  EXPECT_TRUE(sim.cancel(ids[3]));  // 13
+  // An event that schedules more at its own timestamp: they queue behind
+  // everything already scheduled for 2.0.
+  sim.schedule_at(2.0, [&] {
+    order.push_back(20);
+    sim.schedule_in(0.0, [&order] { order.push_back(22); });
+  });
+  sim.schedule_at(2.0, [&order] { order.push_back(21); });
+  EXPECT_TRUE(sim.cancel(ids[9]));  // 19
+  sim.run();
+  EXPECT_EQ(order,
+            (std::vector<int>{10, 11, 12, 14, 15, 16, 17, 18, 20, 21, 22}));
+}
+
+TEST(Simulator, CancelledCallbackCapturesReleasedByTombstonePop) {
+  Simulator sim;
+  auto held = std::make_shared<int>(7);
+  const auto victim = sim.schedule_at(1.0, [held] { ++*held; });
+  sim.schedule_at(2.0, [] {});
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_TRUE(sim.cancel(victim));
+  EXPECT_TRUE(sim.step());  // pops the tombstone at 1.0, fires 2.0
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(*held, 7);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, FiredCallbackCapturesReleasedAfterFiring) {
+  Simulator sim;
+  auto held = std::make_shared<int>(0);
+  sim.schedule_at(1.0, [held] { ++*held; });
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(*held, 1);
 }
 
 TEST(Simulator, ManyEventsStress) {
