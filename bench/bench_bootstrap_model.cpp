@@ -14,6 +14,12 @@
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  if (const auto unknown = flags.unknown({"n", "K", "delta", "M", "csv"});
+      !unknown.empty()) {
+    std::cerr << "unknown flag --" << unknown.front()
+              << "; this bench reads --n --K --delta --M --csv\n";
+    return 2;
+  }
 
   model::ModelParams p;
   p.n = flags.get_double("n", 600);

@@ -83,6 +83,8 @@ void print_census(const char* label, const Census& c,
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(
+      flags, {"full", "file-mb", "leechers", "indirect-only", "seed"});
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 128 : 8);
   const std::size_t n =

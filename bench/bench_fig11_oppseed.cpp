@@ -42,6 +42,8 @@ void read_chains(tc::bench::RunSpec& spec, ChainStats& out) {
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(
+      flags, {"full", "file-mb", "leechers", "no-oppseed"});
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 128 : 8);
   const std::size_t n =

@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(flags, {"full", "leechers", "horizon"});
   const bool full = flags.get_bool("full");
   const std::size_t population =
       static_cast<std::size_t>(flags.get_int("leechers", full ? 1000 : 120));

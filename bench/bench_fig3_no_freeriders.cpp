@@ -7,6 +7,7 @@
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(flags, {"full", "file-mb", "seeds", "swarm"});
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 128 : 16);
   const auto seeds =

@@ -7,6 +7,7 @@
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(flags, {"full", "file-mb", "seeds", "leechers"});
   const bool full = flags.get_bool("full");
   const auto seeds =
       static_cast<std::size_t>(flags.get_int("seeds", full ? 30 : 2));

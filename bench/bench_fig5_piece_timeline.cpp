@@ -40,6 +40,7 @@ void print_timeline(const tc::analysis::PieceTimeline* tl, const char* label,
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(flags, {"full", "file-mb", "leechers", "seed"});
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 128 : 8);
   const auto leechers =

@@ -12,6 +12,11 @@
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  // Its sweeps go through exp::run_all, not bench::run: only the runner's
+  // --jobs and --quiet and print_table's --csv apply.
+  constexpr std::string_view kRunAll[] = {"jobs", "quiet", "csv"};
+  bench::refuse_unknown_flags(
+      flags, {"full", "file-mb", "seeds", "leechers"}, kRunAll);
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 128 : 8);
   const auto seeds =

@@ -19,6 +19,7 @@ struct Scenario {
 int main(int argc, char** argv) {
   using namespace tc;
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(flags, {"full", "file-mb", "leechers", "seeds"});
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 64 : 8);
   const auto leechers =

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/bt/bitfield.h"
+#include "src/bt/row_kernels.h"
 #include "src/net/tracker.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/simulator.h"
@@ -74,25 +75,43 @@ void BM_BitfieldMissingFrom(benchmark::State& state) {
 }
 BENCHMARK(BM_BitfieldMissingFrom)->Arg(512)->Arg(2048);
 
-// Swarm::connect/disconnect's availability update: one neighbour's have
-// set added into a per-piece counter row, walking the words in place.
-void BM_AvailabilityWalk(benchmark::State& state) {
-  const auto pieces = static_cast<std::size_t>(state.range(0));
+// Swarm::connect/disconnect/cut_off's availability update: one
+// neighbour's have set added into a per-piece counter row. Arg 0 picks the
+// kernel (0: the scalar per-set-bit loop, 1: the one Bitfield::add_to
+// dispatches to), arg 1 the piece count, arg 2 the have set's density in
+// percent (36 % and 69 % are the mean densities of the sets the
+// sim-attack-churn and sim-flash-tchain workloads add).
+void BM_AvailabilityRowUpdate(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  const auto pieces = static_cast<std::size_t>(state.range(1));
+  const double density = static_cast<double>(state.range(2)) / 100.0;
   util::Rng rng(3);
   bt::Bitfield have(pieces);
+  std::vector<std::uint64_t> words((pieces + 63) / 64, 0);
   for (std::size_t i = 0; i < pieces; ++i) {
-    if (rng.bernoulli(0.5)) have.set(static_cast<bt::PieceIndex>(i));
+    if (!rng.bernoulli(density)) continue;
+    have.set(static_cast<bt::PieceIndex>(i));
+    words[i / 64] |= std::uint64_t{1} << (i % 64);
   }
   std::vector<std::uint32_t> row(pieces, 0);
+  std::uint32_t delta = 1;
   for (auto _ : state) {
-    have.for_each([&row](bt::PieceIndex i) { ++row[i]; });
+    if (dispatched) {
+      have.add_to(row, static_cast<std::int32_t>(delta));
+    } else {
+      bt::detail::row_add_scalar(words.data(), pieces, row.data(), delta);
+    }
+    delta = 0u - delta;  // alternate +1 and -1: the row stays bounded
     benchmark::DoNotOptimize(row.data());
     benchmark::ClobberMemory();
   }
+  state.SetLabel(dispatched ? bt::detail::row_add_kernel_name() : "scalar");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(have.count()));
 }
-BENCHMARK(BM_AvailabilityWalk)->Arg(256)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_AvailabilityRowUpdate)
+    ->ArgNames({"dispatched", "pieces", "density_pct"})
+    ->ArgsProduct({{0, 1}, {256, 2048}, {36, 69}});
 
 void BM_TrackerNeighborList(benchmark::State& state) {
   net::Tracker tracker;

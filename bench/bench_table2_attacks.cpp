@@ -41,6 +41,8 @@ const char* verdict(std::size_t fr_done, std::size_t fr_total,
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
+  bench::refuse_unknown_flags(
+      flags, {"full", "file-mb", "leechers", "ablate-k"});
   const bool full = flags.get_bool("full");
   const auto file_mb = flags.get_int("file-mb", full ? 32 : 8);
   const std::size_t n =

@@ -1,11 +1,10 @@
 // Shared harness for the figure/table reproduction benches, built on the
 // src/exp/ experiment runner (declarative sweeps, thread-pool execution).
 //
-// Every bench accepts:
+// Every bench accepts (fig6, whose sweeps skip run(), only --full, --csv,
+// --jobs and --quiet of these):
 //   --full        paper-scale parameters (slow; the paper used 128 MiB
 //                 files, swarms up to 1000+, 30 seeds)
-//   --seeds N     runs per data point (default 2-3 scaled, 30 full)
-//   --file-mb M   shared file size
 //   --csv         machine-readable table output
 //   --jobs N      worker threads (default: all cores; byte-identical
 //                 output at any level)
@@ -20,16 +19,22 @@
 //   --check       verify every run online against the protocol invariant
 //                 catalogue (src/check); violations are reported on stderr
 //                 and the bench exits 2 without printing its tables
-// plus bench-specific sweeps. Scaled defaults are chosen so each bench
+// plus bench-specific sweeps, most of them --seeds N (runs per data
+// point) and --file-mb M (shared file size). A bench refuses any other
+// flag (refuse_unknown_flags). Scaled defaults are chosen so each bench
 // finishes in tens of seconds on one core while preserving the paper's
 // qualitative shape (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/metrics.h"
@@ -48,6 +53,28 @@ using F = analysis::SwarmMetrics::PeerFilter;
 using exp::RunRecord;
 using exp::RunSpec;
 using exp::Sweep;
+
+// The flags run() and print_table() read.
+inline constexpr std::string_view kHarnessFlags[] = {
+    "csv",         "jobs",  "quiet",  "trace",       "trace-csv",
+    "trace-limit", "check", "timing", "records-csv", "records-json"};
+
+// Exits 2, naming the flag, if `flags` holds one that neither the bench
+// (`own`) nor `harness` reads: a misspelt or unsupported flag must not
+// run the defaults silently. Call it before any work.
+inline void refuse_unknown_flags(
+    const util::Flags& flags, std::initializer_list<std::string_view> own,
+    std::span<const std::string_view> harness = kHarnessFlags) {
+  for (const std::string& name : flags.unknown(own)) {
+    if (std::find(harness.begin(), harness.end(), name) != harness.end())
+      continue;
+    std::cerr << "unknown flag --" << name << "; this bench reads";
+    for (const std::string_view f : own) std::cerr << " --" << f;
+    for (const std::string_view f : harness) std::cerr << " --" << f;
+    std::cerr << "\n";
+    std::exit(2);
+  }
+}
 
 // Base config shared by the paper benches. Piece size is left at its
 // default here: Sweep::build() sets it per protocol (§IV-A), or pin it

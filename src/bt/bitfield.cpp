@@ -3,7 +3,79 @@
 #include <bit>
 #include <stdexcept>
 
+#include "src/bt/row_kernels.h"
+#include "src/util/cpu.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace tc::bt {
+
+namespace {
+
+#if defined(__x86_64__)
+
+// Only this function may use AVX-512 instructions; the dispatcher calls it
+// only after CPUID said so. A masked-off lane is neither loaded nor stored
+// (and cannot fault), so a slice reaching past `size` touches nothing
+// there.
+__attribute__((target("avx512f"))) void row_add_avx512_impl(
+    const std::uint64_t* words, std::size_t size, std::uint32_t* counts,
+    std::uint32_t delta) {
+  const __m512i d = _mm512_set1_epi32(static_cast<int>(delta));
+  const std::size_t slices = (size + 15) / 16;
+  for (std::size_t s = 0; s < slices; ++s) {
+    const auto m = static_cast<__mmask16>(words[s / 4] >> (16 * (s % 4)));
+    std::uint32_t* p = counts + 16 * s;
+    const __m512i v = _mm512_maskz_loadu_epi32(m, p);
+    _mm512_mask_storeu_epi32(p, m, _mm512_mask_add_epi32(v, m, v, d));
+  }
+}
+
+#endif
+
+struct RowKernel {
+  detail::RowAdd fn;
+  const char* name;
+};
+
+// The kernel add_to runs, chosen once per process.
+const RowKernel& row_kernel() {
+  static const RowKernel k = [] {
+    if (const detail::RowAdd fn = detail::row_add_avx512())
+      return RowKernel{fn, "avx512"};
+    return RowKernel{&detail::row_add_scalar, "scalar"};
+  }();
+  return k;
+}
+
+}  // namespace
+
+namespace detail {
+
+void row_add_scalar(const std::uint64_t* words, std::size_t size,
+                    std::uint32_t* counts, std::uint32_t delta) {
+  const std::size_t n_words = (size + 63) / 64;
+  for (std::size_t w = 0; w < n_words; ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      counts[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] +=
+          delta;
+    }
+  }
+}
+
+RowAdd row_add_avx512() {
+#if defined(__x86_64__)
+  return util::cpu_features().avx512f ? &row_add_avx512_impl : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const char* row_add_kernel_name() { return row_kernel().name; }
+
+}  // namespace detail
 
 Bitfield::Bitfield(std::size_t piece_count)
     : size_(piece_count), words_((piece_count + 63) / 64, 0) {}
@@ -44,12 +116,11 @@ PieceIndex Bitfield::first_missing() const {
   return static_cast<PieceIndex>(size_);
 }
 
-bool Bitfield::interested_in(const Bitfield& other) const {
-  if (other.size_ != size_) throw std::invalid_argument("bitfield size mismatch");
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (other.words_[w] & ~words_[w]) return true;
-  }
-  return false;
+void Bitfield::add_to(std::span<std::uint32_t> counts,
+                      std::int32_t delta) const {
+  if (counts.size() != size_) throw std::invalid_argument("row size mismatch");
+  row_kernel().fn(words_.data(), size_, counts.data(),
+                  static_cast<std::uint32_t>(delta));
 }
 
 std::vector<PieceIndex> Bitfield::missing_from(const Bitfield& other) const {

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,7 +34,21 @@ class Bitfield {
 
   // True if `other` has at least one piece this bitfield lacks
   // ("I am interested in other").
-  bool interested_in(const Bitfield& other) const;
+  bool interested_in(const Bitfield& other) const {
+    if (other.size_ != size_)
+      throw std::invalid_argument("bitfield size mismatch");
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if (other.words_[w] & ~words_[w]) return true;
+    }
+    return false;
+  }
+
+  // counts[i] += delta for every piece i this bitfield holds (mod 2^32, so
+  // -1 subtracts one): a neighbour's have set added into or taken out of
+  // an availability row. Integer adds are exact, so every kernel leaves
+  // the same counts; the one CPUID picks (src/bt/row_kernels.h) only sets
+  // the speed. Throws unless counts.size() == size().
+  void add_to(std::span<std::uint32_t> counts, std::int32_t delta) const;
 
   // Pieces that `other` has and this lacks.
   std::vector<PieceIndex> missing_from(const Bitfield& other) const;

@@ -54,19 +54,6 @@ void Swarm::enable_obs(const obs::TraceConfig& cfg) {
   faults_.set_trace(obs_, &sim_);
 }
 
-Peer* Swarm::peer(PeerId id) {
-  return id < slots_.size() ? slots_[id].peer.get() : nullptr;
-}
-
-const Peer* Swarm::peer(PeerId id) const {
-  return id < slots_.size() ? slots_[id].peer.get() : nullptr;
-}
-
-bool Swarm::is_active(PeerId id) const {
-  const Peer* p = peer(id);
-  return p != nullptr && p->active;
-}
-
 std::vector<PeerId> Swarm::active_peers() const {
   std::vector<PeerId> out;  // ascending: deterministic for RNG consumers
   out.reserve(active_leechers_ + 1);
@@ -75,12 +62,6 @@ std::vector<PeerId> Swarm::active_peers() const {
     if (p != nullptr && p->active) out.push_back(id);
   }
   return out;
-}
-
-void Swarm::add_availability(std::vector<std::uint32_t>& row,
-                             const Bitfield& bits, int sign) {
-  const auto delta = static_cast<std::uint32_t>(sign);  // wraps for -1
-  bits.for_each([&row, delta](PieceIndex i) { row[i] += delta; });
 }
 
 bool Swarm::connect(PeerId a, PeerId b) {
@@ -104,8 +85,8 @@ bool Swarm::connect(PeerId a, PeerId b) {
 
   pa->neighbors.push_back(b);
   pb->neighbors.push_back(a);
-  add_availability(slots_[a].avail, pb->have, +1);
-  add_availability(slots_[b].avail, pa->have, +1);
+  pb->have.add_to(slots_[a].avail, +1);
+  pa->have.add_to(slots_[b].avail, +1);
   proto_.on_neighbor_added(a, b);
   return true;
 }
@@ -116,8 +97,8 @@ void Swarm::disconnect(PeerId a, PeerId b) {
   if (!pa || !pb) return;
   if (!erase_neighbor(*pa, b)) return;
   erase_neighbor(*pb, a);
-  add_availability(slots_[a].avail, pb->have, -1);
-  add_availability(slots_[b].avail, pa->have, -1);
+  pb->have.add_to(slots_[a].avail, -1);
+  pa->have.add_to(slots_[b].avail, -1);
   proto_.on_neighbor_removed(a, b);
 }
 
@@ -126,14 +107,6 @@ void Swarm::refresh_neighbors(PeerId p) {
   for (PeerId n : tracker_.neighbor_list(p, rng_)) {
     if (is_active(n)) connect(p, n);
   }
-}
-
-bool Swarm::needs_from(PeerId a, PeerId b) const {
-  const Peer* pa = peer(a);
-  const Peer* pb = peer(b);
-  if (!pa || !pb) return false;
-  // requested ⊇ have, so "not requested" means truly needed.
-  return pa->requested.interested_in(pb->have);
 }
 
 std::uint32_t Swarm::availability(PeerId p, PieceIndex i) const {
@@ -395,7 +368,7 @@ void Swarm::cut_off(PeerId id) {
   for (PeerId n : nbrs) {
     Slot& s = slots_[n];
     erase_neighbor(*s.peer, id);
-    add_availability(s.avail, leaver.have, -1);
+    leaver.have.add_to(s.avail, -1);
     proto_.on_neighbor_removed(id, n);
   }
 

@@ -53,9 +53,16 @@ class Swarm {
   PeerId seeder_id() const { return seeder_id_; }
   SimTime end_time() const;
 
-  Peer* peer(PeerId id);
-  const Peer* peer(PeerId id) const;
-  bool is_active(PeerId id) const;
+  Peer* peer(PeerId id) {
+    return id < slots_.size() ? slots_[id].peer.get() : nullptr;
+  }
+  const Peer* peer(PeerId id) const {
+    return id < slots_.size() ? slots_[id].peer.get() : nullptr;
+  }
+  bool is_active(PeerId id) const {
+    const Peer* p = peer(id);
+    return p != nullptr && p->active;
+  }
   std::vector<PeerId> active_peers() const;
   std::size_t active_leecher_count() const { return active_leechers_; }
 
@@ -70,7 +77,13 @@ class Swarm {
   // --- Interest / piece selection --------------------------------------------
   // True if `a` needs at least one completed piece of `b` that `a` neither
   // has nor has in flight.
-  bool needs_from(PeerId a, PeerId b) const;
+  bool needs_from(PeerId a, PeerId b) const {
+    const Peer* pa = peer(a);
+    const Peer* pb = peer(b);
+    if (!pa || !pb) return false;
+    // requested ⊇ have, so "not requested" means truly needed.
+    return pa->requested.interested_in(pb->have);
+  }
   // How many of `p`'s neighbors have piece `i`.
   std::uint32_t availability(PeerId p, PieceIndex i) const;
   // Local-Rarest-First: rarest (w.r.t. chooser's neighborhood) piece that
@@ -148,9 +161,6 @@ class Swarm {
   // flow to or from `id` (each flow's on_done sees ok == false).
   void cut_off(PeerId id);
   void check_done();
-  // Adds `sign` (+1 or -1) to `row` at every piece `bits` holds.
-  static void add_availability(std::vector<std::uint32_t>& row,
-                               const Bitfield& bits, int sign);
 
   SwarmConfig cfg_;
   Protocol& proto_;

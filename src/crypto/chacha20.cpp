@@ -6,10 +6,7 @@
 #include <utility>
 
 #include "src/crypto/kernels.h"
-
-#if defined(__x86_64__)
-#include <cpuid.h>
-#endif
+#include "src/util/cpu.h"
 
 namespace tc::crypto {
 
@@ -248,37 +245,6 @@ TC_AVX512 void xor_avx512(const ChaChaKey& key, const ChaChaNonce& nonce,
 #undef TC_AVX2
 #undef TC_AVX512
 
-// CPUID leaf 7 EBX, and XCR0: the register state the OS saves on a context
-// switch, without which the wider registers must not be used.
-struct CpuFeatures {
-  unsigned leaf7_ebx = 0;
-  std::uint64_t xcr0 = 0;
-};
-
-CpuFeatures cpu_features() {
-  CpuFeatures f;
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & bit_OSXSAVE) == 0) return f;
-  unsigned lo = 0, hi = 0;
-  __asm__("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
-  f.xcr0 = (std::uint64_t{hi} << 32) | lo;
-  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) != 0) f.leaf7_ebx = b;
-  return f;
-}
-
-bool cpu_has_avx2() {
-  const CpuFeatures f = cpu_features();
-  // XCR0 bits 1-2: XMM and YMM state.
-  return (f.xcr0 & 0x6) == 0x6 && (f.leaf7_ebx & bit_AVX2) != 0;
-}
-
-bool cpu_has_avx512() {
-  const CpuFeatures f = cpu_features();
-  // XCR0 bits 1-2 and 5-7: XMM, YMM, opmask and ZMM state.
-  return (f.xcr0 & 0xe6) == 0xe6 && (f.leaf7_ebx & bit_AVX512F) != 0 &&
-         (f.leaf7_ebx & bit_AVX512VL) != 0;
-}
-
 #endif
 
 #undef TC_INLINE
@@ -338,8 +304,7 @@ void chacha20_xor_4lane(const ChaChaKey& key, const ChaChaNonce& nonce,
 
 ChaCha20Xor chacha20_xor_avx2() {
 #if defined(__x86_64__)
-  static const bool has = cpu_has_avx2();  // CPUID once per process
-  return has ? &xor_avx2 : nullptr;
+  return util::cpu_features().avx2 ? &xor_avx2 : nullptr;
 #else
   return nullptr;
 #endif
@@ -347,8 +312,8 @@ ChaCha20Xor chacha20_xor_avx2() {
 
 ChaCha20Xor chacha20_xor_avx512() {
 #if defined(__x86_64__)
-  static const bool has = cpu_has_avx512();
-  return has ? &xor_avx512 : nullptr;
+  const util::CpuFeatures& f = util::cpu_features();
+  return f.avx512f && f.avx512vl ? &xor_avx512 : nullptr;
 #else
   return nullptr;
 #endif

@@ -5,9 +5,9 @@
 #include <cstring>
 
 #include "src/crypto/kernels.h"
+#include "src/util/cpu.h"
 
 #if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -150,14 +150,6 @@ TC_SHA_NI void blocks_sha_ni(detail::Sha256State& h, const std::uint8_t* p,
 
 #undef TC_SHA_NI
 
-bool cpu_has_sha_ni() {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
-  const bool sse41 = (c & bit_SSE4_1) != 0;
-  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
-  return sse41 && (b & bit_SHA) != 0;
-}
-
 #endif
 
 // The compression function every Sha256 uses.
@@ -177,7 +169,7 @@ void sha256_blocks_portable(Sha256State& h, const std::uint8_t* blocks,
 
 Sha256Blocks sha256_blocks_hw() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const bool has = cpu_has_sha_ni();  // CPUID once per process
+  static const bool has = util::cpu_features().sha_ni;  // once per process
   return has ? &blocks_sha_ni : nullptr;
 #else
   return nullptr;

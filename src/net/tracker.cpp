@@ -27,7 +27,7 @@ std::vector<PeerId> Tracker::neighbor_list(PeerId requester,
   std::vector<PeerId> out;
   const std::size_t eligible =
       dense_.size() - (members_.count(requester) ? 1 : 0);
-  const std::size_t want = std::min(list_size_, eligible);
+  const std::size_t want = std::min(kTrackerListSize, eligible);
   if (want == 0) return out;
   out.reserve(want);
 

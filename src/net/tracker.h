@@ -1,6 +1,6 @@
 // BitTorrent-style tracker for the simulator: keeps the swarm membership
-// and answers neighbor-list requests with up to `list_size` randomly
-// selected members (kTrackerListSize). Purely a rendezvous service — it
+// and answers neighbor-list requests with up to kTrackerListSize randomly
+// selected members. Purely a rendezvous service — it
 // plays no role in incentive enforcement, matching T-Chain's
 // no-trusted-third-party goal. The live runtime's tracker
 // (rt::TrackerService) needs no sampling: its membership is the set of
@@ -21,22 +21,16 @@ inline constexpr std::size_t kTrackerListSize = 50;
 
 class Tracker {
  public:
-  explicit Tracker(std::size_t list_size = kTrackerListSize)
-      : list_size_(list_size) {}
-
   void announce(PeerId peer);
   void depart(PeerId peer);
   bool contains(PeerId peer) const { return members_.count(peer) > 0; }
   std::size_t size() const { return members_.size(); }
 
-  // Up to list_size() random members, excluding the requester itself.
+  // Up to kTrackerListSize random members, excluding the requester itself.
   // The requester need not be announced (a newcomer's first request).
   std::vector<PeerId> neighbor_list(PeerId requester, util::Rng& rng) const;
 
-  std::size_t list_size() const { return list_size_; }
-
  private:
-  std::size_t list_size_;
   std::unordered_set<PeerId> members_;
   // Dense mirror of members_ for O(k) sampling.
   std::vector<PeerId> dense_;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "src/bt/row_kernels.h"
 #include "src/util/rng.h"
 
 namespace tc::bt {
@@ -128,6 +130,93 @@ TEST(Bitfield, ForEachWalksSetPiecesInAscendingOrder) {
   std::size_t calls = 0;
   Bitfield(130).for_each([&calls](PieceIndex) { ++calls; });
   EXPECT_EQ(calls, 0u);
+}
+
+// A random have set of `n` pieces at `density`, as a Bitfield and as the
+// raw words the row kernels take.
+struct RandomHave {
+  Bitfield bits;
+  std::vector<std::uint64_t> words;
+
+  RandomHave(std::size_t n, double density, util::Rng& rng)
+      : bits(n), words((n + 63) / 64, 0) {
+    for (PieceIndex i = 0; i < n; ++i) {
+      if (!rng.bernoulli(density)) continue;
+      bits.set(i);
+      words[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+};
+
+constexpr std::size_t kRowSizes[] = {1, 63, 64, 65, 256, 2047, 2048};
+// Empty, sparse, half and full.
+constexpr double kRowDensities[] = {0.0, 0.05, 0.5, 1.0};
+constexpr std::size_t kGuard = 32;  // counters past the row end
+constexpr std::uint32_t kGuardValue = 0xdeadbeef;
+
+// A row of `n` random counters, each >= 1 so that -1 never wraps, then
+// kGuard guard counters.
+std::vector<std::uint32_t> random_row(std::size_t n, util::Rng& rng) {
+  std::vector<std::uint32_t> row(n + kGuard, kGuardValue);
+  for (std::size_t i = 0; i < n; ++i) {
+    row[i] = static_cast<std::uint32_t>(rng.uniform_int(1, 1000));
+  }
+  return row;
+}
+
+TEST(Bitfield, EveryRowKernelTheCpuRunsMatchesTheScalarLoop) {
+  std::vector<std::pair<const char*, detail::RowAdd>> kernels = {
+      {"scalar", &detail::row_add_scalar}};
+  if (const detail::RowAdd fn = detail::row_add_avx512())
+    kernels.emplace_back("avx512", fn);
+  util::Rng rng(23);
+  for (const auto& [name, kernel] : kernels) {
+    for (const std::size_t n : kRowSizes) {
+      for (const double density : kRowDensities) {
+        for (const std::int32_t delta : {+1, -1}) {
+          const RandomHave have(n, density, rng);
+          std::vector<std::uint32_t> want = random_row(n, rng);
+          std::vector<std::uint32_t> got = want;
+          for (PieceIndex i = 0; i < n; ++i) {
+            if (have.bits.get(i)) want[i] += static_cast<std::uint32_t>(delta);
+          }
+          kernel(have.words.data(), n, got.data(),
+                 static_cast<std::uint32_t>(delta));
+          // The guards past the row end are compared too: untouched.
+          EXPECT_EQ(got, want) << name << " n=" << n << " density="
+                               << density << " delta=" << delta;
+        }
+      }
+    }
+  }
+}
+
+TEST(Bitfield, AddToMatchesTheScalarLoopAndUndoes) {
+  util::Rng rng(29);
+  for (const std::size_t n : kRowSizes) {
+    for (const double density : {0.0, 0.01, 0.05, 0.09, 0.11, 0.36, 0.69, 1.0}) {
+      const RandomHave have(n, density, rng);
+      const std::vector<std::uint32_t> before = random_row(n, rng);
+      std::vector<std::uint32_t> want = before;
+      detail::row_add_scalar(have.words.data(), n, want.data(), 1);
+      std::vector<std::uint32_t> got = before;
+      have.bits.add_to(std::span(got.data(), n), +1);
+      EXPECT_EQ(got, want) << detail::row_add_kernel_name() << " n=" << n
+                           << " density=" << density;
+      have.bits.add_to(std::span(got.data(), n), -1);
+      EXPECT_EQ(got, before) << n << " " << density;
+    }
+  }
+}
+
+TEST(Bitfield, AddToRowSizeMismatchThrows) {
+  Bitfield bf(64);
+  bf.set(3);
+  std::vector<std::uint32_t> shorter(63, 0), longer(65, 0);
+  EXPECT_THROW(bf.add_to(shorter, +1), std::invalid_argument);
+  EXPECT_THROW(bf.add_to(longer, +1), std::invalid_argument);
+  EXPECT_EQ(shorter[3], 0u);
+  EXPECT_EQ(longer[3], 0u);
 }
 
 class BitfieldMessageRoundTrip : public ::testing::TestWithParam<std::size_t> {};

@@ -8,7 +8,7 @@ namespace tc::net {
 namespace {
 
 TEST(Tracker, AnnounceAndDepart) {
-  Tracker t(50);
+  Tracker t;
   t.announce(1);
   t.announce(2);
   t.announce(2);  // idempotent
@@ -20,7 +20,7 @@ TEST(Tracker, AnnounceAndDepart) {
 }
 
 TEST(Tracker, NeighborListExcludesRequester) {
-  Tracker t(50);
+  Tracker t;
   util::Rng rng(1);
   for (PeerId p = 1; p <= 20; ++p) t.announce(p);
   for (int trial = 0; trial < 50; ++trial) {
@@ -31,17 +31,17 @@ TEST(Tracker, NeighborListExcludesRequester) {
 }
 
 TEST(Tracker, NeighborListCapsAtListSize) {
-  Tracker t(50);
+  Tracker t;
   util::Rng rng(2);
   for (PeerId p = 1; p <= 200; ++p) t.announce(p);
   const auto list = t.neighbor_list(1, rng);
-  EXPECT_EQ(list.size(), 50u);
+  EXPECT_EQ(list.size(), kTrackerListSize);
   std::set<PeerId> uniq(list.begin(), list.end());
-  EXPECT_EQ(uniq.size(), 50u);  // no duplicates
+  EXPECT_EQ(uniq.size(), kTrackerListSize);  // no duplicates
 }
 
 TEST(Tracker, NeighborListOmitsDeparted) {
-  Tracker t(50);
+  Tracker t;
   util::Rng rng(3);
   for (PeerId p = 1; p <= 60; ++p) t.announce(p);
   for (PeerId p = 1; p <= 30; ++p) t.depart(p);
@@ -51,7 +51,7 @@ TEST(Tracker, NeighborListOmitsDeparted) {
 }
 
 TEST(Tracker, NewcomerNotYetAnnouncedCanRequest) {
-  Tracker t(50);
+  Tracker t;
   util::Rng rng(4);
   t.announce(1);
   t.announce(2);
@@ -60,7 +60,7 @@ TEST(Tracker, NewcomerNotYetAnnouncedCanRequest) {
 }
 
 TEST(Tracker, EmptySwarm) {
-  Tracker t(50);
+  Tracker t;
   util::Rng rng(5);
   EXPECT_TRUE(t.neighbor_list(1, rng).empty());
   t.announce(1);
@@ -68,15 +68,18 @@ TEST(Tracker, EmptySwarm) {
 }
 
 TEST(Tracker, SamplingIsRoughlyUniform) {
-  Tracker t(10);
+  // 500 members, lists of 50: the sparse rejection sampler (a list under a
+  // third of the members), with each member's chance 1 in 10 per list.
+  static_assert(kTrackerListSize == 50);
+  Tracker t;
   util::Rng rng(7);
-  for (PeerId p = 1; p <= 100; ++p) t.announce(p);
-  std::vector<int> hits(101, 0);
+  for (PeerId p = 1; p <= 500; ++p) t.announce(p);
+  std::vector<int> hits(501, 0);
   for (int trial = 0; trial < 2000; ++trial) {
     for (PeerId p : t.neighbor_list(0, rng)) ++hits[p];
   }
-  // Each peer expected 2000 * 10/100 = 200 hits.
-  for (PeerId p = 1; p <= 100; ++p) EXPECT_NEAR(hits[p], 200, 80) << p;
+  // Each peer expected 2000 * 50/500 = 200 hits.
+  for (PeerId p = 1; p <= 500; ++p) EXPECT_NEAR(hits[p], 200, 80) << p;
 }
 
 }  // namespace
