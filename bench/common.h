@@ -90,14 +90,14 @@ inline bt::SwarmConfig base_config(std::size_t leechers,
   return cfg;
 }
 
-// The "Optimal" line of Figure 3 (Kumar/Ross bound) for the configured
-// heterogeneous leecher classes.
+// The "Optimal" line of Figure 3 (Kumar/Ross bound) for the heterogeneous
+// leecher classes, assigned round-robin as the simulator does.
 inline double optimal_time(const bt::SwarmConfig& cfg) {
   std::vector<double> ups;
   ups.reserve(cfg.leecher_count);
   for (std::size_t i = 0; i < cfg.leecher_count; ++i) {
     ups.push_back(util::kbps_to_bytes_per_sec(
-        cfg.leecher_upload_kbps[i % cfg.leecher_upload_kbps.size()]));
+        bt::kLeecherUploadKbps[i % bt::kLeecherUploadKbps.size()]));
   }
   return analysis::optimal_completion_time(
       static_cast<double>(cfg.file_bytes),

@@ -105,17 +105,6 @@ void Bitfield::clear(PieceIndex i) {
   }
 }
 
-PieceIndex Bitfield::first_missing() const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    const std::uint64_t inv = ~words_[w];
-    if (inv == 0) continue;
-    const auto i = static_cast<PieceIndex>(
-        w * 64 + static_cast<std::size_t>(std::countr_zero(inv)));
-    return i < size_ ? i : static_cast<PieceIndex>(size_);
-  }
-  return static_cast<PieceIndex>(size_);
-}
-
 void Bitfield::add_to(std::span<std::uint32_t> counts,
                       std::int32_t delta) const {
   if (counts.size() != size_) throw std::invalid_argument("row size mismatch");

@@ -28,10 +28,6 @@ class Bitfield {
   bool complete() const { return count_ == size_ && size_ > 0; }
   bool empty() const { return count_ == 0; }
 
-  // Index of the first unset bit, or size() if complete (the streaming
-  // "playhead": everything before it is contiguous in-order progress).
-  PieceIndex first_missing() const;
-
   // True if `other` has at least one piece this bitfield lacks
   // ("I am interested in other").
   bool interested_in(const Bitfield& other) const {

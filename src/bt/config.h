@@ -2,9 +2,9 @@
 // file size, which benches scale down by default for single-core runs.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/core/policy.h"
 #include "src/sim/faults.h"
@@ -15,6 +15,9 @@ namespace tc::bt {
 // Fixed simulator parameters, no experiment varies them (DESIGN.md §6b):
 // the paper's setup (§IV-A) plus the repo's own delays and valve.
 inline constexpr double kSeederUploadKbps = 6000.0;
+// Leecher classes, slowest first, assigned round-robin in arrival order.
+inline constexpr std::array<double, 5> kLeecherUploadKbps = {400, 600, 800,
+                                                             1000, 1200};
 // Overlay: a peer keeps at most kMaxNeighbors and asks the tracker for more
 // (net::kTrackerListSize per list) while it has fewer than kMinNeighbors.
 inline constexpr std::size_t kMaxNeighbors = 55;
@@ -29,28 +32,15 @@ inline constexpr std::size_t kUnchokeSlots = 4;
 // unfinished) instead of burning simulated time to max_sim_time.
 inline constexpr double kGlobalStallTimeout = 10'000.0;
 
-// Piece selection discipline (§VI names streaming as future work; the
-// sliding-window policy is the standard adaptation: prefer the rarest
-// piece inside a playback window, advance the window with in-order
-// progress).
-enum class PiecePolicy {
-  kRarestFirst,       // BitTorrent LRF (the paper's default)
-  kSequentialWindow,  // streaming: rarest within a window after the playhead
-};
-
 struct SwarmConfig {
   // --- Content ------------------------------------------------------------
   util::ByteCount file_bytes = 16 * util::kMiB;   // paper: 128 MiB
   util::ByteCount piece_bytes = 64 * util::kKiB;  // T-Chain/FairTorrent: 64 KiB;
                                                   // BitTorrent/PropShare: 256 KiB
-  PiecePolicy piece_policy = PiecePolicy::kRarestFirst;
-  std::size_t stream_window = 16;  // pieces, for kSequentialWindow
 
   // --- Population -----------------------------------------------------------
   std::size_t leecher_count = 100;
   double freerider_fraction = 0.0;
-  // Heterogeneous leecher classes, assigned round-robin (paper: 400..1200).
-  std::vector<double> leecher_upload_kbps = {400, 600, 800, 1000, 1200};
 
   // --- Attack model ------------------------------------------------------------
   bool freerider_large_view = true;

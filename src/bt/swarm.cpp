@@ -122,30 +122,10 @@ std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
   const auto& av = slots_[chooser].avail;
   // Candidates are the pieces of `owner` that `chooser` needs, walked in
   // place in ascending order.
-  const auto for_each_candidate = [&](auto&& fn) {
-    pc->requested.for_each_missing_from(po->have, fn);
-  };
-
-  if (cfg_.piece_policy == PiecePolicy::kSequentialWindow) {
-    // Streaming: restrict to the playback window past the playhead; rarest
-    // within the window, lowest index on ties (deadline pressure). Falls
-    // back to plain LRF when the window is fully claimed, preserving
-    // liveness.
-    const PieceIndex playhead = pc->have.first_missing();
-    const PieceIndex window_end = static_cast<PieceIndex>(
-        std::min<std::size_t>(piece_count_, playhead + cfg_.stream_window));
-    std::optional<PieceIndex> best;
-    for_each_candidate([&](PieceIndex c) {
-      if (c < playhead || c >= window_end) return;
-      if (!best || av[c] < av[*best]) best = c;
-    });
-    if (best) return best;
-  }
-
   std::optional<PieceIndex> best;
   std::uint32_t best_avail = 0;
   std::size_t ties = 0;
-  for_each_candidate([&](PieceIndex c) {
+  pc->requested.for_each_missing_from(po->have, [&](PieceIndex c) {
     if (!best || av[c] < best_avail) {
       best = c;
       best_avail = av[c];
@@ -543,7 +523,7 @@ void Swarm::maintenance_tick(PeerId id) {
 void Swarm::join_leecher(std::size_t arrival_index, SimTime now) {
   const PeerId id = allocate_id();
   const double kbps =
-      cfg_.leecher_upload_kbps[arrival_index % cfg_.leecher_upload_kbps.size()];
+      kLeecherUploadKbps[arrival_index % kLeecherUploadKbps.size()];
   const bool freerider = std::binary_search(freerider_arrival_index_.begin(),
                                             freerider_arrival_index_.end(),
                                             arrival_index);
@@ -560,13 +540,11 @@ void Swarm::join_leecher(std::size_t arrival_index, SimTime now) {
   }
 
   if (trace_extremes_ && !freerider) {
-    const auto& classes = cfg_.leecher_upload_kbps;
-    const double lo = *std::min_element(classes.begin(), classes.end());
-    const double hi = *std::max_element(classes.begin(), classes.end());
-    if (traced_slow_ == net::kNoPeer && kbps == lo) {
+    if (traced_slow_ == net::kNoPeer && kbps == kLeecherUploadKbps.front()) {
       traced_slow_ = id;
       metrics_.enable_piece_trace(id);
-    } else if (traced_fast_ == net::kNoPeer && kbps == hi) {
+    } else if (traced_fast_ == net::kNoPeer &&
+               kbps == kLeecherUploadKbps.back()) {
       traced_fast_ = id;
       metrics_.enable_piece_trace(id);
     }

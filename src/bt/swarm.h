@@ -43,8 +43,6 @@ class Swarm {
 
   // --- Accessors ------------------------------------------------------------
   sim::Simulator& simulator() { return sim_; }
-  sim::BandwidthModel& bandwidth() { return bw_; }
-  sim::FaultInjector& faults() { return faults_; }
   util::Rng& rng() { return rng_; }
   const SwarmConfig& config() const { return cfg_; }
   analysis::SwarmMetrics& metrics() { return metrics_; }

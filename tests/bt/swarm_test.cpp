@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 
 #include "src/protocols/choking.h"
 
@@ -54,19 +55,15 @@ TEST(Swarm, SeederAndLeechersJoinAndConnect) {
 
 TEST(Swarm, BandwidthClassesAssignedRoundRobin) {
   NullProtocol proto;
-  auto cfg = tiny_config(10);
-  cfg.leecher_upload_kbps = {400, 1200};
-  Swarm swarm(cfg, proto);
+  Swarm swarm(tiny_config(10), proto);
   swarm.run();
-  int slow = 0, fast = 0;
+  std::map<double, int> per_class, expected;
+  for (double kbps : kLeecherUploadKbps) expected[kbps] = 2;
   for (PeerId id : swarm.active_peers()) {
     const Peer* p = swarm.peer(id);
-    if (p->seeder) continue;
-    if (p->upload_kbps == 400) ++slow;
-    if (p->upload_kbps == 1200) ++fast;
+    if (!p->seeder) ++per_class[p->upload_kbps];
   }
-  EXPECT_EQ(slow, 5);
-  EXPECT_EQ(fast, 5);
+  EXPECT_EQ(per_class, expected);
 }
 
 TEST(Swarm, FreeriderFractionIsExact) {
@@ -313,6 +310,28 @@ TEST(Swarm, AvailabilityMatchesNeighbourhoodUnderAttackAndChurn) {
   EXPECT_GT(proto.whitewashes, 0u);
   EXPECT_GT(swarm.metrics().resilience().crashes, 0u);
   EXPECT_GT(retired, proto.whitewashes);
+}
+
+// Figure 5's traced peers: the first of the slowest and fastest classes.
+TEST(Swarm, TraceExtremesFollowSlowestAndFastestClass) {
+  protocols::BitTorrentProtocol proto;
+  Swarm swarm(tiny_config(10), proto);
+  swarm.set_trace_extremes(true);
+  swarm.run();
+  for (const auto& [id, kbps] :
+       {std::pair{swarm.traced_slow_peer(), kLeecherUploadKbps.front()},
+        std::pair{swarm.traced_fast_peer(), kLeecherUploadKbps.back()}}) {
+    const auto* tl = swarm.metrics().timeline(id);
+    ASSERT_NE(tl, nullptr) << id;
+    EXPECT_EQ(swarm.metrics().find(id)->upload_kbps, kbps);
+    std::vector<PieceIndex> pieces;
+    for (const auto& [t, piece] : tl->completed) pieces.push_back(piece);
+    std::sort(pieces.begin(), pieces.end());
+    EXPECT_EQ(pieces, swarm.peer(swarm.seeder_id())->have.to_vector());
+    EXPECT_TRUE(std::is_sorted(
+        tl->completed.begin(), tl->completed.end(),
+        [](const auto& x, const auto& y) { return x.first < y.first; }));
+  }
 }
 
 TEST(Swarm, ControlMessageLatency) {

@@ -137,14 +137,14 @@ TEST(Scenarios, TChainSurvivesSeederlessPeriodDepartures) {
 TEST(Scenarios, MixedBandwidthClassesFinishInOrder) {
   // Faster classes should on average finish earlier (paper's saw-tooth).
   protocols::TChainProtocol proto;
-  auto cfg = scenario_config(proto, 30);
-  cfg.leecher_upload_kbps = {400, 1200};
-  bt::Swarm swarm(cfg, proto);
+  bt::Swarm swarm(scenario_config(proto, 30), proto);
   swarm.run();
   util::RunningStats slow, fast;
   for (const auto* rec : swarm.metrics().all()) {
     if (rec->seeder || !rec->finished()) continue;
-    (rec->upload_kbps == 400 ? slow : fast).add(rec->completion_time());
+    const double t = rec->completion_time();
+    if (rec->upload_kbps == bt::kLeecherUploadKbps.front()) slow.add(t);
+    if (rec->upload_kbps == bt::kLeecherUploadKbps.back()) fast.add(t);
   }
   ASSERT_GT(slow.count(), 0u);
   ASSERT_GT(fast.count(), 0u);

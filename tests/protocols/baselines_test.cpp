@@ -126,13 +126,14 @@ TEST(Baselines, RateBasedSchemesRewardFasterUploaders) {
     auto proto = make_protocol(name);
     auto cfg = small_config(*proto, 30);
     cfg.file_bytes = 96 * cfg.piece_bytes;  // enough pieces for rates to show
-    cfg.leecher_upload_kbps = {400, 1200};
     bt::Swarm swarm(cfg, *proto);
     swarm.run();
     util::RunningStats slow, fast;
     for (const auto* rec : swarm.metrics().all()) {
       if (rec->seeder || !rec->finished()) continue;
-      (rec->upload_kbps == 400 ? slow : fast).add(rec->completion_time());
+      const double t = rec->completion_time();
+      if (rec->upload_kbps == bt::kLeecherUploadKbps.front()) slow.add(t);
+      if (rec->upload_kbps == bt::kLeecherUploadKbps.back()) fast.add(t);
     }
     ASSERT_GT(slow.count(), 0u) << name;
     ASSERT_GT(fast.count(), 0u) << name;

@@ -115,6 +115,28 @@ TEST(TrackerService, ClosedConnectionLeavesMembership) {
   EXPECT_EQ(c.lists[0], (Endpoints{{2, 1002}}));
 }
 
+// UBSan's vptr check reads an unseen (dynamic type, static type) pair's
+// vtable through a pipe, which a full fd table refuses: a false "invalid
+// vptr". So each fd-limit child first caches the pairs it uses, while fds
+// are free: an announce and its reply, and a PeerNode that starts and dials.
+void warm_up_vptr_checks() {
+  Reactor reactor;
+  SwarmContext ctx(reactor, nullptr, core::SwarmFileMeta::make(4, 1024, 1),
+                   "t");
+  TrackerService tracker(reactor, TrackerService::Options{});
+  Listener sink(0);  // the client's endpoint, dialed by the node
+  Client client(2, sink.port());
+  const auto conn =
+      FrameConn::dial(reactor, "127.0.0.1", tracker.port(), &client);
+  PeerNode::Options opts;
+  opts.id = 100;
+  opts.tracker_port = tracker.port();
+  PeerNode node(ctx, opts);
+  node.start();
+  reactor.schedule(0.1, [&reactor] { reactor.stop(); });
+  reactor.run();
+}
+
 // Runs in a forked child, which alone sees the lowered fd limit; returns
 // its exit code. Blocking clients dial the tracker until socket() fails
 // with EMFILE, so their connections queue with no fd left to accept
@@ -189,7 +211,10 @@ int accept_past_fd_limit() {
 void expect_child_passes(int (*body)()) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
-  if (pid == 0) ::_exit(body());
+  if (pid == 0) {
+    warm_up_vptr_checks();
+    ::_exit(body());
+  }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
