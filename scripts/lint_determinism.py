@@ -15,7 +15,9 @@ lint bans the constructs that silently break that promise:
   * range-for over unordered_{map,set} — iteration order is unspecified;
     feeding it into output, aggregation, or event scheduling makes runs
     diverge across standard libraries. Iterate a sorted copy or an ordered
-    container instead.
+    container instead. A name counts as unordered if the file or its
+    paired header (foo.h for foo.cpp) declares it so, and the loop may
+    reach it through member access (`st.name`, `p->name`).
   * sans-IO layering            — no file under src/core/ may include
                                   src/rt/, src/protocols/, src/sim/,
                                   src/exp/, any src/bt/ header but
@@ -35,6 +37,10 @@ Escapes:
     provably order-insensitive folds, e.g. counting matches);
   * WHITELIST entries suppress a rule for a whole file (timing code that
     is documented as nondeterministic, the RNG implementation itself).
+
+`--self-test` scans the fixtures in scripts/lint_fixtures/ instead: each
+line marked `lint-expect: <rule>` must be reported with that rule, and
+no other line may be.
 
 Exit status: 0 clean, 1 findings. Run from the repo root (CI does).
 """
@@ -98,13 +104,14 @@ SANS_IO_RULES = [
     ),
 ]
 
-# Range-for directly over an unordered container member/variable. Two
-# patterns: `for (... : name)` where `name` was declared unordered in the
-# same file, and the inline `for (... : fn())` case is left to review.
+# Range-for directly over an unordered container member/variable:
+# `for (... : name)`, `for (... : obj.name)` or `for (... : p->name)` where
+# `name` was declared unordered in the file or its paired header. The
+# inline `for (... : fn())` case is left to review.
 UNORDERED_DECL = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;{=(]"
 )
-RANGE_FOR = re.compile(r"for\s*\(.*?:\s*(?:this->)?(\w+)\s*\)")
+RANGE_FOR = re.compile(r"for\s*\(.*?:\s*(?:\w+(?:\.|->))*(\w+)\s*\)")
 
 DET_OK = "det-ok"
 
@@ -142,6 +149,14 @@ def strip_comments_keep_lines(text: str) -> list[str]:
     return out
 
 
+def unordered_names(code_lines: list[str]) -> set[str]:
+    return {
+        m.group(1)
+        for line in code_lines
+        for m in UNORDERED_DECL.finditer(line)
+    }
+
+
 def scan_file(path: Path) -> list[str]:
     rel = path.as_posix()
     raw_lines = path.read_text(encoding="utf-8").splitlines()
@@ -175,15 +190,18 @@ def scan_file(path: Path) -> list[str]:
                     f"is included"
                 )
 
-    # Pass 2: names declared as unordered containers in this file, then
-    # range-for'd. Order-insensitive loops get a `// det-ok`.
-    unordered_names = set()
-    for line in code_lines:
-        for m in UNORDERED_DECL.finditer(line):
-            unordered_names.add(m.group(1))
+    # Pass 2: names declared as unordered containers in this file or its
+    # paired header, then range-for'd. Order-insensitive loops get a
+    # `// det-ok`.
+    names = unordered_names(code_lines)
+    header = path.with_suffix(".h")
+    if path.suffix == ".cpp" and header.is_file():
+        names |= unordered_names(
+            strip_comments_keep_lines(header.read_text(encoding="utf-8"))
+        )
     for lineno, line in enumerate(code_lines, start=1):
         m = RANGE_FOR.search(line)
-        if m and m.group(1) in unordered_names and not exempt("unordered-iter", lineno):
+        if m and m.group(1) in names and not exempt("unordered-iter", lineno):
             findings.append(
                 f"{rel}:{lineno}: [unordered-iter] range-for over unordered "
                 f"container '{m.group(1)}' has unspecified order; sort first "
@@ -192,8 +210,47 @@ def scan_file(path: Path) -> list[str]:
     return findings
 
 
+FINDING = re.compile(r"^(.*):(\d+): \[([\w-]+)\]")
+EXPECT = re.compile(r"lint-expect: ([\w-]+)")
+
+
+def self_test(fixtures: Path) -> int:
+    """Checks the rules against fixtures whose expected findings are
+    marked `lint-expect: <rule>` on the offending line."""
+    failures = []
+    paths = sorted(p for p in fixtures.rglob("*") if p.suffix in EXTENSIONS)
+    for path in paths:
+        expected = {
+            (lineno, m.group(1))
+            for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            )
+            for m in [EXPECT.search(line)]
+            if m
+        }
+        got = set()
+        for f in scan_file(path):
+            m = FINDING.match(f)
+            got.add((int(m.group(2)), m.group(3)))
+        for lineno, rule in sorted(expected - got):
+            failures.append(f"{path.name}:{lineno}: [{rule}] not reported")
+        for lineno, rule in sorted(got - expected):
+            failures.append(f"{path.name}:{lineno}: [{rule}] reported, not expected")
+    if not paths:
+        failures.append(f"no fixtures under {fixtures}")
+    if failures:
+        print(f"determinism lint self-test: {len(failures)} failure(s)")
+        for f in failures:
+            print(f"  {f}")
+        return 1
+    print(f"determinism lint self-test: {len(paths)} fixture(s) as expected")
+    return 0
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test(root / "scripts" / "lint_fixtures")
     findings = []
     for d in SCAN_DIRS:
         for path in sorted((root / d).rglob("*")):

@@ -149,32 +149,30 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
   dst->requested.set(piece);
 
   const sim::FlowId id = bw_.start_flow(
-      from, to, static_cast<double>(cfg_.piece_bytes), [this](sim::FlowId fid) {
-        const auto it = flows_.find(fid);
-        if (it == flows_.end()) return;
-        FlowInfo info = std::move(it->second);
-        erase_flow(it);
-
-        auto& up = metrics_.record(info.from);
-        up.pieces_uploaded += 1;
-        up.bytes_uploaded += static_cast<double>(cfg_.piece_bytes);
-        metrics_.record(info.to).bytes_downloaded +=
-            static_cast<double>(cfg_.piece_bytes);
+      from, to, static_cast<double>(cfg_.piece_bytes),
+      [this, from, to, piece, on_done = std::move(on_done)](sim::FlowId fid,
+                                                            bool ok) {
+        if (ok) {
+          auto& up = metrics_.record(from);
+          up.pieces_uploaded += 1;
+          up.bytes_uploaded += static_cast<double>(cfg_.piece_bytes);
+          metrics_.record(to).bytes_downloaded +=
+              static_cast<double>(cfg_.piece_bytes);
+        } else if (Peer* dst = peer(to); dst && !dst->have.get(piece)) {
+          dst->requested.clear(piece);  // allow a re-fetch elsewhere
+        }
         if (obs_ != nullptr) {
           obs_->emit({.t = sim_.now(),
-                      .kind = obs::EventKind::kPieceDelivered,
-                      .piece = info.piece,
-                      .a = info.from,
-                      .b = info.to,
+                      .kind = ok ? obs::EventKind::kPieceDelivered
+                                 : obs::EventKind::kPieceAborted,
+                      .piece = piece,
+                      .a = from,
+                      .b = to,
                       .ref = fid});
         }
-
-        if (info.on_done) info.on_done(info.from, info.to, info.piece, true);
+        if (on_done) on_done(from, to, piece, ok);
       },
       weight);
-  flows_[id] = FlowInfo{from, to, piece, std::move(on_done)};
-  ++slots_[from].live_flows;
-  ++slots_[to].live_flows;
   if (obs_ != nullptr) {
     obs_->emit({.t = sim_.now(),
                 .kind = obs::EventKind::kPieceSent,
@@ -275,14 +273,12 @@ void Swarm::schedule_next_outage(PeerId id) {
 void Swarm::begin_outage(PeerId id) {
   const Peer* p = peer(id);
   if (p == nullptr || !p->active) return;
-  const double cap = bw_.capacity(id);
-  if (cap <= 0.0 || outage_saved_.count(id) > 0) {
+  if (bw_.capacity(id) <= 0.0) {
     // Nothing to darken (free-rider pipe) — keep the process alive anyway.
     schedule_next_outage(id);
     return;
   }
   ++metrics_.resilience().upload_outages;
-  outage_saved_[id] = cap;
   bw_.set_capacity(id, 0.0);
   if (obs_ != nullptr) {
     obs_->emit({.t = sim_.now(),
@@ -294,19 +290,19 @@ void Swarm::begin_outage(PeerId id) {
 }
 
 void Swarm::end_outage(PeerId id) {
-  const auto it = outage_saved_.find(id);
-  if (it == outage_saved_.end()) return;  // identity rekeyed away
-  const double cap = it->second;
-  outage_saved_.erase(it);
-  if (is_active(id)) {
-    bw_.set_capacity(id, cap);
-    if (obs_ != nullptr) {
-      obs_->emit({.t = sim_.now(),
-                  .kind = obs::EventKind::kFaultOutageEnd,
-                  .a = id});
-    }
-    schedule_next_outage(id);
+  const Peer* p = peer(id);
+  if (p == nullptr || !p->active) return;
+  bw_.set_capacity(id, class_rate(*p));
+  if (obs_ != nullptr) {
+    obs_->emit({.t = sim_.now(),
+                .kind = obs::EventKind::kFaultOutageEnd,
+                .a = id});
   }
+  schedule_next_outage(id);
+}
+
+double Swarm::class_rate(const Peer& p) {
+  return p.freerider ? 0.0 : util::kbps_to_bytes_per_sec(p.upload_kbps);
 }
 
 void Swarm::finish_peer(PeerId id) {
@@ -352,42 +348,9 @@ void Swarm::cut_off(PeerId id) {
     proto_.on_neighbor_removed(id, n);
   }
 
-  // Abort transfers in both directions, in flows_' (hash) iteration order.
-  // The order is observable: each abort callback may draw from rng_ or
-  // start flows, and aborting in FlowId order changes the runs' output.
-  // Switching to FlowId order waits for a change allowed to move bench
-  // numbers (ROADMAP, one T-Chain engine). A leaver with no live flow (the
-  // common case: a finisher) skips the scan.
-  if (slots_[id].live_flows == 0) return;
-  std::vector<sim::FlowId> dead;
-  for (const auto& [fid, info] : flows_) {
-    if (info.from == id || info.to == id) dead.push_back(fid);
-  }
-  for (sim::FlowId fid : dead) {
-    auto it = flows_.find(fid);
-    if (it == flows_.end()) continue;
-    FlowInfo info = std::move(it->second);
-    erase_flow(it);
-    bw_.cancel_flow(info.from, fid);
-    if (Peer* dst = peer(info.to); dst && !dst->have.get(info.piece)) {
-      dst->requested.clear(info.piece);  // allow a re-fetch elsewhere
-    }
-    if (obs_ != nullptr) {
-      obs_->emit({.t = sim_.now(),
-                  .kind = obs::EventKind::kPieceAborted,
-                  .piece = info.piece,
-                  .a = info.from,
-                  .b = info.to,
-                  .ref = fid});
-    }
-    if (info.on_done) info.on_done(info.from, info.to, info.piece, false);
-  }
-}
-
-void Swarm::erase_flow(std::unordered_map<sim::FlowId, FlowInfo>::iterator it) {
-  --slots_[it->second.from].live_flows;
-  --slots_[it->second.to].live_flows;
-  flows_.erase(it);
+  // Each abort callback may draw from rng_ or start flows, so the order is
+  // observable output: ascending FlowId, set by the model.
+  bw_.abort_flows(id);
 }
 
 void Swarm::depart(PeerId id, DepartKind kind) {
@@ -442,20 +405,11 @@ PeerId Swarm::whitewash(PeerId id) {
   // slot is left empty, its row freed.
   const PeerId fresh = allocate_id();
   slots_[fresh] = std::exchange(slots_[id], Slot{});
-  // Live flows stay counted against the id they were started with.
-  std::swap(slots_[fresh].live_flows, slots_[id].live_flows);
   Peer& moved = *slots_[fresh].peer;
   moved.id = fresh;
   moved.requested = moved.have;  // in-flight claims die with the identity
   metrics_.rekey(id, fresh);
-  // If the old identity was mid-outage, the fresh one starts with the
-  // real (pre-outage) capacity; the pending end-outage event dies.
-  if (const auto out = outage_saved_.find(id); out != outage_saved_.end()) {
-    bw_.set_capacity(fresh, out->second);
-    outage_saved_.erase(out);
-  } else {
-    bw_.set_capacity(fresh, bw_.capacity(id));
-  }
+  bw_.set_capacity(fresh, class_rate(moved));
   tracker_.announce(fresh);
 
   if (obs_ != nullptr) {
@@ -571,8 +525,7 @@ void Swarm::add_leecher(PeerId id, double upload_kbps, bool freerider,
   rec.join_time = now;
   rec.pieces_downloaded = static_cast<std::int64_t>(p->have.count());
 
-  bw_.set_capacity(
-      id, freerider ? 0.0 : util::kbps_to_bytes_per_sec(upload_kbps));
+  bw_.set_capacity(id, class_rate(*p));
   slots_[id].avail.assign(piece_count_, 0);
   if (obs_ != nullptr) {
     std::uint8_t flags = 0;

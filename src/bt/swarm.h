@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/metrics.h"
@@ -150,13 +149,17 @@ class Swarm {
   void schedule_next_outage(PeerId id);
   void begin_outage(PeerId id);
   void end_outage(PeerId id);
+  // A leecher's upload rate in bytes/s: its class rate, 0 for a
+  // free-rider.
+  static double class_rate(const Peer& p);
   void setup_peer_links(PeerId id);
   void schedule_maintenance(PeerId id);
   void maintenance_tick(PeerId id);
   void finish_peer(PeerId id);
   // Leave path shared by depart() and whitewash(): disconnects every
   // neighbour, leaving `id`'s availability row all zero, then aborts every
-  // flow to or from `id` (each flow's on_done sees ok == false).
+  // flow to or from `id` in ascending FlowId (each flow's on_done sees
+  // ok == false).
   void cut_off(PeerId id);
   void check_done();
 
@@ -171,8 +174,6 @@ class Swarm {
   analysis::SwarmMetrics metrics_;
   std::unique_ptr<obs::Trace> obs_owned_;
   obs::Trace* obs_ = nullptr;  // null unless enable_obs() was called
-  // Pre-outage upload capacity of peers currently dark.
-  std::unordered_map<PeerId, double> outage_saved_;
 
   std::size_t piece_count_ = 0;
   PeerId seeder_id_ = net::kNoPeer;
@@ -184,19 +185,8 @@ class Swarm {
     std::unique_ptr<Peer> peer;  // heap-held: Peer* outlives slots_ growth
     // avail[i]: how many of peer's neighbours hold piece i.
     std::vector<std::uint32_t> avail;
-    // flows_ entries from or to this id; cut_off scans flows_ only if > 0.
-    std::uint32_t live_flows = 0;
   };
   std::vector<Slot> slots_;
-
-  struct FlowInfo {
-    PeerId from, to;
-    PieceIndex piece;
-    TransferFn on_done;
-  };
-  std::unordered_map<sim::FlowId, FlowInfo> flows_;
-  // Erases a flows_ entry and uncounts it from both endpoints' slots.
-  void erase_flow(std::unordered_map<sim::FlowId, FlowInfo>::iterator it);
 
   std::vector<SimTime> arrivals_;
   std::size_t arrivals_started_ = 0;

@@ -63,8 +63,9 @@ void ChokingProtocol::rechoke(PeerId id) {
   ChokeState& st = state(id);
   obs::Trace* tr = swarm_->obs();
 
-  // Tracing: snapshot the unchoke set so the recompute can be diffed into
-  // kChoke / kUnchoke events. Reads only; never perturbs the run.
+  // Tracing: snapshot the (ascending) unchoke set so the recompute can be
+  // diffed into kChoke / kUnchoke events. Reads only; never perturbs the
+  // run.
   std::vector<PeerId> before;
   if (tr != nullptr) {
     before.reserve(st.unchoked.size());
@@ -72,7 +73,6 @@ void ChokingProtocol::rechoke(PeerId id) {
       (void)w;
       before.push_back(n);
     }
-    std::sort(before.begin(), before.end());
   }
 
   const bool freerider = p->freerider && !p->seeder;
@@ -84,23 +84,18 @@ void ChokingProtocol::rechoke(PeerId id) {
   }
 
   if (tr != nullptr) {
-    std::vector<PeerId> after;
-    after.reserve(st.unchoked.size());
-    for (const auto& [n, w] : st.unchoked) {
-      (void)w;
-      after.push_back(n);
-    }
-    std::sort(after.begin(), after.end());
     const util::SimTime now = swarm_->simulator().now();
-    std::size_t i = 0, j = 0;  // merge-walk the sorted before/after sets
-    while (i < before.size() || j < after.size()) {
-      if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+    // Merge-walk the ascending before/after sets.
+    auto i = before.begin();
+    auto j = st.unchoked.begin();
+    while (i != before.end() || j != st.unchoked.end()) {
+      if (j == st.unchoked.end() || (i != before.end() && *i < j->first)) {
         tr->emit({.t = now, .kind = obs::EventKind::kChoke, .a = id,
-                  .b = before[i]});
+                  .b = *i});
         ++i;
-      } else if (i == before.size() || after[j] < before[i]) {
+      } else if (i == before.end() || j->first < *i) {
         tr->emit({.t = now, .kind = obs::EventKind::kUnchoke, .a = id,
-                  .b = after[j]});
+                  .b = j->first});
         ++j;
       } else {
         ++i;

@@ -4,6 +4,7 @@
 // decide who gets unchoked and with what bandwidth weight.
 #pragma once
 
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,8 +27,9 @@ class ChokingProtocol : public bt::Protocol {
     // Bytes received from each neighbor in the current / previous round.
     std::unordered_map<PeerId, double> recv_cur;
     std::unordered_map<PeerId, double> recv_prev;
-    // Current unchoke set with per-flow bandwidth weights.
-    std::unordered_map<PeerId, double> unchoked;
+    // Current unchoke set with per-flow bandwidth weights, ascending by
+    // id: uploads start in this order.
+    std::map<PeerId, double> unchoked;
     // Neighbors to which an upload flow is currently in flight.
     std::unordered_set<PeerId> uploading;
     PeerId optimistic = net::kNoPeer;

@@ -27,7 +27,7 @@ void TChainProtocol::on_run_start() {
   // Census tick loop for the Figures 10/11 series (replayed offline by
   // obs::ChainView). Scheduled unconditionally so the simulator's event-id
   // sequence — and therefore the run — is identical with tracing off.
-  swarm_->simulator().schedule_in(census_period_, [this] { census_loop(); });
+  swarm_->simulator().schedule_in(kCensusPeriod, [this] { census_loop(); });
 }
 
 void TChainProtocol::on_peer_join(PeerId id) {
@@ -103,7 +103,7 @@ void TChainProtocol::census_loop() {
     tr->emit({.t = swarm_->simulator().now(),
               .kind = obs::EventKind::kCensusTick});
   }
-  swarm_->simulator().schedule_in(census_period_, [this] { census_loop(); });
+  swarm_->simulator().schedule_in(kCensusPeriod, [this] { census_loop(); });
 }
 
 void TChainProtocol::break_chain(ChainId id, obs::ChainBreakCause cause) {

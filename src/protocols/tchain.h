@@ -31,6 +31,10 @@ using bt::PieceIndex;
 using core::ChainId;
 using core::TxId;
 
+// Seconds between kCensusTick events, the sample points of the Fig 10/11
+// active-chain series.
+inline constexpr double kCensusPeriod = 5.0;
+
 class TChainProtocol : public bt::Protocol {
  public:
   std::string name() const override { return "T-Chain"; }
@@ -123,7 +127,6 @@ class TChainProtocol : public bt::Protocol {
   // as a payee; we pool it for simulation efficiency — the distinction
   // only affects how fast gift eligibility is learned, not who earns it.
   std::unordered_set<PeerId> proven_;
-  double census_period_ = 5.0;
 };
 
 }  // namespace tc::protocols

@@ -1,7 +1,6 @@
 #include "src/sim/bandwidth.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace tc::sim {
@@ -14,36 +13,49 @@ constexpr double kEps = 1e-6;
 void BandwidthModel::set_capacity(NodeId src, double bytes_per_sec) {
   if (bytes_per_sec < 0) throw std::invalid_argument("negative capacity");
   settle(src);
-  // settle() may fire callbacks that grow uploaders_; re-index.
-  auto& u = uploaders_[src];
+  // settle() may fire callbacks that grow nodes_; re-index.
+  auto& u = nodes_[src];
   u.capacity = bytes_per_sec;
   reschedule(src, u);
 }
 
 double BandwidthModel::capacity(NodeId src) const {
-  return src < uploaders_.size() ? uploaders_[src].capacity : 0.0;
+  return src < nodes_.size() ? nodes_[src].capacity : 0.0;
 }
 
-double BandwidthModel::total_weight(const Uploader& u) const {
+double BandwidthModel::total_weight(const Node& u) const {
   double w = 0.0;
   for (const auto& f : u.flows) w += f.weight;
   return w;
 }
 
+BandwidthModel::Flow* BandwidthModel::find(NodeId src, FlowId id) {
+  if (src >= nodes_.size()) return nullptr;
+  auto& flows = nodes_[src].flows;
+  const auto it = std::find_if(flows.begin(), flows.end(),
+                               [id](const Flow& f) { return f.id == id; });
+  return it == flows.end() ? nullptr : &*it;
+}
+
+void BandwidthModel::unlink_inbound(NodeId dst, FlowId id) {
+  auto& in = nodes_[dst].inbound;
+  const auto it = std::find_if(in.begin(), in.end(),
+                               [id](const FlowRef& r) { return r.id == id; });
+  *it = in.back();
+  in.pop_back();
+}
+
 void BandwidthModel::settle(NodeId src) {
-  if (src >= uploaders_.size()) uploaders_.resize(std::size_t{src} + 1);
-  Uploader& u = uploaders_[src];
+  if (src >= nodes_.size()) nodes_.resize(std::size_t{src} + 1);
+  Node& u = nodes_[src];
   const SimTime now = sim_.now();
   const double dt = now - u.last_settle;
   u.last_settle = now;
   if (dt > 0 && u.capacity > 0 && !u.flows.empty()) {
     const double w_total = total_weight(u);
     for (auto& f : u.flows) {
-      const double delivered =
+      f.remaining -=
           std::min(f.remaining, u.capacity * (f.weight / w_total) * dt);
-      f.remaining -= delivered;
-      u.uploaded += delivered;
-      downloaded_[f.dst] += delivered;
     }
   }
 
@@ -53,6 +65,7 @@ void BandwidthModel::settle(NodeId src) {
   std::vector<Flow> done = std::move(done_);
   for (auto it = u.flows.begin(); it != u.flows.end();) {
     if (it->remaining <= kEps) {
+      unlink_inbound(it->dst, it->id);
       done.push_back(std::move(*it));
       it = u.flows.erase(it);
     } else {
@@ -61,17 +74,17 @@ void BandwidthModel::settle(NodeId src) {
   }
   if (!done.empty()) {
     reschedule(src, u);
-    // NOTE: `u` may dangle once callbacks grow uploaders_; don't touch it
+    // NOTE: `u` may dangle once callbacks grow nodes_; don't touch it
     // after this point.
     for (auto& f : done) {
-      if (f.on_complete) f.on_complete(f.id);
+      if (f.on_done) f.on_done(f.id, true);
     }
     done.clear();
   }
   if (done.capacity() > done_.capacity()) done_ = std::move(done);
 }
 
-void BandwidthModel::reschedule(NodeId src, Uploader& u) {
+void BandwidthModel::reschedule(NodeId src, Node& u) {
   if (u.next_completion.valid()) {
     sim_.cancel(u.next_completion);
     u.next_completion = {};
@@ -85,64 +98,60 @@ void BandwidthModel::reschedule(NodeId src, Uploader& u) {
     earliest = std::min(earliest, f.remaining / rate);
   }
   u.next_completion = sim_.schedule_in(earliest, [this, src] {
-    uploaders_[src].next_completion = {};
+    nodes_[src].next_completion = {};
     settle(src);
-    Uploader& again = uploaders_[src];
+    Node& again = nodes_[src];
     if (!again.next_completion.valid()) reschedule(src, again);
   });
 }
 
 FlowId BandwidthModel::start_flow(NodeId src, NodeId dst, double bytes,
-                                  CompletionFn on_complete, double weight) {
+                                  FlowFn on_done, double weight) {
   if (weight <= 0) throw std::invalid_argument("flow weight must be positive");
   if (bytes < 0) throw std::invalid_argument("negative flow size");
   const FlowId id = next_flow_id_++;
-  if (dst >= downloaded_.size()) downloaded_.resize(std::size_t{dst} + 1, 0.0);
+  if (dst >= nodes_.size()) nodes_.resize(std::size_t{dst} + 1);
   settle(src);
-  // settle() may have fired callbacks that grew uploaders_; re-index.
-  auto& u = uploaders_[src];
-  u.flows.push_back(Flow{id, dst, bytes, weight, std::move(on_complete)});
+  // settle() may have fired callbacks that grew nodes_; re-index.
+  auto& u = nodes_[src];
+  u.flows.push_back(Flow{id, dst, bytes, weight, std::move(on_done)});
+  nodes_[dst].inbound.push_back(FlowRef{id, src});
   reschedule(src, u);
   return id;
 }
 
 bool BandwidthModel::cancel_flow(NodeId src, FlowId id) {
-  const auto is_it = [id](const Flow& f) { return f.id == id; };
   // An unknown flow changes nothing at src: no settle.
-  if (src >= uploaders_.size() ||
-      std::none_of(uploaders_[src].flows.begin(), uploaders_[src].flows.end(),
-                   is_it)) {
-    return false;
-  }
+  if (find(src, id) == nullptr) return false;
   settle(src);
-  auto& u = uploaders_[src];
-  const auto it = std::find_if(u.flows.begin(), u.flows.end(), is_it);
-  if (it == u.flows.end()) return false;  // completed during settle
-  u.flows.erase(it);
+  Flow* f = find(src, id);
+  if (f == nullptr) return false;  // completed during settle
+  unlink_inbound(f->dst, id);
+  auto& u = nodes_[src];
+  u.flows.erase(u.flows.begin() + (f - u.flows.data()));
   reschedule(src, u);
   return true;
 }
 
-std::size_t BandwidthModel::active_flow_count(NodeId src) const {
-  return src < uploaders_.size() ? uploaders_[src].flows.size() : 0;
-}
-
-double BandwidthModel::bytes_uploaded(NodeId src) const {
-  if (src >= uploaders_.size()) return 0.0;
-  // Include unsettled progress so metrics are exact at query time.
-  const Uploader& u = uploaders_[src];
-  double total = u.uploaded;
-  const double dt = sim_.now() - u.last_settle;
-  if (dt > 0 && u.capacity > 0 && !u.flows.empty()) {
-    const double w_total = total_weight(u);
-    for (const auto& f : u.flows)
-      total += std::min(f.remaining, u.capacity * (f.weight / w_total) * dt);
+void BandwidthModel::abort_flows(NodeId node) {
+  if (node >= nodes_.size()) return;
+  const Node& n = nodes_[node];
+  if (n.flows.empty() && n.inbound.empty()) return;
+  std::vector<FlowRef> dead(n.inbound);
+  for (const Flow& f : n.flows) dead.push_back(FlowRef{f.id, node});
+  std::sort(dead.begin(), dead.end(),
+            [](const FlowRef& a, const FlowRef& b) { return a.id < b.id; });
+  for (const auto& [id, src] : dead) {
+    // Gone already: delivered by an earlier abort's settle, or a self-flow
+    // listed twice.
+    Flow* f = find(src, id);
+    if (f == nullptr) continue;
+    // Taken out first, so a completion in cancel_flow's settle reports
+    // nothing for this flow.
+    FlowFn on_done = std::exchange(f->on_done, nullptr);
+    cancel_flow(src, id);
+    if (on_done) on_done(id, false);
   }
-  return total;
-}
-
-double BandwidthModel::bytes_downloaded(NodeId dst) const {
-  return dst < downloaded_.size() ? downloaded_[dst] : 0.0;
 }
 
 }  // namespace tc::sim

@@ -8,16 +8,20 @@
 // changes or a completion fires, keeping the model O(flows-per-uploader)
 // per change rather than O(total flows).
 //
-// State is dense: uploaders and download totals are vectors indexed by
-// NodeId (swarm ids are minted densely from 1), grown on first use, and a
-// flow lives only in its uploader's list (cancelling names the uploader),
-// so no flow start, settle or completion touches a hash table. Callbacks
-// may start or cancel flows reentrantly and so grow the vectors: code
-// that fires them re-indexes afterwards.
+// The model is the only record of an in-flight flow. State is dense: nodes
+// are a vector indexed by NodeId (swarm ids are minted densely from 1),
+// grown on first use. A flow lives in its uploader's list, and its
+// destination keeps a (FlowId, uploader) reference to it so abort_flows
+// finds a node's inbound flows without a scan; no flow start, settle or
+// completion touches a hash table. Callbacks may start, cancel or abort
+// flows reentrantly and so grow the vector: code that fires them
+// re-indexes afterwards.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -30,8 +34,9 @@ using FlowId = std::uint64_t;
 
 class BandwidthModel {
  public:
-  // Invoked when a flow delivers its last byte. Receives the flow id.
-  using CompletionFn = std::function<void(FlowId)>;
+  // Invoked once per flow: when it delivers its last byte (ok == true), or
+  // when abort_flows removes it first (ok == false).
+  using FlowFn = std::function<void(FlowId, bool ok)>;
 
   explicit BandwidthModel(Simulator& sim) : sim_(sim) {}
 
@@ -43,18 +48,32 @@ class BandwidthModel {
 
   // Starts a flow of `bytes` from `src` to `dst`. `weight` scales this
   // flow's share of src's capacity relative to its siblings (> 0).
-  FlowId start_flow(NodeId src, NodeId dst, double bytes,
-                    CompletionFn on_complete, double weight = 1.0);
+  FlowId start_flow(NodeId src, NodeId dst, double bytes, FlowFn on_done,
+                    double weight = 1.0);
+  // Completion-only form: `on_complete(id)` runs on delivery; an abort
+  // reports nothing.
+  template <std::invocable<FlowId> F>
+  FlowId start_flow(NodeId src, NodeId dst, double bytes, F on_complete,
+                    double weight = 1.0) {
+    return start_flow(
+        src, dst, bytes,
+        FlowFn([f = std::move(on_complete)](FlowId id, bool ok) mutable {
+          if (ok) f(id);
+        }),
+        weight);
+  }
 
   // Cancels src's in-flight flow `id` (no callback). Returns false if src
   // has no such flow (already completed or never existed).
   bool cancel_flow(NodeId src, FlowId id);
 
-  std::size_t active_flow_count(NodeId src) const;
-
-  // Cumulative delivered bytes (completed + settled partial progress).
-  double bytes_uploaded(NodeId src) const;
-  double bytes_downloaded(NodeId dst) const;
+  // Aborts every flow from or to `node`, in ascending FlowId. Each is
+  // cancelled as cancel_flow does (its uploader settled up to now, sibling
+  // flows re-timed), then its callback runs with ok == false; a flow due at
+  // this same instant is aborted, not delivered. Flows that the callbacks
+  // start are left alone; one that an earlier abort's settle delivered is
+  // skipped.
+  void abort_flows(NodeId node);
 
  private:
   struct Flow {
@@ -62,26 +81,32 @@ class BandwidthModel {
     NodeId dst;
     double remaining;
     double weight;
-    CompletionFn on_complete;
+    FlowFn on_done;
+  };
+  struct FlowRef {
+    FlowId id;
+    NodeId src;
   };
 
-  struct Uploader {
+  struct Node {
     double capacity = 0.0;
-    double uploaded = 0.0;  // settled cumulative bytes
     SimTime last_settle = 0.0;
-    std::vector<Flow> flows;
+    std::vector<Flow> flows;       // outbound, ascending FlowId
+    std::vector<FlowRef> inbound;  // flows to this node, any order
     Simulator::EventId next_completion;
   };
 
   // Advances all of src's flows to sim_.now() and fires completions
   // (creating src's state on first use).
   void settle(NodeId src);
-  void reschedule(NodeId src, Uploader& u);
-  double total_weight(const Uploader& u) const;
+  void reschedule(NodeId src, Node& u);
+  double total_weight(const Node& u) const;
+  Flow* find(NodeId src, FlowId id);
+  // Drops `id`'s reference from dst's inbound list.
+  void unlink_inbound(NodeId dst, FlowId id);
 
   Simulator& sim_;
-  std::vector<Uploader> uploaders_;  // indexed by NodeId
-  std::vector<double> downloaded_;  // indexed by NodeId
+  std::vector<Node> nodes_;  // indexed by NodeId
   std::vector<Flow> done_;  // settle's finished-flow buffer, kept for reuse
   FlowId next_flow_id_ = 1;
 };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <tuple>
 
 #include "src/protocols/choking.h"
 
@@ -187,6 +188,96 @@ TEST(Swarm, DepartAbortsTransfersAndClearsRequested) {
   EXPECT_FALSE(swarm.is_active(leechers[0]));
   // Departed peer no longer neighbors anyone.
   EXPECT_FALSE(swarm.peer(leechers[1])->is_neighbor(leechers[0]));
+}
+
+TEST(Swarm, LeaverGetsOneAbortPerTransferInFlowIdOrder) {
+  NullProtocol proto;
+  Swarm swarm(tiny_config(3), proto);
+  swarm.run();
+  const PeerId seeder = swarm.seeder_id();
+  std::vector<PeerId> l;
+  for (PeerId id : swarm.active_peers())
+    if (id != seeder) l.push_back(id);
+  ASSERT_EQ(l.size(), 3u);
+  const PeerId leaver = l[0];
+
+  using Transfer = std::tuple<PeerId, PeerId, PieceIndex, bool>;
+  std::vector<Transfer> reports;
+  const auto record = [&](PeerId from, PeerId to, PieceIndex piece, bool ok) {
+    reports.emplace_back(from, to, piece, ok);
+  };
+  // The leaver's transfers, inbound and outbound interleaved, in the order
+  // their flows (and FlowIds) are minted; plus one that does not touch it.
+  const std::vector<Transfer> leaver_flows = {{seeder, leaver, 0, false},
+                                              {leaver, l[1], 1, false},
+                                              {l[2], leaver, 2, false},
+                                              {leaver, l[2], 3, false}};
+  sim::FlowId last = 0;
+  for (const auto& [from, to, piece, ok] : leaver_flows) {
+    const sim::FlowId id = swarm.start_upload(from, to, piece, 1.0, record);
+    EXPECT_GT(id, last);
+    last = id;
+  }
+  swarm.start_upload(seeder, l[1], 2, 1.0, record);
+  swarm.depart(leaver);
+  EXPECT_EQ(reports, leaver_flows);
+
+  // The receivers may fetch the aborted pieces again.
+  EXPECT_FALSE(swarm.peer(l[1])->requested.get(1));
+  EXPECT_FALSE(swarm.peer(l[2])->requested.get(3));
+  swarm.start_upload(seeder, l[2], 3, 1.0, record);
+  reports.clear();
+  swarm.simulator().run(swarm.simulator().now() + 60.0);
+  EXPECT_EQ(reports, (std::vector<Transfer>{{seeder, l[1], 2, true},
+                                           {seeder, l[2], 3, true}}));
+}
+
+// Passes every trace event to a callback as it is emitted.
+struct SinkFn : obs::EventSink {
+  std::function<void(const obs::TraceEvent&)> fn;
+  void on_event(const obs::TraceEvent& e) override { fn(e); }
+};
+
+TEST(Swarm, OutageDarkensUploadsThenRestoresTheClassRate) {
+  NullProtocol proto;
+  auto cfg = tiny_config(3);
+  cfg.max_sim_time = 2'000.0;
+  cfg.faults.outage_rate = 0.01;
+  cfg.faults.outage_mean_duration = 20.0;
+  SinkFn sink;  // outlives the swarm's trace
+  Swarm swarm(cfg, proto);
+  swarm.enable_obs(obs::TraceConfig{});
+
+  // The first peer to go dark starts one upload at once; nothing else
+  // uploads, so its only flow progresses at whatever the peer's capacity
+  // is.
+  PeerId dark = net::kNoPeer;
+  double began = -1, ended = -1, delivered = -1;
+  sink.fn = [&](const obs::TraceEvent& e) {
+    if (e.kind == obs::EventKind::kFaultOutageBegin && dark == net::kNoPeer) {
+      dark = e.a;
+      began = e.t;
+      swarm.simulator().schedule_in(0.0, [&] {
+        swarm.start_upload(dark, swarm.seeder_id(), 0, 1.0,
+                           [&](PeerId, PeerId, PieceIndex, bool ok) {
+                             if (ok) delivered = swarm.simulator().now();
+                           });
+      });
+    } else if (e.kind == obs::EventKind::kFaultOutageEnd && e.a == dark &&
+               ended < 0) {
+      ended = e.t;
+    }
+  };
+  swarm.obs()->set_sink(&sink);
+  swarm.run();
+
+  ASSERT_NE(dark, net::kNoPeer);
+  ASSERT_GT(ended, began);
+  // Capacity 0 while dark: not a byte moves before the outage ends. Then
+  // the piece goes at the peer's class rate.
+  const double rate = util::kbps_to_bytes_per_sec(swarm.peer(dark)->upload_kbps);
+  EXPECT_NEAR(delivered,
+              ended + static_cast<double>(cfg.piece_bytes) / rate, 1e-6);
 }
 
 TEST(Swarm, WhitewashKeepsPiecesUnderNewIdentity) {

@@ -19,7 +19,7 @@ namespace {
 
 // SHA-256 of write_csv(records, /*include_timing=*/false) below.
 constexpr const char* kGolden =
-    "689902bc5b758554b6660bc537e6bc1ccaf740783eec0aae7b076567c852b801";
+    "46fbdf70cd200832bcc3f5a4f42ae0df682b30c4a8fb3c01bca2b36573f1aa80";
 
 // Shaped like perfbench's sim-attack-churn workload at its smoke size.
 std::vector<RunSpec> attack_churn_specs() {

@@ -65,11 +65,16 @@ TEST_P(BandwidthRandomized, CancellationsNeverBreakAccounting) {
   bw.set_capacity(1, 10'000.0);
 
   int completions = 0;
+  double completed_bytes = 0;
+  double last_completion = 0;
   std::vector<FlowId> ids;
   for (int i = 0; i < 40; ++i) {
-    ids.push_back(
-        bw.start_flow(1, 2, rng.uniform(1000.0, 50'000.0),
-                      [&completions](FlowId) { ++completions; }));
+    const double bytes = rng.uniform(1000.0, 50'000.0);
+    ids.push_back(bw.start_flow(1, 2, bytes, [&, bytes](FlowId) {
+      ++completions;
+      completed_bytes += bytes;
+      last_completion = sim.now();
+    }));
   }
   // Cancel a random half at random times.
   int cancelled = 0;
@@ -81,9 +86,9 @@ TEST_P(BandwidthRandomized, CancellationsNeverBreakAccounting) {
   }
   sim.run();
   EXPECT_EQ(completions + cancelled, 40);
-  EXPECT_EQ(bw.active_flow_count(1), 0u);
-  // Delivered bytes never exceed capacity * elapsed.
-  EXPECT_LE(bw.bytes_uploaded(1), 10'000.0 * sim.now() + 1e-3);
+  for (const FlowId f : ids) EXPECT_FALSE(bw.cancel_flow(1, f));  // none left
+  // Completed bytes never exceed capacity * elapsed.
+  EXPECT_LE(completed_bytes, 10'000.0 * last_completion + 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BandwidthRandomized,

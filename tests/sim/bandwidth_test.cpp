@@ -19,8 +19,6 @@ TEST_F(BandwidthTest, SingleFlowExactTiming) {
   bw.start_flow(1, 2, 500.0, [&](FlowId) { done_at = sim.now(); });
   sim.run();
   EXPECT_NEAR(done_at, 5.0, 1e-9);
-  EXPECT_NEAR(bw.bytes_uploaded(1), 500.0, 1e-6);
-  EXPECT_NEAR(bw.bytes_downloaded(2), 500.0, 1e-6);
 }
 
 TEST_F(BandwidthTest, EqualSharingTwoFlows) {
@@ -63,22 +61,28 @@ TEST_F(BandwidthTest, JoiningFlowSlowsExisting) {
 TEST_F(BandwidthTest, CancelFlowStopsDelivery) {
   bw.set_capacity(1, 100.0);
   bool fired = false;
+  double sibling_done = -1;
   const FlowId f = bw.start_flow(1, 2, 1000.0, [&](FlowId) { fired = true; });
+  bw.start_flow(1, 3, 1000.0, [&](FlowId) { sibling_done = sim.now(); });
   sim.schedule_at(2.0, [&] { EXPECT_TRUE(bw.cancel_flow(1, f)); });
   sim.run();
   EXPECT_FALSE(fired);
-  // Partial progress still counted.
-  EXPECT_NEAR(bw.bytes_uploaded(1), 200.0, 1e-6);
+  // Shared 50/50 until the cancel at t=2, then the sibling's 900 bytes go
+  // at full rate: 2 + 9 = 11 (20 had the cancelled flow stayed).
+  EXPECT_NEAR(sibling_done, 11.0, 1e-9);
   EXPECT_FALSE(bw.cancel_flow(1, f));  // already gone
 }
 
 TEST_F(BandwidthTest, ZeroCapacityNeverCompletes) {
   bw.set_capacity(1, 0.0);
-  bool fired = false;
-  bw.start_flow(1, 2, 10.0, [&](FlowId) { fired = true; });
+  double done = -1;
+  bw.start_flow(1, 2, 10.0, [&](FlowId) { done = sim.now(); });
   sim.run(1000.0);
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(bw.active_flow_count(1), 1u);
+  EXPECT_LT(done, 0.0);
+  // The flow is still there with all 10 bytes to go.
+  sim.schedule_at(1000.0, [&] { bw.set_capacity(1, 5.0); });
+  sim.run();
+  EXPECT_NEAR(done, 1002.0, 1e-9);
 }
 
 TEST_F(BandwidthTest, CapacityChangeRetimesFlows) {
@@ -116,16 +120,116 @@ TEST_F(BandwidthTest, CompletionCallbackCanStartNextFlow) {
 }
 
 TEST_F(BandwidthTest, ConservationOfBytes) {
-  bw.set_capacity(1, 77.0);
-  bw.set_capacity(2, 133.0);
-  double delivered = 0;
+  // An uploader with flows always sends at full capacity, so with every
+  // flow started at t=0 its last completion falls at bytes / capacity.
+  const double cap[] = {77.0, 133.0};
+  bw.set_capacity(1, cap[0]);
+  bw.set_capacity(2, cap[1]);
+  double bytes[2] = {0, 0};
+  double last[2] = {-1, -1};
+  int completions = 0;
   for (int i = 0; i < 20; ++i) {
-    bw.start_flow(1 + static_cast<NodeId>(i % 2), 10 + static_cast<NodeId>(i), 50.0 + i,
-                  [&, i](FlowId) { delivered += 50.0 + i; });
+    const int u = i % 2;
+    bytes[u] += 50.0 + i;
+    bw.start_flow(1 + static_cast<NodeId>(u), 10 + static_cast<NodeId>(i),
+                  50.0 + i, [&, u](FlowId) {
+                    ++completions;
+                    last[u] = sim.now();
+                  });
   }
   sim.run();
-  double uploaded = bw.bytes_uploaded(1) + bw.bytes_uploaded(2);
-  EXPECT_NEAR(uploaded, delivered, 1e-6);
+  EXPECT_EQ(completions, 20);
+  EXPECT_NEAR(last[0], bytes[0] / cap[0], 1e-9);
+  EXPECT_NEAR(last[1], bytes[1] / cap[1], 1e-9);
+}
+
+// Records every callback a flow gets: (id, ok, time).
+struct Report {
+  FlowId id;
+  bool ok;
+  double t;
+};
+
+TEST_F(BandwidthTest, AbortFlowsEndsInboundAndOutboundInFlowIdOrder) {
+  for (NodeId n = 1; n <= 3; ++n) bw.set_capacity(n, 100.0);
+  std::vector<Report> reports;
+  const auto record = [&](FlowId id, bool ok) {
+    reports.push_back({id, ok, sim.now()});
+  };
+  // Node 1's flows, inbound and outbound interleaved by id.
+  const FlowId out_a = bw.start_flow(1, 2, 1000.0, record);
+  const FlowId in_b = bw.start_flow(3, 1, 1000.0, record);
+  const FlowId out_c = bw.start_flow(1, 4, 1000.0, record);
+  const FlowId in_d = bw.start_flow(2, 1, 300.0, record);
+  const FlowId out_e = bw.start_flow(1, 5, 300.0, record);
+  // Siblings that share an uploader with node 1's flows.
+  const FlowId at_3 = bw.start_flow(3, 4, 1000.0, record);
+  const FlowId at_2 = bw.start_flow(2, 4, 300.0, record);
+  sim.schedule_at(2.0, [&] { bw.abort_flows(1); });
+  sim.run();
+
+  // Every flow of node 1 is aborted at t=2, once, in ascending id, and
+  // none of them completes later.
+  ASSERT_EQ(reports.size(), 7u);
+  const FlowId aborted[] = {out_a, in_b, out_c, in_d, out_e};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(reports[i].id, aborted[i]) << i;
+    EXPECT_FALSE(reports[i].ok) << i;
+    EXPECT_DOUBLE_EQ(reports[i].t, 2.0) << i;
+  }
+  // Uploader 2 shared 100 B/s between in_d and at_2 until t=2, so at_2 has
+  // 200 bytes left, sent at full rate: done at 4 (6 without the abort).
+  // Uploader 3's at_3 has 900 left: done at 11 (20 without the abort).
+  EXPECT_EQ(reports[5].id, at_2);
+  EXPECT_TRUE(reports[5].ok);
+  EXPECT_NEAR(reports[5].t, 4.0, 1e-9);
+  EXPECT_EQ(reports[6].id, at_3);
+  EXPECT_TRUE(reports[6].ok);
+  EXPECT_NEAR(reports[6].t, 11.0, 1e-9);
+  EXPECT_FALSE(bw.cancel_flow(1, out_a));  // gone from the model
+}
+
+TEST_F(BandwidthTest, AbortAtTheDueInstantReportsAbort) {
+  bw.set_capacity(1, 100.0);
+  std::vector<Report> reports;
+  // Scheduled before the flow's completion event, so it runs first at t=1.
+  sim.schedule_at(1.0, [&] { bw.abort_flows(2); });
+  bw.start_flow(1, 2, 100.0, [&](FlowId id, bool ok) {
+    reports.push_back({id, ok, sim.now()});
+  });
+  sim.run();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_FALSE(reports[0].ok);
+  EXPECT_DOUBLE_EQ(reports[0].t, 1.0);
+}
+
+TEST_F(BandwidthTest, AbortLeavesFlowsItsCallbacksStart) {
+  bw.set_capacity(1, 100.0);
+  std::vector<Report> reports;
+  const auto record = [&](FlowId id, bool ok) {
+    reports.push_back({id, ok, sim.now()});
+  };
+  bw.start_flow(1, 2, 1000.0, [&](FlowId id, bool ok) {
+    record(id, ok);
+    if (!ok) bw.start_flow(1, 3, 100.0, record);  // a retry elsewhere
+  });
+  sim.schedule_at(1.0, [&] { bw.abort_flows(1); });
+  sim.run();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_FALSE(reports[0].ok);
+  EXPECT_TRUE(reports[1].ok);
+  EXPECT_NEAR(reports[1].t, 2.0, 1e-9);
+  bw.abort_flows(99);  // a node the model never saw: nothing happens
+  EXPECT_EQ(reports.size(), 2u);
+}
+
+TEST_F(BandwidthTest, CompletionOnlyCallbackIgnoresAbort) {
+  bw.set_capacity(1, 100.0);
+  int fired = 0;
+  bw.start_flow(1, 2, 1000.0, [&](FlowId) { ++fired; });
+  sim.schedule_at(1.0, [&] { bw.abort_flows(2); });
+  sim.run();
+  EXPECT_EQ(fired, 0);
 }
 
 TEST_F(BandwidthTest, InvalidArgumentsThrow) {
