@@ -17,7 +17,11 @@ lint bans the constructs that silently break that promise:
     diverge across standard libraries. Iterate a sorted copy or an ordered
     container instead. A name counts as unordered if the file or its
     paired header (foo.h for foo.cpp) declares it so, and the loop may
-    reach it through member access (`st.name`, `p->name`).
+    reach it through member access (`st.name`, `p->name`). A container
+    whose elements are unordered containers (`unordered_map<K,
+    unordered_set<V>>`, `vector<unordered_map<K, V>>`) also flags a loop
+    over one element: `name[i]`, `name.at(i)`, or `it->second` where `it`
+    was last bound from `name.find(...)` or `name.begin()`.
   * sans-IO layering            — no file under src/core/ may include
                                   src/rt/, src/protocols/, src/sim/,
                                   src/exp/, any src/bt/ header but
@@ -112,6 +116,18 @@ UNORDERED_DECL = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;{=(]"
 )
 RANGE_FOR = re.compile(r"for\s*\(.*?:\s*(?:\w+(?:\.|->))*(\w+)\s*\)")
+# A std container whose template arguments hold an unordered container.
+CONTAINER_DECL = re.compile(
+    r"std::(?:unordered_\w+|vector|deque|map|multimap|set|array)\s*"
+    r"<([^;]*?)>\s+(\w+)\s*[;{=(]"
+)
+# `it = [obj.]name.find(` and the like: `it` now points into `name`.
+ITER_BIND = re.compile(
+    r"(\w+)\s*=\s*(?:\w+(?:\.|->))*(\w+)\s*\.\s*"
+    r"(?:find|begin|cbegin|lower_bound|upper_bound)\s*\("
+)
+ELEMENT_EXPR = re.compile(r"^(?:\w+(?:\.|->))*(\w+)\s*(?:\[.*\]|\.\s*at\s*\(.*\))$")
+SECOND_EXPR = re.compile(r"^(\w+)\s*(?:\.|->)\s*second$")
 
 DET_OK = "det-ok"
 
@@ -150,11 +166,45 @@ def strip_comments_keep_lines(text: str) -> list[str]:
 
 
 def unordered_names(code_lines: list[str]) -> set[str]:
+    # An unordered type that is a template argument (`vector<unordered_map<
+    # K, V>> rows`) names an element type, not the declared container.
     return {
         m.group(1)
         for line in code_lines
         for m in UNORDERED_DECL.finditer(line)
+        if not line[: m.start()].rstrip().endswith(("<", ","))
     }
+
+
+def nested_names(code_lines: list[str]) -> set[str]:
+    """Containers whose elements are unordered containers."""
+    return {
+        m.group(2)
+        for line in code_lines
+        for m in CONTAINER_DECL.finditer(line)
+        if "unordered_" in m.group(1)
+    }
+
+
+def range_expr(line: str) -> str | None:
+    """The range expression of a range-for on this line, or None."""
+    m = re.search(r"\bfor\s*\(", line)
+    if not m:
+        return None
+    depth, colon, i = 1, None, m.end()
+    while i < len(line) and depth:
+        c = line[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif (c == ":" and depth == 1 and colon is None
+              and ":" not in (line[i - 1], line[i + 1: i + 2])):
+            colon = i
+        i += 1
+    if colon is None or depth:
+        return None
+    return line[colon + 1: i - 1].strip()
 
 
 def scan_file(path: Path) -> list[str]:
@@ -194,17 +244,32 @@ def scan_file(path: Path) -> list[str]:
     # paired header, then range-for'd. Order-insensitive loops get a
     # `// det-ok`.
     names = unordered_names(code_lines)
+    nested = nested_names(code_lines)
     header = path.with_suffix(".h")
     if path.suffix == ".cpp" and header.is_file():
-        names |= unordered_names(
-            strip_comments_keep_lines(header.read_text(encoding="utf-8"))
-        )
+        header_lines = strip_comments_keep_lines(
+            header.read_text(encoding="utf-8"))
+        names |= unordered_names(header_lines)
+        nested |= nested_names(header_lines)
+    into_nested = {}  # iterator name -> it was last bound into `nested`
     for lineno, line in enumerate(code_lines, start=1):
+        for b in ITER_BIND.finditer(line):
+            into_nested[b.group(1)] = b.group(2) in nested
+        name = None
         m = RANGE_FOR.search(line)
-        if m and m.group(1) in names and not exempt("unordered-iter", lineno):
+        if m and m.group(1) in names:
+            name = m.group(1)
+        expr = range_expr(line) if nested else None
+        if expr is not None:
+            elem = ELEMENT_EXPR.match(expr)
+            second = SECOND_EXPR.match(expr)
+            if (elem and elem.group(1) in nested) or (
+                    second and into_nested.get(second.group(1), False)):
+                name = expr
+        if name is not None and not exempt("unordered-iter", lineno):
             findings.append(
                 f"{rel}:{lineno}: [unordered-iter] range-for over unordered "
-                f"container '{m.group(1)}' has unspecified order; sort first "
+                f"container '{name}' has unspecified order; sort first "
                 f"or mark order-insensitive folds with // det-ok"
             )
     return findings

@@ -17,3 +17,19 @@ double Owner::visit() {
   for (int x : local) sum += x;  // lint-expect: unordered-iter
   return sum;
 }
+
+double Owner::visit_nested() {
+  double sum = 0.0;
+  if (const auto it = groups_.find(1); it != groups_.end()) {
+    for (int m : it->second) sum += m;  // lint-expect: unordered-iter
+  }
+  for (const auto& [k, v] : rows_[0]) sum += v;  // lint-expect: unordered-iter
+  for (const auto& [k, v] : rows_.at(1)) sum += v;  // lint-expect: unordered-iter
+  for (const auto& [k, v] : rows_[2]) sum += v;  // det-ok: a count has no order
+  for (const auto& row : rows_) sum += row.size();
+  // `it` is rebound into an ordered container: its elements are vectors.
+  if (const auto it = lists_.find(1); it != lists_.end()) {
+    for (int x : it->second) sum += x;
+  }
+  return sum;
+}

@@ -17,9 +17,15 @@ struct Widget {
 class Owner {
  public:
   double visit();
+  double visit_nested();
 
  private:
   std::unordered_map<int, Widget> widgets_;
+  // Containers of unordered containers: a loop over one element is a loop
+  // over an unordered container.
+  std::unordered_map<int, std::unordered_set<int>> groups_;
+  std::vector<std::unordered_map<int, double>> rows_;
+  std::map<int, std::vector<int>> lists_;
 };
 
 inline int count_members(const Widget& w) {

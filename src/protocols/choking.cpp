@@ -1,66 +1,43 @@
 #include "src/protocols/choking.h"
 
-#include <algorithm>
-
 namespace tc::protocols {
 
-ChokingProtocol::ChokeState& ChokingProtocol::state(PeerId id) {
-  return states_[id];
-}
+void BaselineProtocol::on_peer_join(PeerId id) { schedule_period(id, 0.1); }
 
-double ChokingProtocol::score(const ChokeState& st, PeerId n) const {
-  double s = 0.0;
-  if (const auto it = st.recv_cur.find(n); it != st.recv_cur.end())
-    s += it->second;
-  if (const auto it = st.recv_prev.find(n); it != st.recv_prev.end())
-    s += it->second;
-  return s;
-}
-
-std::vector<PeerId> ChokingProtocol::interested_neighbors(PeerId p) const {
-  std::vector<PeerId> out;
-  const bt::Peer* pp = swarm_->peer(p);
-  if (pp == nullptr) return out;
-  for (PeerId n : pp->neighbors) {
-    const bt::Peer* np = swarm_->peer(n);
-    if (np == nullptr || !np->active || np->seeder) continue;
-    if (swarm_->needs_from(n, p)) out.push_back(n);
-  }
-  return out;
+void BaselineProtocol::schedule_period(PeerId id, double delay) {
+  swarm_->simulator().schedule_in(delay, [this, id] {
+    if (!swarm_->is_active(id)) return;
+    on_period(id);
+    schedule_period(id, bt::kRechokePeriod);
+  });
 }
 
 void ChokingProtocol::on_peer_join(PeerId id) {
-  states_[id];  // materialize
-  // First rechoke shortly after joining, then every kRechokePeriod.
-  swarm_->simulator().schedule_in(0.1, [this, id] { rechoke_loop(id); });
+  fit(states_, id);
+  BaselineProtocol::on_peer_join(id);
 }
 
-void ChokingProtocol::rechoke_loop(PeerId id) {
-  if (!swarm_->is_active(id)) return;
-  ++state(id).round;  // optimistic-unchoke rotation follows the timer
+void ChokingProtocol::on_period(PeerId id) {
+  ChokeState& st = states_[id];
+  ++st.round;  // optimistic-unchoke rotation follows the timer
   rechoke(id);
   // Contribution windows rotate only on the periodic boundary (scores span
   // the last two rounds), not on event-driven re-chokes.
-  ChokeState& st = state(id);
   st.recv_prev = std::move(st.recv_cur);
   st.recv_cur.clear();
-  swarm_->simulator().schedule_in(bt::kRechokePeriod,
-                                  [this, id] { rechoke_loop(id); });
 }
 
-void ChokingProtocol::on_peer_depart(PeerId id) { states_.erase(id); }
+void ChokingProtocol::on_peer_depart(PeerId id) { states_[id] = {}; }
 
 void ChokingProtocol::on_piece_complete(PeerId peer, PieceIndex, PeerId from) {
-  const auto it = states_.find(peer);
-  if (it != states_.end()) {
-    it->second.recv_cur[from] += static_cast<double>(swarm_->config().piece_bytes);
-  }
+  states_[peer].recv_cur[from] +=
+      static_cast<double>(swarm_->config().piece_bytes);
 }
 
 void ChokingProtocol::rechoke(PeerId id) {
   const bt::Peer* p = swarm_->peer(id);
   if (p == nullptr || !p->active) return;
-  ChokeState& st = state(id);
+  ChokeState& st = states_[id];
   obs::Trace* tr = swarm_->obs();
 
   // Tracing: snapshot the (ascending) unchoke set so the recompute can be
@@ -69,18 +46,20 @@ void ChokingProtocol::rechoke(PeerId id) {
   std::vector<PeerId> before;
   if (tr != nullptr) {
     before.reserve(st.unchoked.size());
-    for (const auto& [n, w] : st.unchoked) {
-      (void)w;
-      before.push_back(n);
-    }
+    for (const auto& e : st.unchoked) before.push_back(e.first);
   }
 
+  // A free-rider contributes nothing: the attack model.
   const bool freerider = p->freerider && !p->seeder;
-  if (freerider) {
-    // The attack model: contribute nothing.
-    st.unchoked.clear();
-  } else {
-    compute_unchokes(id, st);
+  st.unchoked.clear();
+  if (!freerider) {
+    std::vector<PeerId> interested;
+    for_each_interested(*p, [&](PeerId n) { interested.push_back(n); });
+    if (p->seeder) {
+      unchoke_random(st, interested);  // altruistic rotation
+    } else {
+      compute_unchokes(st, interested);
+    }
   }
 
   if (tr != nullptr) {
@@ -103,74 +82,52 @@ void ChokingProtocol::rechoke(PeerId id) {
       }
     }
   }
-  if (freerider) return;
+  if (!freerider) upload_to_unchoked(id, st);
+}
 
+void ChokingProtocol::unchoke_random(ChokeState& st,
+                                     std::vector<PeerId>& interested) {
+  swarm_->rng().shuffle(interested);
+  const std::size_t take = std::min(interested.size(), bt::kUnchokeSlots + 1);
+  for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
+}
+
+void ChokingProtocol::upload_to_unchoked(PeerId id, ChokeState& st) {
   for (const auto& [n, w] : st.unchoked) {
-    (void)w;
-    if (!st.uploading.count(n)) try_start_upload(id, n);
+    if (!st.uploading.count(n)) try_start_upload(id, n, w);
   }
 }
 
-void ChokingProtocol::try_start_upload(PeerId from, PeerId to) {
-  ChokeState& st = state(from);
-  const auto un = st.unchoked.find(to);
-  if (un == st.unchoked.end()) return;
+void ChokingProtocol::try_start_upload(PeerId from, PeerId to, double weight) {
   if (!swarm_->is_active(to) || !swarm_->is_active(from)) return;
   if (!swarm_->needs_from(to, from)) return;
   const auto piece = swarm_->select_lrf(to, from);
   if (!piece) return;
 
-  st.uploading.insert(to);
+  states_[from].uploading.insert(to);
   swarm_->start_upload(
-      from, to, *piece, un->second,
+      from, to, *piece, weight,
       [this](PeerId f, PeerId t, PieceIndex pc, bool ok) {
-        const auto sit = states_.find(f);
-        if (sit != states_.end()) sit->second.uploading.erase(t);
+        ChokeState& st = states_[f];
+        st.uploading.erase(t);
         if (!ok) return;
         swarm_->grant_piece(t, pc, f);
-        if (swarm_->is_active(f)) fill_slots(f);
+        if (!swarm_->is_active(f)) return;
+        // Keep the pipe busy: retry every unchoked neighbor, and re-choke at
+        // once when all of them are satisfied or gone instead of idling
+        // until the next period (event-driven version of mainline's
+        // interest-change handling).
+        upload_to_unchoked(f, st);
+        if (st.uploading.empty()) rechoke(f);
       });
-}
-
-void ChokingProtocol::fill_slots(PeerId from) {
-  ChokeState& st = state(from);
-  for (const auto& [n, w] : st.unchoked) {
-    (void)w;
-    if (!st.uploading.count(n)) try_start_upload(from, n);
-  }
-  if (st.uploading.empty()) {
-    // Every unchoked neighbor is satisfied or gone: re-choke immediately
-    // instead of idling until the next 10-second boundary.
-    rechoke(from);
-  }
 }
 
 // --- Original BitTorrent ----------------------------------------------------
 
-void BitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
-  const bt::Peer* pp = swarm_->peer(p);
-  std::vector<PeerId> interested = interested_neighbors(p);
-  st.unchoked.clear();
-
-  if (pp->seeder) {
-    // Seeder: rotate random interested leechers (altruistic).
-    swarm_->rng().shuffle(interested);
-    const std::size_t take =
-        std::min(interested.size(), bt::kUnchokeSlots + 1);
-    for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
-    return;
-  }
-
+void BitTorrentProtocol::compute_unchokes(ChokeState& st,
+                                          std::vector<PeerId>& interested) {
   // Top-k contributors by download rate over the last two rounds.
-  std::vector<std::pair<double, PeerId>> ranked;
-  ranked.reserve(interested.size());
-  for (PeerId n : interested)
-    ranked.emplace_back(score(st, n), n);
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::size_t i = 0; i < ranked.size() && i < bt::kUnchokeSlots; ++i) {
-    st.unchoked[ranked[i].second] = 1.0;
-  }
+  unchoke_top(st, interested, [&st](PeerId n) { return score(st, n); });
 
   // Optimistic unchoke: random interested choked neighbor, rotated every
   // kOptimisticPeriod (every 3rd rechoke).
@@ -178,61 +135,30 @@ void BitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
       static_cast<std::uint64_t>(bt::kOptimisticPeriod / bt::kRechokePeriod);
   if (st.round % rounds_per_opt == 1 || st.optimistic == net::kNoPeer ||
       !swarm_->is_active(st.optimistic)) {
-    std::vector<PeerId> choked;
-    for (PeerId n : interested)
-      if (!st.unchoked.count(n)) choked.push_back(n);
-    st.optimistic =
-        choked.empty() ? net::kNoPeer : choked[swarm_->rng().index(choked.size())];
+    st.optimistic = pick_choked(st, interested, [](PeerId) { return true; });
   }
   if (st.optimistic != net::kNoPeer) st.unchoked[st.optimistic] = 1.0;
 }
 
 // --- PropShare ---------------------------------------------------------------
 
-void PropShareProtocol::compute_unchokes(PeerId p, ChokeState& st) {
-  const bt::Peer* pp = swarm_->peer(p);
-  std::vector<PeerId> interested = interested_neighbors(p);
-  st.unchoked.clear();
-
-  if (pp->seeder) {
-    swarm_->rng().shuffle(interested);
-    const std::size_t take =
-        std::min(interested.size(), bt::kUnchokeSlots + 1);
-    for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
-    return;
-  }
-
+void PropShareProtocol::compute_unchokes(ChokeState& st,
+                                         std::vector<PeerId>& interested) {
   // Bandwidth proportional to last-round contribution [11].
   double total = 0.0;
-  std::vector<PeerId> noncontributors;
   for (PeerId n : interested) {
     const double s = score(st, n);
     if (s > 0.0) {
       st.unchoked[n] = s;
       total += s;
-    } else {
-      noncontributors.push_back(n);
     }
   }
 
-  // ~20% exploration budget (the PropShare paper's newcomer share); with no
-  // contributors the whole pipe explores.
-  if (!noncontributors.empty()) {
-    const PeerId pick =
-        noncontributors[swarm_->rng().index(noncontributors.size())];
+  // ~20% exploration budget (the PropShare paper's newcomer share) for one
+  // non-contributor; with no contributors the whole pipe explores.
+  const PeerId pick = pick_choked(st, interested, [](PeerId) { return true; });
+  if (pick != net::kNoPeer)
     st.unchoked[pick] = total > 0.0 ? 0.25 * total : 1.0;
-  }
-}
-
-// --- Random BitTorrent ---------------------------------------------------------
-
-void RandomBitTorrentProtocol::compute_unchokes(PeerId p, ChokeState& st) {
-  std::vector<PeerId> interested = interested_neighbors(p);
-  st.unchoked.clear();
-  swarm_->rng().shuffle(interested);
-  const std::size_t take = std::min(interested.size(), bt::kUnchokeSlots + 1);
-  for (std::size_t i = 0; i < take; ++i) st.unchoked[interested[i]] = 1.0;
-  (void)p;
 }
 
 }  // namespace tc::protocols

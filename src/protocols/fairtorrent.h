@@ -8,17 +8,11 @@
 // collects one free piece per identity; seeders cannot be protected at all.
 #pragma once
 
-#include <unordered_map>
-
-#include "src/bt/protocol.h"
-#include "src/bt/swarm.h"
+#include "src/protocols/choking.h"
 
 namespace tc::protocols {
 
-using bt::PeerId;
-using bt::PieceIndex;
-
-class FairTorrentProtocol : public bt::Protocol {
+class FairTorrentProtocol : public BaselineProtocol {
  public:
   std::string name() const override { return "FairTorrent"; }
   util::ByteCount default_piece_bytes() const override {
@@ -30,7 +24,12 @@ class FairTorrentProtocol : public bt::Protocol {
   void on_piece_complete(PeerId peer, PieceIndex piece, PeerId from) override;
   void on_neighbor_added(PeerId a, PeerId b) override;
 
+  // 0 for a departed identity or a stranger.
   double deficit(PeerId peer, PeerId neighbor) const;
+
+ protected:
+  // Periodic retry covers the idle case (nobody interested right now).
+  void on_period(PeerId id) override { next_send(id); }
 
  private:
   struct FtState {
@@ -38,11 +37,9 @@ class FairTorrentProtocol : public bt::Protocol {
     bool sending = false;
   };
 
-  FtState& state(PeerId id) { return states_[id]; }
   void next_send(PeerId id);
-  void tick(PeerId id);
 
-  std::unordered_map<PeerId, FtState> states_;
+  std::vector<FtState> states_;
 };
 
 }  // namespace tc::protocols

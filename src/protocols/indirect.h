@@ -21,11 +21,6 @@
 // these systems behave once converged.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
-
-#include "src/bt/protocol.h"
-#include "src/bt/swarm.h"
 #include "src/protocols/choking.h"
 
 namespace tc::protocols {
@@ -33,57 +28,61 @@ namespace tc::protocols {
 class EigenTrustProtocol : public ChokingProtocol {
  public:
   std::string name() const override { return "EigenTrust"; }
-  util::ByteCount default_piece_bytes() const override {
-    return 256 * util::kKiB;
-  }
+
+  // Simulated seconds between global trust recomputations.
+  static constexpr double kTrustPeriod = 10.0;
+  // Power-iteration steps per recomputation.
+  static constexpr int kPowerIterations = 12;
 
   void on_run_start() override;
+  void on_peer_join(PeerId id) override;
+  void on_peer_depart(PeerId id) override;
   void on_piece_complete(PeerId peer, PieceIndex piece, PeerId from) override;
 
   // Current global trust of a peer (0 for strangers). Exposed for tests.
   double trust(PeerId id) const;
 
  protected:
-  void compute_unchokes(PeerId p, ChokeState& st) override;
+  void compute_unchokes(ChokeState& st,
+                        std::vector<PeerId>& interested) override;
 
  private:
   void recompute_trust();
   void trust_loop();
 
   // sat_[i][j]: satisfactory interactions i observed with j (pieces
-  // received). Colluders inject false praise here.
-  std::unordered_map<PeerId, std::unordered_map<PeerId, double>> sat_;
-  std::unordered_map<PeerId, double> global_trust_;
-  double trust_period_ = 10.0;
-  int power_iterations_ = 12;
+  // received). Colluders inject false praise in recompute_trust.
+  std::vector<std::unordered_map<PeerId, double>> sat_;
+  std::vector<double> global_trust_;
 };
 
-class DandelionProtocol : public bt::Protocol {
+class DandelionProtocol : public BaselineProtocol {
  public:
   std::string name() const override { return "Dandelion"; }
-  util::ByteCount default_piece_bytes() const override {
-    return 256 * util::kKiB;
-  }
+
+  // Initial credit granted to every (apparent) newcomer — the whitewash
+  // attack surface.
+  static constexpr double kInitialCredit = 4.0;
+  // Uploads one peer runs at once.
+  static constexpr std::size_t kUploadSlots = 4;
 
   void on_peer_join(PeerId id) override;
   void on_peer_depart(PeerId id) override;
 
+  // 0 for a peer not in the swarm.
   double credit(PeerId id) const;
-  // Initial credit granted to every (apparent) newcomer — the whitewash
-  // attack surface.
-  static constexpr double kInitialCredit = 4.0;
+
+ protected:
+  void on_period(PeerId id) override;
 
  private:
   struct State {
     double credit = kInitialCredit;
     std::size_t active_uploads = 0;
   };
-  State& state(PeerId id) { return states_[id]; }
   void pump(PeerId id);
-  void tick(PeerId id);
 
-  std::unordered_map<PeerId, State> states_;
-  std::size_t upload_slots_ = 4;
+  std::vector<State> states_;
 };
 
 }  // namespace tc::protocols

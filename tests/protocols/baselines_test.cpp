@@ -2,6 +2,10 @@
 // completion sanity plus the scheme-specific behaviours the paper leans on.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "src/analysis/metrics.h"
 #include "src/protocols/choking.h"
 #include "src/protocols/fairtorrent.h"
@@ -83,13 +87,41 @@ TEST(BitTorrent, FreeRidersFinishSlowerThanCompliant) {
 }
 
 TEST(FairTorrent, DeficitsTrackTransfersSymmetrically) {
+  // A delivery adds the piece bytes to the sender's deficit for the
+  // receiver, and on_piece_complete subtracts them from the receiver's
+  // deficit for the sender: every pair of live neighbours reads
+  // deficit(a, b) == -deficit(b, a) at any instant. Whitewashing
+  // free-riders make departed identities mid-run too.
   FairTorrentProtocol proto;
-  bt::Swarm swarm(small_config(proto, 8), proto);
+  bt::Swarm swarm(small_config(proto, 8, 0.25), proto);
+  std::size_t pairs_checked = 0;
+  std::vector<std::pair<bt::PeerId, bt::PeerId>> owing;  // nonzero deficits
+  std::function<void()> inspect = [&] {
+    for (bt::PeerId a : swarm.active_peers()) {
+      for (bt::PeerId b : swarm.peer(a)->neighbors) {
+        if (!swarm.is_active(b)) continue;
+        ++pairs_checked;
+        EXPECT_EQ(proto.deficit(a, b), -proto.deficit(b, a)) << a << "," << b;
+        if (proto.deficit(a, b) != 0.0) owing.emplace_back(a, b);
+      }
+    }
+    // Arrivals span the first 10 s (flash crowd).
+    if (swarm.simulator().now() < 10.0 || swarm.active_leecher_count() > 0)
+      swarm.simulator().schedule_in(2.0, inspect);
+  };
+  swarm.simulator().schedule_in(2.0, inspect);
   swarm.run();
-  // After completion everyone departed; deficit maps are cleaned up.
-  // (behavioural check happens implicitly: the run finished without
-  // starving anyone, which requires deficits to rotate service.)
   EXPECT_EQ(swarm.metrics().unfinished_count(F::kCompliant), 0u);
+  EXPECT_GT(pairs_checked, 0u);
+  ASSERT_FALSE(owing.empty());
+  // Once departed, an identity reads 0 against everyone.
+  std::size_t departed = 0;
+  for (const auto& [a, b] : owing) {
+    if (swarm.is_active(a)) continue;
+    ++departed;
+    EXPECT_EQ(proto.deficit(a, b), 0.0) << a << "," << b;
+  }
+  EXPECT_GT(departed, 0u);
 }
 
 TEST(FairTorrent, WhitewashingFreeRidersFinishFast) {
