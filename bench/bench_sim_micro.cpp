@@ -1,10 +1,11 @@
 // Simulator micro-costs (infrastructure bench): event-queue throughput,
 // fluid bandwidth-model updates, bitfield/LRF selection, availability
-// updates, tracker sampling.
+// updates, tracker sampling, the T-Chain transaction table.
 #include <benchmark/benchmark.h>
 
 #include "src/bt/bitfield.h"
 #include "src/bt/row_kernels.h"
+#include "src/core/transaction.h"
 #include "src/net/tracker.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/simulator.h"
@@ -123,6 +124,32 @@ void BM_TrackerNeighborList(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrackerNeighborList)->Arg(1000)->Arg(10000);
+
+// core::TransactionTable over a sliding window of live transactions, the
+// size a sim-flash-tchain swarm holds mid-run. One op: create the newest
+// transaction, get() a live one, erase the oldest.
+void BM_TransactionTableChurn(benchmark::State& state) {
+  const auto window = static_cast<core::TxId>(state.range(0));
+  constexpr std::uint32_t kPeers = 400;
+  core::TransactionTable txs;
+  std::uint32_t k = 0;
+  auto create = [&] {
+    ++k;
+    const auto d = static_cast<net::PeerId>((k * 2654435761u) % kPeers);
+    const auto r = static_cast<net::PeerId>((d + 1 + k % 53) % kPeers);
+    const auto p = static_cast<net::PeerId>((r + 1 + k % 97) % kPeers);
+    return txs.create(1, d, r, p, k % 1024, 0, 0.0).id;
+  };
+  for (core::TxId i = 0; i < window; ++i) create();
+  for (auto _ : state) {
+    const core::TxId newest = create();
+    const core::TxId oldest = newest - window;
+    benchmark::DoNotOptimize(txs.get(oldest + 1 + (k * 40503u) % window));
+    txs.erase(oldest);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TransactionTableChurn)->Arg(7000);
 
 }  // namespace
 

@@ -9,27 +9,30 @@
 namespace tc::analysis {
 
 PeerRecord& SwarmMetrics::record(std::uint32_t id) {
-  const auto it = index_.find(id);
-  if (it != index_.end()) return records_[it->second];
-  index_[id] = records_.size();
+  if (const std::uint32_t slot = slot_of(id); slot != 0)
+    return records_[slot - 1];
+  if (id >= index_.size()) index_.resize(static_cast<std::size_t>(id) + 1, 0);
   records_.emplace_back();
   records_.back().id = id;
+  index_[id] = static_cast<std::uint32_t>(records_.size());
   return records_.back();
 }
 
 const PeerRecord* SwarmMetrics::find(std::uint32_t id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &records_[it->second];
+  const std::uint32_t slot = slot_of(id);
+  return slot == 0 ? nullptr : &records_[slot - 1];
 }
 
 void SwarmMetrics::rekey(std::uint32_t old_id, std::uint32_t new_id) {
-  const auto it = index_.find(old_id);
-  if (it == index_.end()) throw std::invalid_argument("rekey: unknown peer");
-  const std::size_t slot = it->second;
-  index_.erase(it);
+  const std::uint32_t slot = slot_of(old_id);
+  if (slot == 0) throw std::invalid_argument("rekey: unknown peer");
+  index_[old_id] = 0;
+  if (new_id >= index_.size())
+    index_.resize(static_cast<std::size_t>(new_id) + 1, 0);
   index_[new_id] = slot;
-  records_[slot].id = new_id;
-  ++records_[slot].whitewash_count;
+  PeerRecord& r = records_[slot - 1];
+  r.id = new_id;
+  ++r.whitewash_count;
   const auto tl = timelines_.find(old_id);
   if (tl != timelines_.end()) {
     timelines_[new_id] = std::move(tl->second);

@@ -109,7 +109,12 @@ class SwarmMetrics {
  private:
   bool matches(const PeerRecord& r, PeerFilter f) const;
 
-  std::unordered_map<std::uint32_t, std::size_t> index_;  // id -> slot
+  // Position + 1 of `id`'s record in records_, 0 if it has none.
+  std::uint32_t slot_of(std::uint32_t id) const {
+    return id < index_.size() ? index_[id] : 0;
+  }
+
+  std::vector<std::uint32_t> index_;  // id -> record position + 1
   std::vector<PeerRecord> records_;
   std::unordered_map<std::uint32_t, PieceTimeline> timelines_;
   ResilienceStats resilience_;

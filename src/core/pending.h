@@ -37,6 +37,14 @@ class PendingTracker {
   // Paper: banned while pending >= k... "more than k" with k = 2 buffered;
   // we use pending < cap as eligibility, i.e. at most `cap` outstanding.
   bool eligible(PeerId n) const { return pending(n) < cap_; }
+  // The neighbours at the cap (not eligible()), in no particular order.
+  std::vector<PeerId> at_cap() const {
+    std::vector<PeerId> out;
+    for (const auto& [n, c] : counts_) {
+      if (c >= cap_) out.push_back(n);
+    }
+    return out;
+  }
 
  private:
   // Position of n's pair in counts_, or counts_.size() if none.

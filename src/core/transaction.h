@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/net/peer_id.h"
@@ -51,14 +51,29 @@ struct Transaction {
 
 // Transaction store with a per-peer role index so departures can find every
 // transaction a peer participates in, in O(its transactions).
+//
+// Transactions live in a pool of fixed-size chunks, so a Transaction& stays
+// valid across later create() calls until that transaction is erased, and a
+// freed slot is reused by the next create(). Ids are found through an
+// open-addressing index (Fibonacci hash, linear probing, backward-shift
+// erase). Each slot carries one link pair per role (donor, requestor,
+// payee), threading it into a doubly linked list per PeerId, so indexing
+// and unindexing are O(1). Memory follows the live transaction count, not
+// the ids ever issued.
 class TransactionTable {
  public:
   Transaction& create(ChainId chain, PeerId donor, PeerId requestor,
                       PeerId payee, PieceIndex piece, TxId prev,
                       util::SimTime now);
 
-  Transaction* get(TxId id);
-  const Transaction* get(TxId id) const;
+  Transaction* get(TxId id) {
+    Slot* s = find(id);
+    return s == nullptr ? nullptr : &s->tx;
+  }
+  const Transaction* get(TxId id) const {
+    const Slot* s = find(id);
+    return s == nullptr ? nullptr : &s->tx;
+  }
 
   // Removes a settled transaction from the table (state must be final).
   void erase(TxId id);
@@ -67,10 +82,12 @@ class TransactionTable {
   // consistent.
   void set_payee(TxId id, PeerId new_payee);
 
-  // All live transaction ids in which `peer` plays any role.
+  // All live transaction ids in which `peer` plays any role, in the order
+  // they were indexed under it: creation order, except that a set_payee()
+  // onto `peer` appends at the end.
   std::vector<TxId> involving(PeerId peer) const;
 
-  std::size_t size() const { return txs_.size(); }
+  std::size_t size() const { return live_; }
   std::uint64_t created() const { return next_id_ - 1; }
 
   // Observability hookup: create() then emits kTxOpen and erase() kTxClose
@@ -83,12 +100,63 @@ class TransactionTable {
   }
 
  private:
-  void index_peer(PeerId p, TxId id);
-  void unindex_peer(PeerId p, TxId id);
+  // A link names one (slot, role) pair: slot << 2 | role.
+  using Link = std::uint32_t;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  enum Role : std::uint32_t { kDonor = 0, kRequestor = 1, kPayee = 2 };
+
+  struct Slot {
+    Transaction tx;
+    // Per role: the neighbouring links in the list of the peer playing it.
+    Link prev[3] = {kNil, kNil, kNil};
+    Link next[3] = {kNil, kNil, kNil};
+    std::uint32_t index = 0;  // this slot's number in the pool
+    std::uint8_t listed = 0;  // bit per role: linked into its peer's list
+  };
+  // Index entry: the id's low 32 bits (all the hash reads) and its slot.
+  struct Entry {
+    std::uint32_t tag = 0;
+    std::uint32_t slot = kNil;  // kNil: empty
+  };
+  struct List {
+    Link head = kNil;
+    Link tail = kNil;
+  };
+
+  static constexpr std::uint32_t kChunkBits = 9;
+  static constexpr std::uint32_t kChunk = 1u << kChunkBits;
+
+  Slot& slot_at(std::uint32_t i) const {
+    return chunks_[i >> kChunkBits][i & (kChunk - 1)];
+  }
+  std::size_t home(std::uint32_t tag) const {
+    return static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  static PeerId role_peer(const Transaction& tx, Role role) {
+    return role == kDonor ? tx.donor
+         : role == kRequestor ? tx.requestor : tx.payee;
+  }
+
+  // Position of `id` in index_, or index_.size() if absent.
+  std::size_t position(TxId id) const;
+  Slot* find(TxId id) const {
+    const std::size_t i = position(id);
+    return i == index_.size() ? nullptr : &slot_at(index_[i].slot);
+  }
+  Slot& alloc_slot();
+  void insert_entry(Entry e);
+  void grow_index();
+  void link(Slot& s, Role role);
+  void unlink(Slot& s, Role role);
 
   TxId next_id_ = 1;
-  std::unordered_map<TxId, Transaction> txs_;
-  std::unordered_map<PeerId, std::vector<TxId>> by_peer_;
+  std::size_t live_ = 0;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slots_used_ = 0;     // slots ever handed out
+  std::vector<std::uint32_t> free_;  // erased slots, reused LIFO
+  std::vector<Entry> index_;         // power-of-two size; empty until used
+  unsigned shift_ = 0;               // 64 - log2(index_.size())
+  std::vector<List> lists_;          // PeerId -> its role list
   obs::Trace* trace_ = nullptr;
   std::function<util::SimTime()> clock_;
 };

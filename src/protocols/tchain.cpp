@@ -1,5 +1,7 @@
 #include "src/protocols/tchain.h"
 
+#include <algorithm>
+
 #include "src/core/policy.h"
 
 namespace tc::protocols {
@@ -8,11 +10,13 @@ using core::Transaction;
 using core::TxState;
 
 TChainProtocol::PeerState& TChainProtocol::state(PeerId id) {
-  auto it = peers_.find(id);
-  if (it == peers_.end()) {
-    it = peers_.emplace(id, PeerState(swarm_->config().pending_cap)).first;
-  }
-  return it->second;
+  if (PeerState* st = find_state(id)) return *st;
+  const PeerState blank(swarm_->config().pending_cap);
+  if (id >= peers_.size()) peers_.resize(std::size_t{id} + 1, blank);
+  PeerState& st = peers_[id];
+  st = blank;
+  st.live = true;
+  return st;
 }
 
 bool TChainProtocol::is_seeder(PeerId id) const {
@@ -95,7 +99,9 @@ void TChainProtocol::handle_exit(PeerId id, bool crashed) {
       swarm_->send_control([this, fix] { continue_chain(fix); });
     }
   }
-  peers_.erase(id);
+  if (PeerState* st = find_state(id)) {
+    *st = PeerState(swarm_->config().pending_cap);
+  }
 }
 
 void TChainProtocol::census_loop() {
@@ -107,7 +113,8 @@ void TChainProtocol::census_loop() {
 }
 
 void TChainProtocol::break_chain(ChainId id, obs::ChainBreakCause cause) {
-  if (live_chains_.erase(id) == 0) return;
+  if (id >= live_chains_.size() || !live_chains_[id]) return;
+  live_chains_[id] = false;
   if (obs::Trace* tr = swarm_->obs()) {
     tr->emit({.t = swarm_->simulator().now(),
               .kind = obs::EventKind::kChainBreak,
@@ -136,10 +143,12 @@ void TChainProtocol::prune_banned_neighbors(PeerId id) {
   bt::Peer* p = swarm_->peer(id);
   if (p == nullptr || !p->active) return;
   if (p->neighbors.size() * 5 < bt::kMaxNeighbors * 4) return;
-  PeerState& st = state(id);
+  const std::vector<PeerId> banned = state(id).pending.at_cap();
+  if (banned.empty()) return;
   std::vector<PeerId> drop;
   for (PeerId n : p->neighbors) {
-    if (!st.pending.eligible(n)) drop.push_back(n);
+    if (std::find(banned.begin(), banned.end(), n) != banned.end())
+      drop.push_back(n);
   }
   for (PeerId n : drop) swarm_->disconnect(id, n);
 }
@@ -187,7 +196,8 @@ bool TChainProtocol::initiate_chain(PeerId donor, bool by_seeder) {
   if (requestor == net::kNoPeer) return false;
 
   const ChainId chain = next_chain_++;
-  live_chains_.insert(chain);
+  if (chain >= live_chains_.size()) live_chains_.resize(chain + 1);
+  live_chains_[chain] = true;
   if (obs::Trace* tr = swarm_->obs()) {
     tr->emit({.t = swarm_->simulator().now(),
               .kind = obs::EventKind::kChainStart,
@@ -214,8 +224,9 @@ PeerId TChainProtocol::choose_payee(PeerId donor, PeerId requestor,
   return core::select_payee(
       donor, requestor, direct, d->neighbors,
       [&](PeerId n) {
+        if (!ds.pending.eligible(n)) return false;
         const bt::Peer* np = swarm_->peer(n);
-        return np != nullptr && np->active && ds.pending.eligible(n) &&
+        return np != nullptr && np->active &&
                core::payee_needs(np->requested, piece, &r->have);
       },
       swarm_->rng());
@@ -272,7 +283,7 @@ bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,
     // Newcomers never need gifts — §II-D1 bootstraps them with encrypted
     // pieces — so an unproven stranger asking for unencrypted pieces is
     // indistinguishable from a whitewashed free-rider and gets none.
-    if (!sole_neighbor && !proven_.count(requestor)) return false;
+    if (!sole_neighbor && !is_proven(requestor)) return false;
   }
 
   Transaction& tx = txs_.create(chain, donor, requestor, payee, piece, prev,
@@ -303,11 +314,11 @@ void TChainProtocol::on_upload_done(TxId txid, bool ok) {
   Transaction* tx = txs_.get(txid);
   if (tx == nullptr) return;
 
-  if (auto it = peers_.find(tx->donor); it != peers_.end()) {
-    if (it->second.active_uploads > 0) --it->second.active_uploads;
+  if (PeerState* ds = find_state(tx->donor)) {
+    if (ds->active_uploads > 0) --ds->active_uploads;
     // Idle-triggered opportunistic seeding (§II-D3): an uploader whose pipe
     // just drained re-seeds promptly instead of waiting for the next tick.
-    if (it->second.active_uploads == 0) {
+    if (ds->active_uploads == 0) {
       const PeerId donor = tx->donor;
       swarm_->simulator().schedule_in(0.2, [this, donor] {
         if (swarm_->is_active(donor)) opportunistic_tick(donor);
@@ -388,8 +399,8 @@ void TChainProtocol::handle_encrypted_delivery(Transaction& tx) {
           fr != nullptr && !fr->have.get(tx.piece)) {
         fr->requested.clear(tx.piece);
       }
-      if (auto it = peers_.find(tx.requestor); it != peers_.end()) {
-        if (it->second.obligations > 0) --it->second.obligations;
+      if (PeerState* rs = find_state(tx.requestor)) {
+        if (rs->obligations > 0) --rs->obligations;
       }
       txs_.erase(tx.id);  // pending at the donor intentionally NOT resolved
     }
@@ -406,13 +417,14 @@ void TChainProtocol::process_receipt(TxId prev_id) {
 
   // Resolve the donor's flow-control pending slot for this requestor, and
   // remember it as a proven reciprocator (eligible for endgame gifts).
-  if (auto it = peers_.find(prev->donor); it != peers_.end()) {
-    it->second.pending.resolve(prev->requestor);
+  if (PeerState* ds = find_state(prev->donor)) {
+    ds->pending.resolve(prev->requestor);
   }
   // A receipt marks the requestor as a demonstrated reciprocator. A false
   // (collusion) receipt is indistinguishable, so it "proves" the colluder
   // too — the attack's whole point (§III-A4).
-  proven_.insert(prev->requestor);
+  if (prev->requestor >= proven_.size()) proven_.resize(prev->requestor + 1);
+  proven_[prev->requestor] = true;
 
   if (!prev->key_escrowed && !swarm_->is_active(prev->donor)) {
     // Donor gone without escrow: key lost; the requestor re-fetches the
@@ -445,8 +457,8 @@ void TChainProtocol::release_key(Transaction& tx) {
               .chain = tx.chain});
     tr->registry().histogram("tx.lifetime_s").add(now - tx.started);
   }
-  if (auto it = peers_.find(requestor); it != peers_.end()) {
-    if (it->second.obligations > 0) --it->second.obligations;
+  if (PeerState* rs = find_state(requestor)) {
+    if (rs->obligations > 0) --rs->obligations;
   }
   tx.state = TxState::kCompleted;
   txs_.erase(txid);
@@ -555,8 +567,8 @@ void TChainProtocol::settle_free(Transaction& tx) {
   // No qualified payee exists anywhere: the exchange degenerates to an
   // altruistic upload — the donor releases the key and the chain ends
   // (the same situation that makes termination uploads unencrypted).
-  if (auto it = peers_.find(tx.donor); it != peers_.end()) {
-    it->second.pending.resolve(tx.requestor);
+  if (PeerState* ds = find_state(tx.donor)) {
+    ds->pending.resolve(tx.requestor);
   }
   break_chain(tx.chain, obs::ChainBreakCause::kNoPayee);
   release_key(tx);
@@ -567,8 +579,8 @@ void TChainProtocol::kill_tx(TxId txid, bool terminate_chain,
   Transaction* tx = txs_.get(txid);
   if (tx == nullptr) return;
   if (tx->encrypted()) {
-    if (auto it = peers_.find(tx->donor); it != peers_.end()) {
-      it->second.pending.resolve(tx->requestor);
+    if (PeerState* ds = find_state(tx->donor)) {
+      ds->pending.resolve(tx->requestor);
     }
   }
   if (tx->state == TxState::kAwaitKey) {
@@ -585,8 +597,8 @@ void TChainProtocol::kill_tx(TxId txid, bool terminate_chain,
                 .ref = txid,
                 .chain = tx->chain});
     }
-    if (auto it = peers_.find(tx->requestor); it != peers_.end()) {
-      if (it->second.obligations > 0) --it->second.obligations;
+    if (PeerState* rs = find_state(tx->requestor)) {
+      if (rs->obligations > 0) --rs->obligations;
     }
     // The ciphertext is now useless; allow re-fetching the piece.
     if (bt::Peer* r = swarm_->peer(tx->requestor);

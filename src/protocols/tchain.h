@@ -16,8 +16,7 @@
 //     for each other (§III-A4).
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "src/bt/protocol.h"
 #include "src/bt/swarm.h"
@@ -57,11 +56,20 @@ class TChainProtocol : public bt::Protocol {
     core::PendingTracker pending;
     std::size_t obligations = 0;     // encrypted pieces not yet reciprocated
     std::size_t active_uploads = 0;  // flows this peer is sourcing
+    bool live = false;               // materialized and not yet departed
     explicit PeerState(int cap) : pending(cap) {}
   };
 
+  // The peer's state, materialized on first touch.
   PeerState& state(PeerId id);
+  // The peer's state if materialized, else null.
+  PeerState* find_state(PeerId id) {
+    return id < peers_.size() && peers_[id].live ? &peers_[id] : nullptr;
+  }
   bool is_seeder(PeerId id) const;
+  bool is_proven(PeerId id) const {
+    return id < proven_.size() && proven_[id];
+  }
 
   // Chain drivers.
   void census_loop();
@@ -120,13 +128,18 @@ class TChainProtocol : public bt::Protocol {
 
   core::TransactionTable txs_;
   ChainId next_chain_ = 1;
-  std::unordered_set<ChainId> live_chains_;
-  std::unordered_map<PeerId, PeerState> peers_;
-  // Identities that have been observed reciprocating at least once.
-  // Conceptually this is per-donor local history plus what a peer observes
-  // as a payee; we pool it for simulation efficiency — the distinction
-  // only affects how fast gift eligibility is learned, not who earns it.
-  std::unordered_set<PeerId> proven_;
+  std::vector<bool> live_chains_;  // ChainId -> not yet broken
+  // PeerId-indexed; grows where a peer first appears, and a departed
+  // peer's entry is reset (live = false), not erased.
+  std::vector<PeerState> peers_;
+  // PeerId -> observed reciprocating at least once. Conceptually this is
+  // per-donor local history plus what a peer observes as a payee; the
+  // simulator pools it into one swarm-wide set. Pooling is not harmless:
+  // one false (collusion) receipt proves a colluder to every donor at
+  // once, so it becomes gift-eligible everywhere, where per-donor history
+  // would admit it only at the donor that received the receipt (ROADMAP
+  // item 13).
+  std::vector<bool> proven_;
 };
 
 }  // namespace tc::protocols

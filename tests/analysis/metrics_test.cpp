@@ -55,6 +55,30 @@ TEST(SwarmMetrics, RekeyPreservesRecord) {
   EXPECT_THROW(m.rekey(5, 100), std::invalid_argument);
 }
 
+TEST(SwarmMetrics, RekeyMovesTheDenseIndexEntry) {
+  SwarmMetrics m;
+  m.record(3).pieces_uploaded = 4;
+  m.record(7).pieces_downloaded = 9;
+  // To an id below the old one (no growth), then far past the end.
+  m.rekey(7, 2);
+  EXPECT_EQ(m.find(7), nullptr);
+  ASSERT_NE(m.find(2), nullptr);
+  EXPECT_EQ(m.find(2)->id, 2u);
+  EXPECT_EQ(m.find(2)->whitewash_count, 1);
+  m.rekey(2, 5000);
+  EXPECT_EQ(m.find(2), nullptr);
+  ASSERT_NE(m.find(5000), nullptr);
+  EXPECT_EQ(m.find(5000)->pieces_downloaded, 9);
+  EXPECT_EQ(m.find(5000)->whitewash_count, 2);
+  EXPECT_EQ(m.find(4999), nullptr);
+  EXPECT_EQ(m.find(5001), nullptr);
+  // The retired id is free again: a record() there is a new peer.
+  EXPECT_EQ(m.record(7).whitewash_count, 0);
+  EXPECT_EQ(m.record(7).pieces_downloaded, 0);
+  EXPECT_EQ(m.find(3)->pieces_uploaded, 4);
+  EXPECT_EQ(m.all().size(), 3u);
+}
+
 TEST(SwarmMetrics, UplinkUtilization) {
   SwarmMetrics m;
   auto& r = m.record(1);
