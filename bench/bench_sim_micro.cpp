@@ -3,6 +3,8 @@
 // updates, tracker sampling, the T-Chain transaction table.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/bt/bitfield.h"
 #include "src/bt/row_kernels.h"
 #include "src/core/transaction.h"
@@ -127,9 +129,10 @@ BENCHMARK(BM_TrackerNeighborList)->Arg(1000)->Arg(10000);
 
 // core::TransactionTable over a sliding window of live transactions, the
 // size a sim-flash-tchain swarm holds mid-run. One op: create the newest
-// transaction, get() a live one, erase the oldest.
+// transaction, get() a live one, erase the oldest. Ids name pool slots, not
+// creation order, so the window's ids are kept in a ring.
 void BM_TransactionTableChurn(benchmark::State& state) {
-  const auto window = static_cast<core::TxId>(state.range(0));
+  const auto window = static_cast<std::size_t>(state.range(0));
   constexpr std::uint32_t kPeers = 400;
   core::TransactionTable txs;
   std::uint32_t k = 0;
@@ -140,12 +143,15 @@ void BM_TransactionTableChurn(benchmark::State& state) {
     const auto p = static_cast<net::PeerId>((r + 1 + k % 97) % kPeers);
     return txs.create(1, d, r, p, k % 1024, 0, 0.0).id;
   };
-  for (core::TxId i = 0; i < window; ++i) create();
+  std::vector<core::TxId> ring(window);  // ring[oldest] is the oldest id
+  for (core::TxId& id : ring) id = create();
+  std::size_t oldest = 0;
   for (auto _ : state) {
-    const core::TxId newest = create();
-    const core::TxId oldest = newest - window;
-    benchmark::DoNotOptimize(txs.get(oldest + 1 + (k * 40503u) % window));
-    txs.erase(oldest);
+    const core::TxId gone = ring[oldest];
+    ring[oldest] = create();
+    oldest = (oldest + 1) % window;
+    benchmark::DoNotOptimize(txs.get(ring[(k * 40503u) % window]));
+    txs.erase(gone);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -17,8 +17,10 @@ seeds add one --trace 1 run per side, and the per-layer metrics either side
 reports are kept per seed.
 
 With --runner, it also times figure benches at --jobs 1 from two CMake
-build directories (the seconds the experiment runner reports on stderr,
-alternating sides) and checks that their stdout is byte-identical.
+build directories (the seconds the experiment runner reports on stderr)
+in RUNNER_PAIRS alternating pairs, records each side's median and
+quartiles and the pairs the change won, and checks that their stdout is
+byte-identical.
 
 Run it from the change's source tree:
 
@@ -42,7 +44,9 @@ import subprocess
 import sys
 
 RUNNER_RE = re.compile(r"^\[exp\] .* in ([0-9.]+)s ", re.M)
-RUNNER_REPS = 5  # alternating runs per side for each --runner bench
+# Alternating pairs for each --runner bench. Five could not resolve a 10 %
+# change: the quartiles of five runs are two runs apart.
+RUNNER_PAIRS = 10
 HOST_RE = re.compile(r"^host \S+: probe median ([0-9.]+) s, "
                      r"unscaled wall_s ([0-9.]+)", re.M)
 
@@ -175,11 +179,12 @@ def snapshot_runner(args):
     for bench in args.runner:
         secs = {"parent": [], "change": []}
         stdout = {}
-        for rep in range(RUNNER_REPS):
+        for rep in range(RUNNER_PAIRS):
             order = ("parent", "change") if rep % 2 == 0 else ("change",
                                                               "parent")
             for side in order:
-                log(f"bench_{bench} --jobs 1 ({rep + 1}/{RUNNER_REPS}): {side}")
+                log(f"bench_{bench} --jobs 1 ({rep + 1}/{RUNNER_PAIRS}): "
+                    f"{side}")
                 s, text = runner_seconds(args.build[side], bench)
                 secs[side].append(sig(s))
                 stdout.setdefault(side, text)
@@ -187,9 +192,11 @@ def snapshot_runner(args):
             "command": f"bench_{bench} --jobs 1",
             "unit": "s",
             "parent": {"per_run": secs["parent"],
-                       "median": statistics.median(secs["parent"])},
+                       **quartiles(secs["parent"])},
             "change": {"per_run": secs["change"],
-                       "median": statistics.median(secs["change"])},
+                       **quartiles(secs["change"])},
+            "change_wins": sum(c < p for p, c in zip(secs["parent"],
+                                                     secs["change"])),
             "stdout_identical": stdout["parent"] == stdout["change"],
         }
     return out

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace tc::check {
 
@@ -58,6 +60,8 @@ struct Checker::Impl {
     bool key_delivered = false;
     bool key_lost = false;
     bool escrowed = false;
+    bool closed = false;    // kTxClose seen; the record stays
+    bool extended = false;  // linked into its chain by a kChainExtend
   };
 
   struct ChainInfo {
@@ -72,19 +76,17 @@ struct Checker::Impl {
   bool finished = false;
 
   std::unordered_map<net::PeerId, PeerInfo> peers;
+  // Every transaction ever opened, one record per id. A closed record
+  // stays, so a late event on it is told apart from an unknown id.
   std::unordered_map<std::uint64_t, TxInfo> txs;
-  std::unordered_set<std::uint64_t> closed_txs;
   std::unordered_map<std::uint64_t, ChainInfo> chains;
-  // Transactions already linked into a chain: a second kChainExtend with
-  // the same ref is a forged link (the "cycle" mutation).
-  std::unordered_set<std::uint64_t> extended_txs;
   // donor -> neighbor -> unreciprocated encrypted pieces (flow control k).
   std::unordered_map<net::PeerId, std::unordered_map<net::PeerId, int>> pending;
-  // (uploader, receiver) -> piece -> open transaction ids, FIFO: matches
-  // kPieceDelivered / kPieceAborted flow events back to transactions.
+  // (uploader, receiver) -> its open uploads (piece, transaction id) in
+  // open order: matches kPieceDelivered / kPieceAborted flow events back to
+  // transactions, oldest first. An edge holds a few at a time.
   std::unordered_map<std::uint64_t,
-                     std::unordered_map<net::PieceIndex,
-                                        std::vector<std::uint64_t>>>
+                     std::vector<std::pair<net::PieceIndex, std::uint64_t>>>
       open_uploads;
   // (uploader, receiver) -> pieces ever delivered on that edge.
   std::unordered_map<std::uint64_t, std::unordered_set<net::PieceIndex>>
@@ -146,6 +148,12 @@ struct Checker::Impl {
     return it != peers.end() && it->second.freerider;
   }
 
+  // The record of `id` while it is open; null if closed or never opened.
+  TxInfo* open_tx(std::uint64_t id) {
+    const auto it = txs.find(id);
+    return it == txs.end() || it->second.closed ? nullptr : &it->second;
+  }
+
   int pending_of(net::PeerId donor, net::PeerId n) const {
     const auto it = pending.find(donor);
     if (it == pending.end()) return 0;
@@ -184,7 +192,8 @@ struct Checker::Impl {
   }
 
   void on_tx_open(const TraceEvent& e) {
-    if (txs.count(e.ref) != 0 || closed_txs.count(e.ref) != 0) {
+    const auto [rec, fresh] = txs.try_emplace(e.ref);
+    if (!fresh) {
       violate(Invariant::kTxLifecycle, e, "duplicate transaction id opened");
       return;
     }
@@ -199,7 +208,7 @@ struct Checker::Impl {
       }
     }
 
-    TxInfo tx;
+    TxInfo& tx = rec->second;
     tx.donor = e.a;
     tx.requestor = e.b;
     tx.payee = e.c;
@@ -227,21 +236,20 @@ struct Checker::Impl {
               "unencrypted gift to a neighbor with pending obligations");
     }
 
-    txs.emplace(e.ref, tx);
-    open_uploads[pair_key(e.a, e.b)][e.piece].push_back(e.ref);
+    open_uploads[pair_key(e.a, e.b)].emplace_back(e.piece, e.ref);
   }
 
   void on_tx_close(const TraceEvent& e) {
     const auto it = txs.find(e.ref);
     if (it == txs.end()) {
-      if (closed_txs.count(e.ref) != 0) {
-        violate(Invariant::kTxLifecycle, e, "transaction closed twice");
-      } else {
-        unknown_ref(Invariant::kTxLifecycle, e, "transaction (tx-close)");
-      }
+      unknown_ref(Invariant::kTxLifecycle, e, "transaction (tx-close)");
       return;
     }
     TxInfo& tx = it->second;
+    if (tx.closed) {
+      violate(Invariant::kTxLifecycle, e, "transaction closed twice");
+      return;
+    }
     const auto state = static_cast<obs::TxState>(e.aux);
 
     if (state == obs::TxState::kCompleted && !tx.key_delivered) {
@@ -282,38 +290,33 @@ struct Checker::Impl {
     // Retire any still-unmatched upload of this transaction.
     const auto ut = open_uploads.find(pair_key(tx.donor, tx.requestor));
     if (ut != open_uploads.end()) {
-      const auto pt = ut->second.find(tx.piece);
-      if (pt != ut->second.end()) {
-        auto& v = pt->second;
-        v.erase(std::remove(v.begin(), v.end(), e.ref), v.end());
-        if (v.empty()) ut->second.erase(pt);
-      }
+      auto& v = ut->second;
+      std::erase_if(v, [&](const auto& up) { return up.second == e.ref; });
     }
 
-    closed_txs.insert(e.ref);
-    txs.erase(it);
+    tx.closed = true;
   }
 
   void on_key_escrowed(const TraceEvent& e) {
-    const auto it = txs.find(e.ref);
-    if (it == txs.end()) {
+    TxInfo* tx = open_tx(e.ref);
+    if (tx == nullptr) {
       unknown_ref(Invariant::kEscrow, e, "transaction (key-escrowed)");
       return;
     }
-    if (it->second.escrowed) {
+    if (tx->escrowed) {
       violate(Invariant::kEscrow, e, "key escrowed twice");
       return;
     }
-    it->second.escrowed = true;
+    tx->escrowed = true;
   }
 
   void on_key_delivered(const TraceEvent& e) {
-    const auto it = txs.find(e.ref);
-    if (it == txs.end()) {
+    TxInfo* found = open_tx(e.ref);
+    if (found == nullptr) {
       unknown_ref(Invariant::kFairExchange, e, "transaction (key-delivered)");
       return;
     }
-    TxInfo& tx = it->second;
+    TxInfo& tx = *found;
     if (tx.key_delivered) {
       violate(Invariant::kFairExchange, e, "key delivered twice");
       return;
@@ -353,25 +356,23 @@ struct Checker::Impl {
 
   void on_key_lost(const TraceEvent& e) {
     const auto it = txs.find(e.ref);
-    if (it != txs.end()) {
-      it->second.key_lost = true;
+    if (it == txs.end()) {
+      unknown_ref(Invariant::kTxLifecycle, e, "transaction (key-lost)");
       return;
     }
     // A key-lost after close is the in-flight key-release message dying on
     // the wire (the transaction itself completed) — legitimate.
-    if (closed_txs.count(e.ref) == 0) {
-      unknown_ref(Invariant::kTxLifecycle, e, "transaction (key-lost)");
-    }
+    if (!it->second.closed) it->second.key_lost = true;
   }
 
   void on_tx_touch(const TraceEvent& e, const char* what) {
-    if (txs.count(e.ref) != 0) return;
-    if (closed_txs.count(e.ref) != 0) {
+    const auto it = txs.find(e.ref);
+    if (it == txs.end()) {
+      unknown_ref(Invariant::kTxLifecycle, e, "transaction");
+    } else if (it->second.closed) {
       violate(Invariant::kTxLifecycle, e,
               std::string(what) + " event on a closed transaction");
-      return;
     }
-    unknown_ref(Invariant::kTxLifecycle, e, "transaction");
   }
 
   void on_chain_start(const TraceEvent& e) {
@@ -392,11 +393,17 @@ struct Checker::Impl {
       ++it->second.extends;
     }
     if (e.ref != 0) {
-      if (!extended_txs.insert(e.ref).second) {
+      const auto tt = txs.find(e.ref);
+      if (tt == txs.end()) {
+        unknown_ref(Invariant::kChainShape, e, "transaction (chain-extend)");
+      } else if (tt->second.extended) {
         violate(Invariant::kChainShape, e,
                 "transaction linked into a chain twice (forged cycle)");
-      } else if (txs.count(e.ref) == 0) {
-        unknown_ref(Invariant::kChainShape, e, "transaction (chain-extend)");
+      } else {
+        tt->second.extended = true;
+        if (tt->second.closed) {
+          unknown_ref(Invariant::kChainShape, e, "transaction (chain-extend)");
+        }
       }
     }
     // A kChainExtend after kChainBreak is NOT flagged: transactions queued
@@ -424,11 +431,10 @@ struct Checker::Impl {
   void on_piece_delivered(const TraceEvent& e) {
     delivered[pair_key(e.a, e.b)].insert(e.piece);
     if (std::uint64_t txid = match_upload(e.a, e.b, e.piece); txid != 0) {
-      const auto it = txs.find(txid);
-      if (it != txs.end()) {
-        it->second.delivered = true;
-        if (it->second.chain != 0) {
-          util::SimTime& last = chain_deliveries[it->second.chain][e.a];
+      if (TxInfo* tx = open_tx(txid)) {
+        tx->delivered = true;
+        if (tx->chain != 0) {
+          util::SimTime& last = chain_deliveries[tx->chain][e.a];
           last = std::max(last, e.t);
         }
       }
@@ -467,11 +473,12 @@ struct Checker::Impl {
                              net::PieceIndex piece) {
     const auto it = open_uploads.find(pair_key(from, to));
     if (it == open_uploads.end()) return 0;
-    const auto pt = it->second.find(piece);
-    if (pt == it->second.end() || pt->second.empty()) return 0;
-    const std::uint64_t txid = pt->second.front();
-    pt->second.erase(pt->second.begin());
-    if (pt->second.empty()) it->second.erase(pt);
+    auto& v = it->second;
+    const auto oldest = std::find_if(
+        v.begin(), v.end(), [&](const auto& up) { return up.first == piece; });
+    if (oldest == v.end()) return 0;
+    const std::uint64_t txid = oldest->second;
+    v.erase(oldest);
     return txid;
   }
 
@@ -516,8 +523,9 @@ struct Checker::Impl {
     // still-open escrows are surfaced as warnings only. Walk ids in sorted
     // order so the findings list is deterministic.
     std::vector<std::uint64_t> open_ids;
-    open_ids.reserve(txs.size());
-    for (const auto& [id, tx] : txs) open_ids.push_back(id);  // det-ok
+    for (const auto& [id, tx] : txs) {  // det-ok
+      if (!tx.closed) open_ids.push_back(id);
+    }
     std::sort(open_ids.begin(), open_ids.end());
     for (const std::uint64_t id : open_ids) {
       const TxInfo& tx = txs.at(id);

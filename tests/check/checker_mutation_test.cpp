@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/obs/trace.h"
@@ -275,6 +276,73 @@ TEST(CheckerMutation, DoubleCloseFlagsTxLifecycle) {
   s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 101);
   s.key_delivered(10, 1, 2).tx_close(10, kCompleted).tx_close(10, kCompleted);
   expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+}
+
+// A clean chain whose head, tx 10 (1 -> 2, payee 3), has closed completed:
+// the start of every late-event mutation below.
+Stream closed_head() {
+  Stream s;
+  s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+  s.deliver(1, 2, 0, 100);
+  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 101);
+  s.key_delivered(10, 1, 2).tx_close(10, kCompleted);
+  return s;
+}
+
+TEST(CheckerMutation, ClosedHeadPasses) {
+  const CheckReport r = check_events(closed_head().events());
+  EXPECT_STREQ(r.verdict(), "PASS");
+  EXPECT_EQ(r.warnings, 0u);
+}
+
+TEST(CheckerMutation, RetryOrTimeoutAfterCloseFlagsTxLifecycle) {
+  for (const EventKind kind : {EventKind::kTxRetry, EventKind::kTxTimeout}) {
+    Stream s = closed_head();
+    s.add(kind, 1, 2, 3, 0, 10, 7);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
+}
+
+TEST(CheckerMutation, KeyDeliveredAfterCloseIsAnUnknownRef) {
+  Stream s = closed_head();
+  s.key_delivered(10, 1, 2);
+  const CheckReport r = check_events(s.events());
+  expect_only(r, Invariant::kFairExchange);
+  EXPECT_NE(r.findings.front().detail.find("unknown"), std::string::npos);
+}
+
+TEST(CheckerMutation, KeyEscrowedAfterCloseIsAnUnknownRef) {
+  Stream s = closed_head();
+  s.add(EventKind::kKeyEscrowed, 1, 2, 3, net::kNoPiece, 10, 7);
+  const CheckReport r = check_events(s.events());
+  expect_only(r, Invariant::kEscrow);
+  EXPECT_NE(r.findings.front().detail.find("unknown"), std::string::npos);
+}
+
+TEST(CheckerMutation, KeyLostAfterCloseStaysClean) {
+  // The key-release message died on the wire after the close.
+  Stream s = closed_head();
+  s.add(EventKind::kKeyLost, 1, 2, net::kNoPeer, net::kNoPiece, 10, 7);
+  const CheckReport r = check_events(s.events());
+  EXPECT_STREQ(r.verdict(), "PASS");
+  EXPECT_EQ(r.warnings, 0u);
+}
+
+TEST(CheckerMutation, ReopeningAClosedIdFlagsDuplicate) {
+  Stream s = closed_head();
+  s.add(EventKind::kTxOpen, 1, 2, 3, 2, 10, 7);
+  const CheckReport r = check_events(s.events());
+  expect_only(r, Invariant::kTxLifecycle);
+  EXPECT_NE(r.findings.front().detail.find("duplicate"), std::string::npos);
+}
+
+TEST(CheckerMutation, SecondExtendOfClosedTxFlagsForgedCycle) {
+  Stream s = closed_head();
+  s.add(EventKind::kChainExtend, net::kNoPeer, net::kNoPeer, net::kNoPeer,
+        net::kNoPiece, 10, 7);
+  const CheckReport r = check_events(s.events());
+  expect_only(r, Invariant::kChainShape);
+  EXPECT_NE(r.findings.front().detail.find("cycle"), std::string::npos);
 }
 
 // --- soundness contract ----------------------------------------------------

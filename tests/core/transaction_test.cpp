@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 namespace tc::core {
@@ -17,7 +18,6 @@ TEST(TransactionTable, CreateAssignsUniqueIds) {
   EXPECT_NE(a.id, b.id);
   EXPECT_EQ(b.prev, a.id);
   EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.created(), 2u);
 }
 
 TEST(TransactionTable, GetAndErase) {
@@ -29,6 +29,44 @@ TEST(TransactionTable, GetAndErase) {
   EXPECT_EQ(t.get(id), nullptr);
   EXPECT_EQ(t.size(), 0u);
   t.erase(id);  // idempotent
+}
+
+// An id names its slot and the slot's use count, so an id kept past its
+// erase must miss once the slot holds a newer transaction, and id 0 (the
+// "no transaction" link) never matches a freed slot.
+TEST(TransactionTable, StaleIdMissesAfterItsSlotIsReused) {
+  TransactionTable t;
+  const TxId stale = t.create(1, 10, 20, 30, 5, 0, 0.0).id;
+  EXPECT_EQ(t.get(0), nullptr);
+  t.erase(stale);
+  EXPECT_EQ(t.get(0), nullptr);  // the slot is free now
+  Transaction& fresh = t.create(2, 11, 21, 31, 6, 0, 1.0);
+  ASSERT_NE(fresh.id, stale);
+  EXPECT_EQ(t.get(stale), nullptr);
+  t.erase(stale);
+  t.set_payee(stale, 40);
+  ASSERT_EQ(t.get(fresh.id), &fresh);
+  EXPECT_EQ(fresh.payee, 31u);
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.involving(31), (std::vector<TxId>{fresh.id}));
+  EXPECT_TRUE(t.involving(40).empty());
+  t.erase(0);
+  t.set_payee(0, 40);
+  EXPECT_EQ(t.get(fresh.id), &fresh);
+  EXPECT_EQ(t.size(), 1u);
+}
+
+// A slot retires before its use count would carry an id past 2^53, the
+// largest integer a double (the Chrome JSON export) holds exactly.
+TEST(TransactionTable, IdsStayExactAsDoubles) {
+  TransactionTable t;
+  TxId id = 0;
+  for (int i = 0; i < (1 << 21); ++i) {
+    id = t.create(1, 10, 20, 30, 5, 0, 0.0).id;
+    ASSERT_LT(id, TxId{1} << 53);
+    t.erase(id);
+  }
+  EXPECT_EQ(static_cast<std::uint32_t>(id), 1u);  // slot 0 has retired
 }
 
 TEST(TransactionTable, InvolvingIndexesAllRoles) {
@@ -100,7 +138,8 @@ TEST(TransactionTable, PayeeReassignedAwayAndBackReappends) {
 
 // The table as it was kept before the slot pool: an ordered map of
 // transactions and, per peer, a vector of ids appended on indexing and
-// filtered on unindexing. involving() order is the vector order.
+// filtered on unindexing. involving() order is the vector order. It takes
+// the table's ids, which name slots, not creation order.
 class ReferenceTable {
  public:
   struct Tx {
@@ -108,13 +147,14 @@ class ReferenceTable {
     PieceIndex piece;
   };
 
-  TxId create(PeerId d, PeerId r, PeerId p, PieceIndex piece) {
-    const TxId id = next_id_++;
+  // False if `id` is 0 or was ever issued before.
+  bool create(TxId id, PeerId d, PeerId r, PeerId p, PieceIndex piece) {
+    if (id == 0 || !issued_.insert(id).second) return false;
     txs_[id] = {d, r, p, piece};
     by_peer_[d].push_back(id);
     by_peer_[r].push_back(id);
     if (p != net::kNoPeer && p != d && p != r) by_peer_[p].push_back(id);
-    return id;
+    return true;
   }
   void erase(TxId id) {
     const auto it = txs_.find(id);
@@ -150,7 +190,7 @@ class ReferenceTable {
     v.erase(std::remove(v.begin(), v.end(), id), v.end());
   }
 
-  TxId next_id_ = 1;
+  std::set<TxId> issued_;
   std::map<TxId, Tx> txs_;
   std::map<PeerId, std::vector<TxId>> by_peer_;
 };
@@ -183,7 +223,7 @@ TEST(TransactionTable, MatchesReferenceModelUnderChurn) {
                                : pick_peer();
     const auto piece = static_cast<PieceIndex>(uniform(64));
     const Transaction& tx = t.create(7, d, r, p, piece, 0, 0.0);
-    EXPECT_EQ(ref.create(d, r, p, piece), tx.id);
+    EXPECT_TRUE(ref.create(tx.id, d, r, p, piece)) << tx.id;
     return &tx;
   };
   auto check_all = [&] {
@@ -225,7 +265,7 @@ TEST(TransactionTable, MatchesReferenceModelUnderChurn) {
       t.erase(id);
       ref.erase(id);
       t.erase(id);  // idempotent, as is erasing an id never issued
-      t.erase(t.created() + 1000);
+      t.erase((TxId{1} << 32) | 0xfffffffeu);  // a slot never handed out
     } else if (op < 97) {
       if (live.empty()) continue;
       const TxId id = live[uniform(live.size())];
