@@ -36,7 +36,7 @@ void attach(tc::bench::RunSpec& spec, Census& out) {
   spec.trace.kind_mask = obs::kChainKinds;
   // Roughly 3 chain events per transaction (~one tx per piece delivery)
   // plus census ticks; generously padded so the ring never wraps (a run
-  // whose ring did wrap is refused, see refuse_lost_chain_events).
+  // whose ring did wrap is refused, see refuse_lost_events).
   spec.trace.ring_capacity =
       spec.config.piece_count() * (spec.config.leecher_count + 8) * 3 + 65536;
   spec.setup = [&out](bt::Swarm& swarm) {
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     attach(s, traced);
   });
   bench::run(bench::concat({&a, &b}), flags);
-  bench::refuse_lost_chain_events(flash.lost_events + traced.lost_events);
+  bench::refuse_lost_events(flash.lost_events + traced.lost_events);
 
   print_census("(a) flash crowd", flash, flags);
   print_census("(b) trace-driven arrivals", traced, flags);

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   const auto records = bench::run(bench::concat({&a, &b}), flags);
   std::uint64_t lost = flash.lost_events;
   for (const auto& t : traced) lost += t.lost_events;
-  bench::refuse_lost_chain_events(lost);
+  bench::refuse_lost_events(lost);
 
   {
     util::AsciiTable t({"time (s)", "cumulative by seeder",

@@ -3,34 +3,75 @@
 // decryption-key arrivals. Paper: steady upload to the leecher; key delay
 // small; for the 400 Kbps leecher the key line's slope is bounded by its
 // own (smaller) upload bandwidth.
+//
+// Both series are read from the run's trace: an encrypted arrival is a
+// kPieceDelivered whose ref names a kTxOpen with a payee, a key arrival a
+// kPieceGranted. A run whose ring wrapped is refused (exit 2).
 #include <unordered_map>
+#include <unordered_set>
 
 #include "bench/common.h"
 
 namespace {
 
-void print_timeline(const tc::analysis::PieceTimeline* tl, const char* label,
+// (time, piece) samples of one leecher's two series.
+struct Timeline {
+  bool found = false;  // the swarm had a leecher of the class
+  std::vector<std::pair<double, std::uint32_t>> encrypted_received;
+  std::vector<std::pair<double, std::uint32_t>> completed;  // key received
+};
+
+// The first compliant leecher of the upload class `kbps`, in join order.
+tc::net::PeerId first_of_class(const tc::analysis::SwarmMetrics& m,
+                               double kbps) {
+  for (const auto* r : m.all()) {
+    if (!r->seeder && !r->freerider && r->upload_kbps == kbps) return r->id;
+  }
+  return tc::net::kNoPeer;
+}
+
+Timeline read_timeline(const std::vector<tc::obs::TraceEvent>& events,
+                       tc::net::PeerId peer) {
+  using tc::obs::EventKind;
+  std::unordered_set<std::uint64_t> encrypted_txs;  // opened toward `peer`
+  Timeline tl;
+  tl.found = peer != tc::net::kNoPeer;
+  for (const auto& e : events) {
+    if (e.kind == EventKind::kTxOpen && e.b == peer &&
+        e.c != tc::net::kNoPeer) {
+      encrypted_txs.insert(e.ref);
+    } else if (e.kind == EventKind::kPieceDelivered && e.b == peer &&
+               encrypted_txs.count(e.ref) != 0) {
+      tl.encrypted_received.emplace_back(e.t, e.piece);
+    } else if (e.kind == EventKind::kPieceGranted && e.a == peer) {
+      tl.completed.emplace_back(e.t, e.piece);
+    }
+  }
+  return tl;
+}
+
+void print_timeline(const Timeline& tl, const char* label,
                     std::size_t buckets, const tc::util::Flags& flags) {
   using namespace tc;
-  if (tl == nullptr || tl->encrypted_received.empty()) {
+  if (!tl.found || tl.encrypted_received.empty()) {
     std::cout << label << ": no trace captured\n";
     return;
   }
   const double t_end =
-      std::max(tl->encrypted_received.back().first,
-               tl->completed.empty() ? 0.0 : tl->completed.back().first);
+      std::max(tl.encrypted_received.back().first,
+               tl.completed.empty() ? 0.0 : tl.completed.back().first);
   util::AsciiTable t({"elapsed (s)", "encrypted received", "decrypted (key)"});
   for (std::size_t b = 1; b <= buckets; ++b) {
     const double cutoff = t_end * static_cast<double>(b) / static_cast<double>(buckets);
     std::size_t enc = 0, dec = 0;
-    for (const auto& [time, piece] : tl->encrypted_received)
+    for (const auto& [time, piece] : tl.encrypted_received)
       if (time <= cutoff) ++enc;
-    for (const auto& [time, piece] : tl->completed)
+    for (const auto& [time, piece] : tl.completed)
       if (time <= cutoff) ++dec;
     t.add_row({util::format_double(cutoff, 1), std::to_string(enc),
                std::to_string(dec)});
   }
-  std::cout << label << " (join-relative series of " << tl->completed.size()
+  std::cout << label << " (join-relative series of " << tl.completed.size()
             << " pieces)\n";
   bench::print_table(t, flags);
 }
@@ -52,40 +93,40 @@ int main(int argc, char** argv) {
                 "series lags more because reciprocation is bounded by its "
                 "own upload bandwidth");
 
-  // One run; the setup hook arms the extreme-peer traces and the inspect
-  // hook copies the two timelines out of the swarm before it is destroyed.
-  analysis::PieceTimeline slow_tl, fast_tl;
-  bool have_slow = false, have_fast = false;
+  // One traced run; the inspect hook reads the two timelines out of the
+  // trace before the swarm is destroyed.
+  Timeline slow_tl, fast_tl;
+  std::uint64_t lost = 0;
 
   bench::Sweep sweep(bench::base_config(
       leechers, file_mb * util::kMiB,
       static_cast<std::uint64_t>(flags.get_int("seed", 1))));
   sweep.protocol("tchain").for_each([&](bench::RunSpec& s) {
-    s.setup = [](bt::Swarm& swarm) { swarm.set_trace_extremes(true); };
+    s.trace.enabled = true;
+    s.trace.kind_mask = obs::kind_bit(obs::EventKind::kTxOpen) |
+                        obs::kind_bit(obs::EventKind::kPieceDelivered) |
+                        obs::kind_bit(obs::EventKind::kPieceGranted);
     s.inspect = [&](bt::Swarm& swarm, bt::Protocol&, bench::RunRecord&) {
-      if (const auto* tl = swarm.metrics().timeline(swarm.traced_slow_peer())) {
-        slow_tl = *tl;
-        have_slow = true;
-      }
-      if (const auto* tl = swarm.metrics().timeline(swarm.traced_fast_peer())) {
-        fast_tl = *tl;
-        have_fast = true;
-      }
+      lost = swarm.obs()->ring().dropped();
+      const auto events = swarm.obs()->events();
+      const auto& m = swarm.metrics();
+      slow_tl = read_timeline(
+          events, first_of_class(m, bt::kLeecherUploadKbps.front()));
+      fast_tl = read_timeline(
+          events, first_of_class(m, bt::kLeecherUploadKbps.back()));
     };
   });
   bench::run(sweep, flags);
+  bench::refuse_lost_events(lost);
 
-  print_timeline(have_slow ? &slow_tl : nullptr, "(a) 400 Kbps leecher", 12,
-                 flags);
+  print_timeline(slow_tl, "(a) 400 Kbps leecher", 12, flags);
   std::cout << "\n";
-  print_timeline(have_fast ? &fast_tl : nullptr, "(b) 1200 Kbps leecher", 12,
-                 flags);
+  print_timeline(fast_tl, "(b) 1200 Kbps leecher", 12, flags);
 
   // Key-delay summary: time between an encrypted piece and its key.
-  for (auto [tl, have, label] :
-       {std::tuple{&slow_tl, have_slow, "400Kbps"},
-        {&fast_tl, have_fast, "1200Kbps"}}) {
-    if (!have) continue;
+  for (auto [tl, label] :
+       {std::pair{&slow_tl, "400Kbps"}, {&fast_tl, "1200Kbps"}}) {
+    if (!tl->found) continue;
     std::unordered_map<std::uint32_t, double> enc_at;
     for (const auto& [time, piece] : tl->encrypted_received) enc_at[piece] = time;
     util::RunningStats delay;

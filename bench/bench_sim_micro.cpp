@@ -1,14 +1,18 @@
 // Simulator micro-costs (infrastructure bench): event-queue throughput,
 // fluid bandwidth-model updates, bitfield/LRF selection, availability
-// updates, tracker sampling, the T-Chain transaction table.
+// updates, tracker sampling, the T-Chain transaction table, the invariant
+// checker over a recorded trace.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "src/bt/bitfield.h"
 #include "src/bt/row_kernels.h"
+#include "src/bt/swarm.h"
+#include "src/check/invariants.h"
 #include "src/core/transaction.h"
 #include "src/net/tracker.h"
+#include "src/protocols/tchain.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -156,6 +160,34 @@ void BM_TransactionTableChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TransactionTableChurn)->Arg(7000);
+
+// check::check_events over the full event stream of one small T-Chain flash
+// crowd (arg: leechers; 4 MiB in 64 KiB pieces, seed 1). The swarm runs
+// once, outside the timed loop; one item is one event checked.
+void BM_CheckerReplay(benchmark::State& state) {
+  bt::SwarmConfig cfg;
+  cfg.leecher_count = static_cast<std::size_t>(state.range(0));
+  cfg.file_bytes = 4 * util::kMiB;
+  cfg.piece_bytes = 64 * util::kKiB;
+  cfg.seed = 1;
+  protocols::TChainProtocol proto;
+  bt::Swarm swarm(cfg, proto);
+  swarm.enable_obs(obs::TraceConfig{});
+  swarm.run();
+  if (swarm.obs()->ring().dropped() != 0) {
+    state.SkipWithError("trace ring wrapped");
+    return;
+  }
+  const std::vector<obs::TraceEvent> events = swarm.obs()->events();
+  for (auto _ : state) {
+    const check::CheckReport report = check::check_events(events);
+    if (!report.clean()) state.SkipWithError("checker found violations");
+    benchmark::DoNotOptimize(report.events);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_CheckerReplay)->Arg(100)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

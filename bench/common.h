@@ -200,15 +200,15 @@ inline std::uint64_t lost_chain_events(const bt::Swarm& swarm,
   return swarm.obs()->ring().dropped() + view.orphan_events();
 }
 
-// Figures 10 and 11 print only what the chain trace holds, so a lossy
-// replay would print a truncated census. Such a bench is refused the way
-// --check refuses a violation: a message on stderr and exit 2, before any
-// table is printed.
-inline void refuse_lost_chain_events(std::uint64_t lost) {
+// Figures 5, 10 and 11 print only what the trace holds, so a lossy trace
+// would print a truncated series. Such a bench is refused the way --check
+// refuses a violation: a message on stderr and exit 2, before any table is
+// printed.
+inline void refuse_lost_events(std::uint64_t lost) {
   if (lost == 0) return;
   std::cerr << "[trace] " << lost
-            << " chain event(s) lost to ring wraparound; refusing to print "
-               "a truncated census (raise --trace-limit)\n";
+            << " trace event(s) lost to ring wraparound; refusing to print "
+               "a truncated series (raise --trace-limit)\n";
   std::exit(2);
 }
 

@@ -33,11 +33,6 @@ void SwarmMetrics::rekey(std::uint32_t old_id, std::uint32_t new_id) {
   PeerRecord& r = records_[slot - 1];
   r.id = new_id;
   ++r.whitewash_count;
-  const auto tl = timelines_.find(old_id);
-  if (tl != timelines_.end()) {
-    timelines_[new_id] = std::move(tl->second);
-    timelines_.erase(old_id);
-  }
 }
 
 std::vector<const PeerRecord*> SwarmMetrics::all() const {
@@ -45,29 +40,6 @@ std::vector<const PeerRecord*> SwarmMetrics::all() const {
   out.reserve(records_.size());
   for (const auto& r : records_) out.push_back(&r);
   return out;
-}
-
-void SwarmMetrics::enable_piece_trace(std::uint32_t id) { timelines_[id]; }
-
-bool SwarmMetrics::tracing(std::uint32_t id) const {
-  return timelines_.count(id) > 0;
-}
-
-void SwarmMetrics::trace_encrypted(std::uint32_t id, std::uint32_t piece,
-                                   SimTime t) {
-  const auto it = timelines_.find(id);
-  if (it != timelines_.end()) it->second.encrypted_received.emplace_back(t, piece);
-}
-
-void SwarmMetrics::trace_completed(std::uint32_t id, std::uint32_t piece,
-                                   SimTime t) {
-  const auto it = timelines_.find(id);
-  if (it != timelines_.end()) it->second.completed.emplace_back(t, piece);
-}
-
-const PieceTimeline* SwarmMetrics::timeline(std::uint32_t id) const {
-  const auto it = timelines_.find(id);
-  return it == timelines_.end() ? nullptr : &it->second;
 }
 
 bool SwarmMetrics::matches(const PeerRecord& r, PeerFilter f) const {

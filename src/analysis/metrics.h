@@ -1,15 +1,13 @@
 // Per-peer measurement records and the aggregate statistics the paper's
 // figures report: average download completion time, uplink utilization,
-// fairness factors (downloaded/uploaded pieces), throughput, and per-piece
-// arrival timelines (Figure 5).
+// fairness factors (downloaded/uploaded pieces) and throughput. Per-piece
+// timelines (Figure 5) are read from the run's trace, not kept here.
 //
 // A "logical peer" keeps one record across whitewashing identity changes,
 // so a whitewashing free-rider's completion time spans its whole life.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/stats.h"
@@ -36,12 +34,6 @@ struct PeerRecord {
 
   bool finished() const { return finish_time >= 0.0; }
   double completion_time() const { return finish_time - join_time; }
-};
-
-// (time, piece) samples for the two series of Figure 5.
-struct PieceTimeline {
-  std::vector<std::pair<SimTime, std::uint32_t>> encrypted_received;
-  std::vector<std::pair<SimTime, std::uint32_t>> completed;  // key received
 };
 
 // Aggregate resilience counters: how much injected failure a run absorbed
@@ -76,13 +68,6 @@ class SwarmMetrics {
   ResilienceStats& resilience() { return resilience_; }
   const ResilienceStats& resilience() const { return resilience_; }
 
-  // --- Figure 5 support -------------------------------------------------
-  void enable_piece_trace(std::uint32_t id);
-  bool tracing(std::uint32_t id) const;
-  void trace_encrypted(std::uint32_t id, std::uint32_t piece, SimTime t);
-  void trace_completed(std::uint32_t id, std::uint32_t piece, SimTime t);
-  const PieceTimeline* timeline(std::uint32_t id) const;
-
   // --- Aggregates ---------------------------------------------------------
   enum class PeerFilter { kCompliant, kFreeRiders, kAll };
 
@@ -116,7 +101,6 @@ class SwarmMetrics {
 
   std::vector<std::uint32_t> index_;  // id -> record position + 1
   std::vector<PeerRecord> records_;
-  std::unordered_map<std::uint32_t, PieceTimeline> timelines_;
   ResilienceStats resilience_;
 };
 

@@ -140,7 +140,8 @@ std::optional<PieceIndex> Swarm::select_lrf(PeerId chooser, PeerId owner) {
 }
 
 sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
-                                double weight, TransferFn on_done) {
+                                double weight, TransferFn on_done,
+                                std::uint64_t tx) {
   Peer* src = peer(from);
   Peer* dst = peer(to);
   if (!src || !dst || !src->active || !dst->active)
@@ -150,8 +151,8 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
 
   const sim::FlowId id = bw_.start_flow(
       from, to, static_cast<double>(cfg_.piece_bytes),
-      [this, from, to, piece, on_done = std::move(on_done)](sim::FlowId fid,
-                                                            bool ok) {
+      [this, from, to, piece, tx, on_done = std::move(on_done)](
+          sim::FlowId fid, bool ok) {
         if (ok) {
           auto& up = metrics_.record(from);
           up.pieces_uploaded += 1;
@@ -168,7 +169,7 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
                       .piece = piece,
                       .a = from,
                       .b = to,
-                      .ref = fid});
+                      .ref = tx != 0 ? tx : fid});
         }
         if (on_done) on_done(from, to, piece, ok);
       },
@@ -179,7 +180,7 @@ sim::FlowId Swarm::start_upload(PeerId from, PeerId to, PieceIndex piece,
                 .piece = piece,
                 .a = from,
                 .b = to,
-                .ref = id});
+                .ref = tx != 0 ? tx : id});
   }
   return id;
 }
@@ -195,7 +196,6 @@ void Swarm::grant_piece(PeerId to, PieceIndex piece, PeerId from) {
   rec.pieces_downloaded += 1;
   last_any_progress_ = sim_.now();
   if (t->freerider) last_freerider_progress_ = sim_.now();
-  if (metrics_.tracing(to)) metrics_.trace_completed(to, piece, sim_.now());
   if (obs_ != nullptr) {
     obs_->emit({.t = sim_.now(),
                 .kind = obs::EventKind::kPieceGranted,
@@ -490,17 +490,6 @@ void Swarm::join_leecher(std::size_t arrival_index, SimTime now) {
     want = std::min(want, piece_count_ - 1);
     for (std::size_t i : rng_.sample_indices(piece_count_, want)) {
       have.set(static_cast<PieceIndex>(i));
-    }
-  }
-
-  if (trace_extremes_ && !freerider) {
-    if (traced_slow_ == net::kNoPeer && kbps == kLeecherUploadKbps.front()) {
-      traced_slow_ = id;
-      metrics_.enable_piece_trace(id);
-    } else if (traced_fast_ == net::kNoPeer &&
-               kbps == kLeecherUploadKbps.back()) {
-      traced_fast_ = id;
-      metrics_.enable_piece_trace(id);
     }
   }
 

@@ -93,13 +93,16 @@ class Swarm {
       std::function<void(PeerId from, PeerId to, PieceIndex piece, bool ok)>;
 
   // Starts a piece-sized upload. Marks the piece in-flight for `to`.
-  // `weight` is the flow's share weight at the uploader (PropShare).
+  // `weight` is the flow's share weight at the uploader (PropShare). The
+  // piece events' `ref` is `tx`, the transaction the upload carries, or
+  // the flow id when `tx` is 0 (a protocol without transactions).
   sim::FlowId start_upload(PeerId from, PeerId to, PieceIndex piece,
-                           double weight, TransferFn on_done);
+                           double weight, TransferFn on_done,
+                           std::uint64_t tx = 0);
 
   // Marks `piece` completed (decrypted / plainly received) at `to`:
-  // updates counters, availability (HAVE), piece-trace metrics; notifies
-  // the protocol; finishes + departs the peer when the file is complete.
+  // updates counters and availability (HAVE); notifies the protocol;
+  // finishes + departs the peer when the file is complete.
   void grant_piece(PeerId to, PieceIndex piece, PeerId from);
 
   // Control-plane message (receipt, key, reassignment): runs `fn` after
@@ -121,13 +124,6 @@ class Swarm {
   // reduces to one pointer test (zero-overhead contract, see obs/trace.h).
   void enable_obs(const obs::TraceConfig& cfg);
   obs::Trace* obs() const { return obs_; }
-
-  // Figure 5 support: when enabled before run(), the first leecher of the
-  // slowest class and the first of the fastest class get piece-timeline
-  // traces in metrics().
-  void set_trace_extremes(bool on) { trace_extremes_ = on; }
-  PeerId traced_slow_peer() const { return traced_slow_; }
-  PeerId traced_fast_peer() const { return traced_fast_; }
 
  private:
   // Mints the next id and gives it an empty slot (filled by add_leecher,
@@ -197,9 +193,6 @@ class Swarm {
   std::size_t active_leechers_ = 0;
   std::vector<std::size_t> freerider_arrival_index_;
   bool done_ = false;
-  bool trace_extremes_ = false;
-  PeerId traced_slow_ = net::kNoPeer;
-  PeerId traced_fast_ = net::kNoPeer;
 };
 
 }  // namespace tc::bt

@@ -44,8 +44,6 @@ struct Checker::Impl {
   struct PeerInfo {
     bool freerider = false;
     bool colluder = false;
-    bool seeder = false;
-    bool active = true;
   };
 
   struct TxInfo {
@@ -82,12 +80,6 @@ struct Checker::Impl {
   std::unordered_map<std::uint64_t, ChainInfo> chains;
   // donor -> neighbor -> unreciprocated encrypted pieces (flow control k).
   std::unordered_map<net::PeerId, std::unordered_map<net::PeerId, int>> pending;
-  // (uploader, receiver) -> its open uploads (piece, transaction id) in
-  // open order: matches kPieceDelivered / kPieceAborted flow events back to
-  // transactions, oldest first. An edge holds a few at a time.
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<net::PieceIndex, std::uint64_t>>>
-      open_uploads;
   // (uploader, receiver) -> pieces ever delivered on that edge.
   std::unordered_map<std::uint64_t, std::unordered_set<net::PieceIndex>>
       delivered;
@@ -167,13 +159,9 @@ struct Checker::Impl {
     PeerInfo& p = peers[id];
     p.freerider = (flags & obs::kPeerFlagFreerider) != 0;
     p.colluder = (flags & obs::kPeerFlagColluder) != 0;
-    p.seeder = (flags & obs::kPeerFlagSeeder) != 0;
-    p.active = true;
   }
 
   void on_gone(net::PeerId id) {
-    const auto it = peers.find(id);
-    if (it != peers.end()) it->second.active = false;
     // The departing identity's flow-control ledger dies with it.
     pending.erase(id);
   }
@@ -182,11 +170,8 @@ struct Checker::Impl {
     // Same logical peer, fresh identity: the attack flags carry over, the
     // old identity's donor-side ledger does not (that is the attack).
     PeerInfo info;
-    if (const auto it = peers.find(old_id); it != peers.end()) {
-      info = it->second;
-      it->second.active = false;
-    }
-    info.active = true;
+    const auto it = peers.find(old_id);
+    if (it != peers.end()) info = it->second;
     pending.erase(old_id);
     peers[fresh] = info;
   }
@@ -235,8 +220,6 @@ struct Checker::Impl {
       violate(Invariant::kPendingBound, e,
               "unencrypted gift to a neighbor with pending obligations");
     }
-
-    open_uploads[pair_key(e.a, e.b)].emplace_back(e.piece, e.ref);
   }
 
   void on_tx_close(const TraceEvent& e) {
@@ -285,13 +268,6 @@ struct Checker::Impl {
           if (nt != dt->second.end() && nt->second > 0) --nt->second;
         }
       }
-    }
-
-    // Retire any still-unmatched upload of this transaction.
-    const auto ut = open_uploads.find(pair_key(tx.donor, tx.requestor));
-    if (ut != open_uploads.end()) {
-      auto& v = ut->second;
-      std::erase_if(v, [&](const auto& up) { return up.second == e.ref; });
     }
 
     tx.closed = true;
@@ -428,23 +404,22 @@ struct Checker::Impl {
     it->second.cause = e.aux;
   }
 
+  // A delivery credits the open transaction its `ref` names, and only if
+  // that transaction's donor, requestor and piece are the event's: a
+  // delivery on another edge must not pay for it (a trace read from a file
+  // can name any id). Baseline flows name no transaction and credit none.
   void on_piece_delivered(const TraceEvent& e) {
     delivered[pair_key(e.a, e.b)].insert(e.piece);
-    if (std::uint64_t txid = match_upload(e.a, e.b, e.piece); txid != 0) {
-      if (TxInfo* tx = open_tx(txid)) {
-        tx->delivered = true;
-        if (tx->chain != 0) {
-          util::SimTime& last = chain_deliveries[tx->chain][e.a];
-          last = std::max(last, e.t);
-        }
-      }
+    TxInfo* tx = open_tx(e.ref);
+    if (tx == nullptr || tx->donor != e.a || tx->requestor != e.b ||
+        tx->piece != e.piece) {
+      return;
     }
-  }
-
-  void on_piece_aborted(const TraceEvent& e) {
-    // The matching transaction (if any) is torn down right after this
-    // event; just unmatch the flow so later deliveries pair correctly.
-    (void)match_upload(e.a, e.b, e.piece);
+    tx->delivered = true;
+    if (tx->chain != 0) {
+      util::SimTime& last = chain_deliveries[tx->chain][e.a];
+      last = std::max(last, e.t);
+    }
   }
 
   void on_piece_granted(const TraceEvent& e) {
@@ -467,21 +442,6 @@ struct Checker::Impl {
     }
   }
 
-  // Pops the oldest open upload matching (from, to, piece); 0 if none
-  // (baseline-protocol flows have no transactions).
-  std::uint64_t match_upload(net::PeerId from, net::PeerId to,
-                             net::PieceIndex piece) {
-    const auto it = open_uploads.find(pair_key(from, to));
-    if (it == open_uploads.end()) return 0;
-    auto& v = it->second;
-    const auto oldest = std::find_if(
-        v.begin(), v.end(), [&](const auto& up) { return up.first == piece; });
-    if (oldest == v.end()) return 0;
-    const std::uint64_t txid = oldest->second;
-    v.erase(oldest);
-    return txid;
-  }
-
   void consume(const TraceEvent& e) {
     ++rep.events;
     switch (e.kind) {
@@ -490,7 +450,6 @@ struct Checker::Impl {
       case EventKind::kPeerCrash: on_gone(e.a); break;
       case EventKind::kPeerWhitewash: on_whitewash(e.a, e.b); break;
       case EventKind::kPieceDelivered: on_piece_delivered(e); break;
-      case EventKind::kPieceAborted: on_piece_aborted(e); break;
       case EventKind::kPieceGranted: on_piece_granted(e); break;
       case EventKind::kKeyEscrowed: on_key_escrowed(e); break;
       case EventKind::kKeyDelivered: on_key_delivered(e); break;
@@ -504,6 +463,7 @@ struct Checker::Impl {
       case EventKind::kChainBreak: on_chain_break(e); break;
       case EventKind::kPeerFinish:
       case EventKind::kPieceSent:
+      case EventKind::kPieceAborted:
       case EventKind::kChoke:
       case EventKind::kUnchoke:
       case EventKind::kFaultControlDrop:

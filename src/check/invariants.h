@@ -7,7 +7,9 @@
 // verifies the T-Chain safety catalogue:
 //
 //  * fair-exchange — no kKeyDelivered before the matching reciprocation
-//    delivered a piece, modulo the paper's sanctioned exceptions: gratis
+//    delivered a piece (a kPieceDelivered counts for the open transaction
+//    its ref names, and only on that transaction's edge and piece),
+//    modulo the paper's sanctioned exceptions: gratis
 //    settlement when no qualified payee exists (the chain breaks with
 //    kNoPayee / is already in teardown when the key settles) and the
 //    modeled collusion attack (a colluding requestor obtains keys via
@@ -27,7 +29,8 @@
 //    an escrowed key (§II-B4 departure handoff) never silently vanishes at
 //    transaction close;
 //  * piece-conservation — a piece is granted at most once per peer and
-//    only after a matching flow delivered it (no piece out of thin air);
+//    only after a delivery on that edge carried it (no piece out of thin
+//    air);
 //  * tx-lifecycle — transaction event streams are well-formed: unique
 //    opens, no events on unknown or already-closed transactions, and a
 //    kCompleted close implies the key was delivered first.
@@ -81,7 +84,7 @@ struct Violation {
   net::PeerId a = net::kNoPeer;     // subject peer (donor / uploader)
   net::PeerId b = net::kNoPeer;     // object peer (requestor / receiver)
   net::PieceIndex piece = net::kNoPiece;
-  std::uint64_t ref = 0;            // transaction / flow id
+  std::uint64_t ref = 0;            // transaction (or flow) id
   std::uint64_t chain = 0;
   std::string detail;               // human-readable context
 };

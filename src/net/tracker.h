@@ -23,7 +23,6 @@ class Tracker {
  public:
   void announce(PeerId peer);
   void depart(PeerId peer);
-  bool contains(PeerId peer) const { return members_.count(peer) > 0; }
   std::size_t size() const { return members_.size(); }
 
   // Up to kTrackerListSize random members, excluding the requester itself.

@@ -98,30 +98,4 @@ double ChainView::mean_terminated_length() const {
   return n ? sum / static_cast<double>(n) : 0.0;
 }
 
-std::map<ChainBreakCause, std::size_t> ChainView::break_causes() const {
-  std::map<ChainBreakCause, std::size_t> out;
-  for (const ChainRecord& c : chains_) {
-    if (c.broken()) ++out[c.cause];
-  }
-  return out;
-}
-
-std::size_t ChainView::fault_breaks() const {
-  std::size_t n = 0;
-  for (const ChainRecord& c : chains_) {
-    if (!c.broken()) continue;
-    if (c.cause == ChainBreakCause::kDeparture ||
-        c.cause == ChainBreakCause::kCrash ||
-        c.cause == ChainBreakCause::kWatchdog) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-double ChainView::direct_fraction() const {
-  const double enc = static_cast<double>(direct_txs_ + indirect_txs_);
-  return enc > 0 ? static_cast<double>(direct_txs_) / enc : 0.0;
-}
-
 }  // namespace tc::obs

@@ -67,18 +67,10 @@ class ChainView {
   std::map<std::uint32_t, std::size_t> length_histogram() const;
   double mean_terminated_length() const;
 
-  // --- Break causes --------------------------------------------------------
-  std::map<ChainBreakCause, std::size_t> break_causes() const;
-  // Breaks caused by failures (departure / crash / watchdog) rather than by
-  // the protocol running its natural course.
-  std::size_t fault_breaks() const;
-
   // --- Reciprocity (requires kTxOpen in the trace mask) --------------------
   std::uint64_t direct_txs() const { return direct_txs_; }
   std::uint64_t indirect_txs() const { return indirect_txs_; }
   std::uint64_t terminal_txs() const { return terminal_txs_; }
-  // direct / (direct + indirect); 0 when no encrypted tx was seen.
-  double direct_fraction() const;
 
   // --- Census series (Figure 10/11) ----------------------------------------
   const std::vector<CensusPoint>& census() const { return census_; }

@@ -48,8 +48,6 @@ class LogHistogram {
   // p-quantile sample, clamped to the observed [min, max].
   double percentile(double p) const;
 
-  std::size_t bucket_count() const { return counts_.size(); }
-
  private:
   std::size_t bucket_of(double v) const;
 

@@ -34,8 +34,9 @@ enum class EventKind : std::uint8_t {
   kPeerDepart,     // a=peer (graceful)
   kPeerCrash,      // a=peer (vanished, no goodbye)
   kPeerWhitewash,  // a=old identity, b=fresh identity
-  // Piece plane (flow-level, encrypted or not).
-  kPieceSent,       // a=uploader, b=receiver, piece, ref=flow id
+  // Piece plane (flow-level, encrypted or not). ref is the transaction
+  // the upload carries, or the flow id if the protocol has none.
+  kPieceSent,       // a=uploader, b=receiver, piece, ref=tx or flow id
   kPieceDelivered,  // same roles; the flow completed
   kPieceAborted,    // same roles; an endpoint departed mid-transfer
   kPieceGranted,    // a=receiver, b=source; piece decrypted/plainly received

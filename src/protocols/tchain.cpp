@@ -303,10 +303,12 @@ bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,
   }
 
   const TxId txid = tx.id;
-  swarm_->start_upload(donor, requestor, piece, /*weight=*/1.0,
-                       [this, txid](PeerId, PeerId, PieceIndex, bool ok) {
-                         on_upload_done(txid, ok);
-                       });
+  swarm_->start_upload(
+      donor, requestor, piece, /*weight=*/1.0,
+      [this, txid](PeerId, PeerId, PieceIndex, bool ok) {
+        on_upload_done(txid, ok);
+      },
+      txid);
   return true;
 }
 
@@ -361,10 +363,6 @@ void TChainProtocol::handle_encrypted_delivery(Transaction& tx) {
   tx.state = TxState::kAwaitKey;
   ++state(tx.requestor).obligations;
   arm_watchdog(tx.id, 0);
-  if (swarm_->metrics().tracing(tx.requestor)) {
-    swarm_->metrics().trace_encrypted(tx.requestor, tx.piece,
-                                      swarm_->simulator().now());
-  }
 
   // This delivery is also the reciprocation payment for tx.prev: the
   // requestor (payee of prev) reports the receipt to prev's donor.

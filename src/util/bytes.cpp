@@ -1,6 +1,5 @@
 #include "src/util/bytes.h"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace tc::util {
@@ -20,13 +19,6 @@ void ByteWriter::u32(std::uint32_t v) {
 void ByteWriter::u64(std::uint64_t v) {
   u32(static_cast<std::uint32_t>(v >> 32));
   u32(static_cast<std::uint32_t>(v));
-}
-
-void ByteWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
 }
 
 void ByteWriter::blob(const Bytes& b) {
@@ -70,13 +62,6 @@ std::uint64_t ByteReader::u64() {
   return (hi << 32) | lo;
 }
 
-double ByteReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 Bytes ByteReader::blob() {
   const std::uint32_t n = u32();
   need(n);
@@ -95,13 +80,6 @@ std::string ByteReader::str() {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  throw std::invalid_argument("from_hex: non-hex character");
-}
 }  // namespace
 
 std::string to_hex(const std::uint8_t* data, std::size_t len) {
@@ -115,16 +93,5 @@ std::string to_hex(const std::uint8_t* data, std::size_t len) {
 }
 
 std::string to_hex(const Bytes& b) { return to_hex(b.data(), b.size()); }
-
-Bytes from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) throw std::invalid_argument("from_hex: odd length");
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>((hex_value(hex[i]) << 4) |
-                                            hex_value(hex[i + 1])));
-  }
-  return out;
-}
 
 }  // namespace tc::util

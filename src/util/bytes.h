@@ -26,7 +26,6 @@ class ByteWriter {
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void f64(double v);
   // Length-prefixed (u32) blob / string.
   void blob(const Bytes& b);
   void str(std::string_view s);
@@ -51,7 +50,6 @@ class ByteReader {
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
-  double f64();
   Bytes blob();
   std::string str();
 
@@ -68,6 +66,5 @@ class ByteReader {
 // Lowercase hex encoding (debugging).
 std::string to_hex(const Bytes& b);
 std::string to_hex(const std::uint8_t* data, std::size_t len);
-Bytes from_hex(std::string_view hex);  // throws std::invalid_argument
 
 }  // namespace tc::util

@@ -115,26 +115,6 @@ TEST(SwarmMetrics, FairnessFactors) {
   EXPECT_EQ(m.fairness_factors(2).count(), 2u);
 }
 
-TEST(SwarmMetrics, PieceTraces) {
-  SwarmMetrics m;
-  m.record(7);  // rekey below requires an existing record
-  EXPECT_FALSE(m.tracing(7));
-  m.trace_encrypted(7, 1, 0.5);  // ignored: not enabled
-  m.enable_piece_trace(7);
-  EXPECT_TRUE(m.tracing(7));
-  m.trace_encrypted(7, 1, 1.0);
-  m.trace_completed(7, 1, 2.0);
-  const auto* tl = m.timeline(7);
-  ASSERT_NE(tl, nullptr);
-  ASSERT_EQ(tl->encrypted_received.size(), 1u);
-  ASSERT_EQ(tl->completed.size(), 1u);
-  EXPECT_DOUBLE_EQ(tl->encrypted_received[0].first, 1.0);
-  // Traces migrate across whitewash.
-  m.rekey(7, 8);
-  EXPECT_TRUE(m.tracing(8));
-  EXPECT_FALSE(m.tracing(7));
-}
-
 TEST(SwarmMetrics, DownloadThroughput) {
   SwarmMetrics m;
   auto& r = m.record(1);

@@ -403,28 +403,6 @@ TEST(Swarm, AvailabilityMatchesNeighbourhoodUnderAttackAndChurn) {
   EXPECT_GT(retired, proto.whitewashes);
 }
 
-// Figure 5's traced peers: the first of the slowest and fastest classes.
-TEST(Swarm, TraceExtremesFollowSlowestAndFastestClass) {
-  protocols::BitTorrentProtocol proto;
-  Swarm swarm(tiny_config(10), proto);
-  swarm.set_trace_extremes(true);
-  swarm.run();
-  for (const auto& [id, kbps] :
-       {std::pair{swarm.traced_slow_peer(), kLeecherUploadKbps.front()},
-        std::pair{swarm.traced_fast_peer(), kLeecherUploadKbps.back()}}) {
-    const auto* tl = swarm.metrics().timeline(id);
-    ASSERT_NE(tl, nullptr) << id;
-    EXPECT_EQ(swarm.metrics().find(id)->upload_kbps, kbps);
-    std::vector<PieceIndex> pieces;
-    for (const auto& [t, piece] : tl->completed) pieces.push_back(piece);
-    std::sort(pieces.begin(), pieces.end());
-    EXPECT_EQ(pieces, swarm.peer(swarm.seeder_id())->have.to_vector());
-    EXPECT_TRUE(std::is_sorted(
-        tl->completed.begin(), tl->completed.end(),
-        [](const auto& x, const auto& y) { return x.first < y.first; }));
-  }
-}
-
 TEST(Swarm, ControlMessageLatency) {
   NullProtocol proto;
   Swarm swarm(tiny_config(2), proto);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/obs/trace.h"
@@ -65,10 +66,10 @@ class Stream {
                net::kNoPeer, net::kNoPiece, ref, chain);
   }
 
+  // A piece delivered from -> to, naming the transaction it carries.
   Stream& deliver(net::PeerId from, net::PeerId to, net::PieceIndex piece,
-                  std::uint64_t flow) {
-    return add(EventKind::kPieceDelivered, from, to, net::kNoPeer, piece,
-               flow);
+                  std::uint64_t tx) {
+    return add(EventKind::kPieceDelivered, from, to, net::kNoPeer, piece, tx);
   }
 
   Stream& key_delivered(std::uint64_t ref, net::PeerId donor,
@@ -116,14 +117,29 @@ TEST(CheckerMutation, EarlyKeyReleaseFlagsFairExchange) {
 TEST(CheckerMutation, ReciprocatedKeyReleasePasses) {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100);
+  s.deliver(1, 2, 0, 10);
   // Peer 2 reciprocates inside chain 7 (its own transaction delivers)...
-  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 101);
+  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 11);
   // ...so the key may settle.
   s.key_delivered(10, 1, 2).tx_close(10, kCompleted);
   const CheckReport r = check_events(s.events());
   EXPECT_TRUE(r.clean()) << r.verdict();
   EXPECT_STREQ(r.verdict(), "PASS");
+}
+
+TEST(CheckerMutation, DeliveryOffItsTransactionIsNoReciprocation) {
+  // Each delivery names tx 11, but none is on tx 11's edge (2 -> 3) with its
+  // piece (1), so none pays for tx 10 and the key release is early.
+  using Edge = std::tuple<net::PeerId, net::PeerId, net::PieceIndex>;
+  for (const auto& [from, to, piece] :
+       {Edge{2, 1, 1}, Edge{1, 3, 1}, Edge{2, 3, 2}}) {
+    Stream s;
+    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+    s.deliver(1, 2, 0, 10).tx_open(11, 2, 3, 1, 1, 7);
+    s.deliver(from, to, piece, 11);
+    s.key_delivered(10, 1, 2).tx_close(10, kCompleted);
+    expect_only(check_events(s.events()), Invariant::kFairExchange);
+  }
 }
 
 TEST(CheckerMutation, ColludingRequestorIsExempt) {
@@ -206,7 +222,7 @@ TEST(CheckerMutation, DoubleChainStartFlagsChainShape) {
 TEST(CheckerMutation, DroppedEscrowRefundFlagsEscrow) {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100);
+  s.deliver(1, 2, 0, 10);
   s.add(EventKind::kKeyEscrowed, 1, 2, 3, net::kNoPiece, 10, 7);
   // The escrowed key vanishes: close with neither delivery nor refund.
   s.tx_close(10, kAwaitKey);
@@ -216,7 +232,7 @@ TEST(CheckerMutation, DroppedEscrowRefundFlagsEscrow) {
 TEST(CheckerMutation, SwallowedCiphertextOfCompliantPeerFlagsEscrow) {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100).tx_close(10, kAwaitKey);
+  s.deliver(1, 2, 0, 10).tx_close(10, kAwaitKey);
   expect_only(check_events(s.events()), Invariant::kEscrow);
 }
 
@@ -225,14 +241,14 @@ TEST(CheckerMutation, FreeriderSwallowIsSanctioned) {
   s.join(1).join(2, obs::kPeerFlagFreerider).join(3);
   s.chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
   // Withholding the key from a free-riding requestor is the §II-D2 sanction.
-  s.deliver(1, 2, 0, 100).tx_close(10, kAwaitKey);
+  s.deliver(1, 2, 0, 10).tx_close(10, kAwaitKey);
   EXPECT_TRUE(check_events(s.events()).clean());
 }
 
 TEST(CheckerMutation, EscrowOpenAtEndOfStreamIsOnlyAWarning) {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100);
+  s.deliver(1, 2, 0, 10);
   s.add(EventKind::kKeyEscrowed, 1, 2, 3, net::kNoPiece, 10, 7);
   const CheckReport r = check_events(s.events());
   EXPECT_TRUE(r.clean());
@@ -244,7 +260,7 @@ TEST(CheckerMutation, EscrowOpenAtEndOfStreamIsOnlyAWarning) {
 
 TEST(CheckerMutation, DuplicateGrantFlagsPieceConservation) {
   Stream s;
-  s.join(1).join(2).deliver(1, 2, 0, 100);
+  s.join(1).join(2).deliver(1, 2, 0, 100);  // no transaction
   s.add(EventKind::kPieceGranted, 2, 1, net::kNoPeer, 0);
   s.add(EventKind::kPieceGranted, 2, 1, net::kNoPeer, 0);
   expect_only(check_events(s.events()), Invariant::kPieceConservation);
@@ -263,7 +279,7 @@ TEST(CheckerMutation, GrantWithoutDeliveryFlagsPieceConservation) {
 TEST(CheckerMutation, CompletedCloseWithoutKeyFlagsTxLifecycle) {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100).tx_close(10, kCompleted);
+  s.deliver(1, 2, 0, 10).tx_close(10, kCompleted);
   const CheckReport r = check_events(s.events());
   EXPECT_GE(class_count(r, Invariant::kTxLifecycle), 1u);
   EXPECT_FALSE(r.clean());
@@ -272,8 +288,8 @@ TEST(CheckerMutation, CompletedCloseWithoutKeyFlagsTxLifecycle) {
 TEST(CheckerMutation, DoubleCloseFlagsTxLifecycle) {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100);
-  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 101);
+  s.deliver(1, 2, 0, 10);
+  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 11);
   s.key_delivered(10, 1, 2).tx_close(10, kCompleted).tx_close(10, kCompleted);
   expect_only(check_events(s.events()), Invariant::kTxLifecycle);
 }
@@ -283,8 +299,8 @@ TEST(CheckerMutation, DoubleCloseFlagsTxLifecycle) {
 Stream closed_head() {
   Stream s;
   s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 100);
-  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 101);
+  s.deliver(1, 2, 0, 10);
+  s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 11);
   s.key_delivered(10, 1, 2).tx_close(10, kCompleted);
   return s;
 }

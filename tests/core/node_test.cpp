@@ -17,6 +17,7 @@
 
 #include "src/check/invariants.h"
 #include "src/crypto/cipher.h"
+#include "tests/obs/piece_event_property.h"
 
 namespace tc::core {
 namespace {
@@ -227,6 +228,17 @@ TEST(NodeSwarm, SeederAndThreeLeechersCompleteWithoutSockets) {
       EXPECT_EQ(e.chain >> 32, e.a);
     }
   }
+}
+
+TEST(NodeSwarm, PieceEventsNameTheirTransaction) {
+  Bus bus(8, 16, 1024, 5);
+  bus.run(60.0);
+  ASSERT_TRUE(bus.settled());
+  const auto [sent, delivered, aborted] =
+      obs::expect_piece_events_name_their_tx(bus.events());
+  EXPECT_EQ(sent, delivered);
+  EXPECT_GE(delivered, 7u * 16u);
+  EXPECT_EQ(aborted, 0u);
 }
 
 TEST(NodeSwarm, SettledTriangleHoldsNoPayload) {

@@ -8,6 +8,7 @@
 
 #include "src/analysis/metrics.h"
 #include "src/obs/chain_view.h"
+#include "tests/obs/piece_event_property.h"
 
 namespace tc::protocols {
 namespace {
@@ -62,6 +63,28 @@ TEST(TChain, PieceAccountingBalances) {
   EXPECT_EQ(keys + view.terminal_txs(), 20u * 32u);
   // No encrypted upload left unpaid.
   EXPECT_EQ(keys, view.direct_txs() + view.indirect_txs());
+}
+
+TEST(TChain, PieceEventsNameTheirTransaction) {
+  TChainProtocol proto;
+  bt::Swarm swarm(small_config(20), proto);
+  swarm.enable_obs(obs::TraceConfig{});
+  // Leechers leaving mid-download abort uploads, so every piece kind occurs.
+  for (int k = 1; k <= 4; ++k) {
+    swarm.simulator().schedule_at(5.0 * k, [&swarm] {
+      for (bt::PeerId id : swarm.active_peers()) {
+        const bt::Peer* p = swarm.peer(id);
+        if (!p->seeder && !p->have.complete()) return swarm.depart(id);
+      }
+    });
+  }
+  swarm.run();
+  ASSERT_EQ(swarm.obs()->ring().dropped(), 0u);
+  const auto [sent, delivered, aborted] =
+      obs::expect_piece_events_name_their_tx(swarm.obs()->events());
+  EXPECT_EQ(sent, delivered + aborted);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(aborted, 0u);
 }
 
 TEST(TChain, FreeRidersNeverComplete) {
