@@ -243,13 +243,14 @@ struct Checker::Impl {
     // Key conservation at close. Escrowed keys (§II-B4 handoff) and
     // delivered ciphertexts must resolve: key delivered, key explicitly
     // lost (the refund path — the requestor may re-fetch), or deliberately
-    // withheld from a free-riding requestor (§II-D2 sanction).
+    // withheld from a free-riding requestor (§II-D2 sanction: an await-key
+    // close, never a dead one).
     if (tx.escrowed && !tx.key_delivered && !tx.key_lost) {
       violate(Invariant::kEscrow, e,
               "escrowed key neither delivered nor refunded at close");
     } else if (tx.encrypted && tx.delivered && !tx.key_delivered &&
-               !tx.key_lost && state == obs::TxState::kAwaitKey &&
-               !freerider(tx.requestor)) {
+               !tx.key_lost && state != obs::TxState::kCompleted &&
+               (state != obs::TxState::kAwaitKey || !freerider(tx.requestor))) {
       violate(Invariant::kEscrow, e,
               "delivered ciphertext closed with key neither delivered nor "
               "lost");

@@ -20,36 +20,14 @@ Transaction& TransactionTable::create(ChainId chain, PeerId donor,
   tx.started = now;
   ++live_;
   for (Role role : {kDonor, kRequestor, kPayee}) link(s, role);
-  if (trace_ != nullptr) {
-    trace_->emit({.t = now,
-                  .kind = obs::EventKind::kTxOpen,
-                  .piece = piece,
-                  .a = donor,
-                  .b = requestor,
-                  .c = payee,
-                  .ref = id,
-                  .chain = chain});
-  }
   return tx;
 }
 
 void TransactionTable::erase(TxId id) {
   Slot* s = find(id);
   if (s == nullptr) return;
-  Transaction& tx = s->tx;
-  if (trace_ != nullptr) {
-    trace_->emit({.t = clock_ ? clock_() : tx.started,
-                  .kind = obs::EventKind::kTxClose,
-                  .aux = static_cast<std::uint8_t>(tx.state),
-                  .piece = tx.piece,
-                  .a = tx.donor,
-                  .b = tx.requestor,
-                  .c = tx.payee,
-                  .ref = id,
-                  .chain = tx.chain});
-  }
   for (Role role : {kDonor, kRequestor, kPayee}) unlink(*s, role);
-  tx.id = 0;
+  s->tx.id = 0;
   if (s->uses < kMaxUses) free_.push_back(s->index);
   --live_;
 }

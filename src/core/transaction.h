@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,6 +34,9 @@ struct Transaction {
   PieceIndex piece = net::kNoPiece;
   TxId prev = 0;  // transaction this upload reciprocates (0 = chain head)
   TxId next = 0;  // reciprocation transaction, once started
+  // kUploading until the encrypted piece lands, then kAwaitKey. A
+  // transaction leaves the table on its end; the state it ends in is
+  // written only to the kTxClose event its driver emits.
   TxState state = TxState::kUploading;
   // Donor departed after delivery; the key is escrowed with the payee, who
   // releases it directly upon reciprocation (§II-B4).
@@ -61,7 +63,8 @@ struct Transaction {
 // matches. Each slot carries one link pair per role (donor, requestor,
 // payee), threading it into a doubly linked list per PeerId, so indexing
 // and unindexing are O(1). Memory follows the live transaction count, not
-// the ids ever issued.
+// the ids ever issued. The table does not trace: its driver emits kTxOpen
+// beside create() and kTxClose beside erase().
 class TransactionTable {
  public:
   Transaction& create(ChainId chain, PeerId donor, PeerId requestor,
@@ -77,7 +80,7 @@ class TransactionTable {
     return s == nullptr ? nullptr : &s->tx;
   }
 
-  // Removes a settled transaction from the table (state must be final).
+  // Removes an ended transaction from the table.
   void erase(TxId id);
 
   // Payee reassignment after a departure (§II-B4); keeps the role index
@@ -90,15 +93,6 @@ class TransactionTable {
   std::vector<TxId> involving(PeerId peer) const;
 
   std::size_t size() const { return live_; }
-
-  // Observability hookup: create() then emits kTxOpen and erase() kTxClose
-  // (with the final state in aux). `clock` supplies the erase timestamp —
-  // a std::function so core stays independent of the sim layer. Null trace
-  // (the default) keeps both paths branch-only.
-  void set_trace(obs::Trace* trace, std::function<util::SimTime()> clock) {
-    trace_ = trace;
-    clock_ = std::move(clock);
-  }
 
  private:
   // A link names one (slot, role) pair: slot << 2 | role.
@@ -156,8 +150,6 @@ class TransactionTable {
   std::uint32_t slots_used_ = 0;     // slots ever handed out
   std::vector<std::uint32_t> free_;  // erased slots, reused LIFO
   std::vector<List> lists_;          // PeerId -> its role list
-  obs::Trace* trace_ = nullptr;
-  std::function<util::SimTime()> clock_;
 };
 
 }  // namespace tc::core

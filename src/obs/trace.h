@@ -103,14 +103,17 @@ enum class RetryCause : std::uint8_t {
 
 const char* retry_cause_name(RetryCause c);
 
-// aux payload of kTxClose: the state a transaction ended in. The
-// simulator's core::Transaction walks the same states.
+// aux payload of kTxClose: the state a transaction ended in. Both T-Chain
+// drivers (core::Node and the simulator's TChainProtocol) close in the
+// same states; kUploading and kAwaitKey are also the states an open
+// core::Transaction walks. No transaction closes kUploading.
 enum class TxState : std::uint8_t {
   kUploading,   // encrypted piece in flight D -> R
-  kAwaitKey,    // delivered; R owes reciprocation, key withheld
-  kCompleted,   // receipt arrived, key released, R decrypted
-  kTerminal,    // unencrypted upload (chain termination), no obligation
-  kDead,        // aborted: departure, free-riding sink, no payee
+  kAwaitKey,    // delivered; R owes reciprocation, key withheld. As a close
+                // state: a free-rider swallowed it (§II-D2, simulator only)
+  kCompleted,   // key released: a receipt, or gratis with no payee left
+  kTerminal,    // unencrypted upload (chain termination) landed
+  kDead,        // torn down: departure, crash, abort, watchdog, lost key
 };
 
 struct TraceEvent {

@@ -25,9 +25,6 @@ bool TChainProtocol::is_seeder(PeerId id) const {
 }
 
 void TChainProtocol::on_run_start() {
-  if (obs::Trace* tr = swarm_->obs()) {
-    txs_.set_trace(tr, [this] { return swarm_->simulator().now(); });
-  }
   // Census tick loop for the Figures 10/11 series (replayed offline by
   // obs::ChainView). Scheduled unconditionally so the simulator's event-id
   // sequence — and therefore the run — is identical with tracing off.
@@ -53,46 +50,35 @@ void TChainProtocol::handle_exit(PeerId id, bool crashed) {
   // Settle every transaction the departing peer participates in (§II-B4).
   // A graceful donor hands escrowed keys to payees on the way out; a
   // crashed donor takes its keys with it.
+  const obs::ChainBreakCause cause = crashed ? obs::ChainBreakCause::kCrash
+                                             : obs::ChainBreakCause::kDeparture;
   for (const TxId txid : txs_.involving(id)) {
     Transaction* tx = txs_.get(txid);
     if (tx == nullptr) continue;
+    const bool awaiting = tx->state == TxState::kAwaitKey;
 
-    if (tx->donor == id) {
-      if (!crashed && tx->state == TxState::kAwaitKey &&
-          tx->payee != net::kNoPeer && tx->payee != id &&
-          swarm_->is_active(tx->payee)) {
-        // Donor hands the key to the payee on its way out; the payee will
-        // release it upon reciprocation.
-        tx->key_escrowed = true;
-        if (obs::Trace* tr = swarm_->obs()) {
-          tr->emit({.t = swarm_->simulator().now(),
-                    .kind = obs::EventKind::kKeyEscrowed,
-                    .piece = tx->piece,
-                    .a = tx->donor,
-                    .b = tx->requestor,
-                    .c = tx->payee,
-                    .ref = txid,
-                    .chain = tx->chain});
-        }
-      } else if (tx->state == TxState::kAwaitKey) {
-        kill_tx(txid, /*terminate_chain=*/true,
-                crashed ? obs::ChainBreakCause::kCrash
-                        : obs::ChainBreakCause::kDeparture);
+    if (tx->donor == id && !crashed && awaiting &&
+        tx->payee != net::kNoPeer && tx->payee != id &&
+        swarm_->is_active(tx->payee)) {
+      // Donor hands the key to the payee on its way out; the payee will
+      // release it upon reciprocation.
+      tx->key_escrowed = true;
+      if (obs::Trace* tr = swarm_->obs()) {
+        tr->emit({.t = swarm_->simulator().now(),
+                  .kind = obs::EventKind::kKeyEscrowed,
+                  .piece = tx->piece,
+                  .a = tx->donor,
+                  .b = tx->requestor,
+                  .c = tx->payee,
+                  .ref = txid,
+                  .chain = tx->chain});
       }
-      continue;
-    }
-
-    if (tx->requestor == id) {
-      // Requestor left before reciprocating / decrypting: obligation dies.
-      if (tx->state == TxState::kAwaitKey) {
-        kill_tx(txid, true,
-                crashed ? obs::ChainBreakCause::kCrash
-                        : obs::ChainBreakCause::kDeparture);
-      }
-      continue;
-    }
-
-    if (tx->payee == id && tx->state == TxState::kAwaitKey) {
+    } else if (tx->donor == id || tx->requestor == id) {
+      // The donor leaves without an escrow, or the requestor leaves before
+      // reciprocating: the exchange dies. An upload still in flight aborts
+      // with its flow.
+      if (awaiting) close_tx(*tx, TxState::kDead, cause);
+    } else if (tx->payee == id && awaiting) {
       // Payee departed before reciprocation: donor designates another
       // (deferred a control-latency so the overlay settles first).
       const TxId fix = txid;
@@ -286,10 +272,19 @@ bool TChainProtocol::start_tx(PeerId donor, PeerId requestor, TxId prev,
     if (!sole_neighbor && !is_proven(requestor)) return false;
   }
 
-  Transaction& tx = txs_.create(chain, donor, requestor, payee, piece, prev,
-                                swarm_->simulator().now());
+  const util::SimTime now = swarm_->simulator().now();
+  Transaction& tx =
+      txs_.create(chain, donor, requestor, payee, piece, prev, now);
   if (obs::Trace* tr = swarm_->obs()) {
-    tr->emit({.t = swarm_->simulator().now(),
+    tr->emit({.t = now,
+              .kind = obs::EventKind::kTxOpen,
+              .piece = piece,
+              .a = donor,
+              .b = requestor,
+              .c = payee,
+              .ref = tx.id,
+              .chain = chain});
+    tr->emit({.t = now,
               .kind = obs::EventKind::kChainExtend,
               .ref = tx.id,
               .chain = chain});
@@ -333,7 +328,9 @@ void TChainProtocol::on_upload_done(TxId txid, bool ok) {
     // chain; a mid-chain abort is either revived by payee reassignment on
     // `prev` below, or `prev` itself was killed by the departure handler.
     const TxId prev = tx->prev;
-    kill_tx(txid, /*terminate_chain=*/prev == 0, obs::ChainBreakCause::kAborted);
+    close_tx(*tx, TxState::kDead,
+             prev == 0 ? obs::ChainBreakCause::kAborted
+                       : obs::ChainBreakCause::kNone);
     if (prev != 0) {
       // This upload was the reciprocation of `prev`; give the previous
       // donor a chance to reassign the payee (§II-B4).
@@ -346,16 +343,16 @@ void TChainProtocol::on_upload_done(TxId txid, bool ok) {
     handle_encrypted_delivery(*tx);
   } else {
     // Terminal (unencrypted) upload: immediate grant, no obligation,
-    // chain ends (Fig 1c). It still pays for `prev` if it was owed.
+    // chain ends (Fig 1c). It still pays for `prev` if it was owed. The
+    // chain breaks before that receipt goes out, which may draw a fault.
     const TxId prev = tx->prev;
-    const ChainId chain = tx->chain;
     swarm_->grant_piece(tx->requestor, tx->piece, tx->donor);
-    break_chain(chain, obs::ChainBreakCause::kCompleted);
+    break_chain(tx->chain, obs::ChainBreakCause::kCompleted);
     if (prev != 0) {
       if (Transaction* pv = txs_.get(prev)) pv->next_delivered = true;
       swarm_->send_control([this, prev] { process_receipt(prev); });
     }
-    txs_.erase(txid);
+    close_tx(*tx, TxState::kTerminal);
   }
 }
 
@@ -392,15 +389,11 @@ void TChainProtocol::handle_encrypted_delivery(Transaction& tx) {
       // piece as missing — it cannot decrypt it — so it remains a valid
       // payee target for other donors (whose chains will in turn die here,
       // capped by their own pending counters).
-      break_chain(tx.chain, obs::ChainBreakCause::kFreeriderSink);
       if (bt::Peer* fr = swarm_->peer(tx.requestor);
           fr != nullptr && !fr->have.get(tx.piece)) {
         fr->requested.clear(tx.piece);
       }
-      if (PeerState* rs = find_state(tx.requestor)) {
-        if (rs->obligations > 0) --rs->obligations;
-      }
-      txs_.erase(tx.id);  // pending at the donor intentionally NOT resolved
+      close_tx(tx, TxState::kAwaitKey, obs::ChainBreakCause::kFreeriderSink);
     }
     return;
   }
@@ -413,12 +406,8 @@ void TChainProtocol::process_receipt(TxId prev_id) {
   Transaction* prev = txs_.get(prev_id);
   if (prev == nullptr || prev->state != TxState::kAwaitKey) return;
 
-  // Resolve the donor's flow-control pending slot for this requestor, and
-  // remember it as a proven reciprocator (eligible for endgame gifts).
-  if (PeerState* ds = find_state(prev->donor)) {
-    ds->pending.resolve(prev->requestor);
-  }
-  // A receipt marks the requestor as a demonstrated reciprocator. A false
+  // A receipt marks the requestor as a demonstrated reciprocator (eligible
+  // for endgame gifts). A false
   // (collusion) receipt is indistinguishable, so it "proves" the colluder
   // too — the attack's whole point (§III-A4).
   if (prev->requestor >= proven_.size()) proven_.resize(prev->requestor + 1);
@@ -427,8 +416,7 @@ void TChainProtocol::process_receipt(TxId prev_id) {
   if (!prev->key_escrowed && !swarm_->is_active(prev->donor)) {
     // Donor gone without escrow: key lost; the requestor re-fetches the
     // piece elsewhere.
-    kill_tx(prev_id, /*terminate_chain=*/false,
-            obs::ChainBreakCause::kDeparture);
+    close_tx(*prev, TxState::kDead);
     return;
   }
   if (prev->key_escrowed) {
@@ -436,56 +424,7 @@ void TChainProtocol::process_receipt(TxId prev_id) {
   }
   // The escrowing payee or the donor releases the key; the latency is the
   // same either way in the simulator.
-  release_key(*prev);
-}
-
-void TChainProtocol::release_key(Transaction& tx) {
-  const TxId txid = tx.id;
-  const PeerId requestor = tx.requestor;
-  const PeerId donor = tx.donor;
-  const PieceIndex piece = tx.piece;
-  if (obs::Trace* tr = swarm_->obs()) {
-    const util::SimTime now = swarm_->simulator().now();
-    tr->emit({.t = now,
-              .kind = obs::EventKind::kKeyDelivered,
-              .piece = piece,
-              .a = donor,
-              .b = requestor,
-              .ref = txid,
-              .chain = tx.chain});
-    tr->registry().histogram("tx.lifetime_s").add(now - tx.started);
-  }
-  if (PeerState* rs = find_state(requestor)) {
-    if (rs->obligations > 0) --rs->obligations;
-  }
-  tx.state = TxState::kCompleted;
-  txs_.erase(txid);
-  swarm_->send_control(
-      [this, requestor, piece, donor] {
-        if (swarm_->is_active(requestor)) {
-          swarm_->grant_piece(requestor, piece, donor);
-        }
-      },
-      /*on_lost=*/[this, requestor, piece, donor, txid] {
-        // The key-release message itself was lost. The requestor's wait
-        // times out; it abandons the ciphertext and re-requests the piece
-        // from another donor.
-        ++swarm_->metrics().resilience().keys_lost;
-        if (obs::Trace* tr = swarm_->obs()) {
-          tr->emit({.t = swarm_->simulator().now(),
-                    .kind = obs::EventKind::kKeyLost,
-                    .piece = piece,
-                    .a = donor,
-                    .b = requestor,
-                    .ref = txid});
-        }
-        bt::Peer* r = swarm_->peer(requestor);
-        if (r != nullptr && r->active && !r->have.get(piece) &&
-            r->requested.get(piece)) {
-          r->requested.clear(piece);
-          ++swarm_->metrics().resilience().piece_refetches;
-        }
-      });
+  close_tx(*prev, TxState::kCompleted);
 }
 
 void TChainProtocol::continue_chain(TxId txid) {
@@ -494,7 +433,7 @@ void TChainProtocol::continue_chain(TxId txid) {
     if (tx == nullptr || tx->state != TxState::kAwaitKey) return;
     if (tx->next != 0 && txs_.get(tx->next) != nullptr) return;  // in flight
     if (!swarm_->is_active(tx->requestor)) {
-      kill_tx(txid, true, obs::ChainBreakCause::kDeparture);
+      close_tx(*tx, TxState::kDead, obs::ChainBreakCause::kDeparture);
       return;
     }
     // A free-riding requestor will never reciprocate, whatever payee the
@@ -506,7 +445,7 @@ void TChainProtocol::continue_chain(TxId txid) {
       return;
     }
     if (!tx->key_escrowed && !swarm_->is_active(tx->donor)) {
-      kill_tx(txid, true, obs::ChainBreakCause::kDeparture);
+      close_tx(*tx, TxState::kDead, obs::ChainBreakCause::kDeparture);
       return;
     }
 
@@ -519,20 +458,18 @@ void TChainProtocol::continue_chain(TxId txid) {
     // escrowed key, however, dies with its payee — the departed donor is
     // not around to pick another (§II-B4's key handoff is best-effort).
     if (tx->key_escrowed) {
-      kill_tx(txid, true, obs::ChainBreakCause::kDeparture);
+      close_tx(*tx, TxState::kDead, obs::ChainBreakCause::kDeparture);
       return;
     }
     const PeerId new_payee = choose_payee(tx->donor, tx->requestor, tx->piece);
-    if (new_payee == net::kNoPeer || new_payee == tx->payee) {
-      settle_free(*tx);
-      return;
-    }
+    if (new_payee == net::kNoPeer || new_payee == tx->payee) break;
     count("tchain.payee_reassignments");
     txs_.set_payee(txid, new_payee);
   }
+  // No payee is left, or none took: the key is released gratis.
   if (Transaction* tx = txs_.get(txid);
       tx != nullptr && tx->state == TxState::kAwaitKey) {
-    settle_free(*tx);
+    close_tx(*tx, TxState::kCompleted, obs::ChainBreakCause::kNoPayee);
   }
 }
 
@@ -561,52 +498,93 @@ bool TChainProtocol::try_start_reciprocation(Transaction& tx) {
   return start_tx(r, p, tx.id, tx.chain, forced);
 }
 
-void TChainProtocol::settle_free(Transaction& tx) {
-  // No qualified payee exists anywhere: the exchange degenerates to an
-  // altruistic upload — the donor releases the key and the chain ends
-  // (the same situation that makes termination uploads unencrypted).
-  if (PeerState* ds = find_state(tx.donor)) {
-    ds->pending.resolve(tx.requestor);
+void TChainProtocol::close_tx(Transaction& tx, TxState end,
+                              obs::ChainBreakCause cause) {
+  const TxId txid = tx.id;
+  const PeerId donor = tx.donor;
+  const PeerId requestor = tx.requestor;
+  const PieceIndex piece = tx.piece;
+  // Every end but the free-rider's swallow frees the donor's pending slot;
+  // the swallow keeps it, which is the §II-D2 ban.
+  if (tx.encrypted() && end != TxState::kAwaitKey) {
+    if (PeerState* ds = find_state(donor)) ds->pending.resolve(requestor);
   }
-  break_chain(tx.chain, obs::ChainBreakCause::kNoPayee);
-  release_key(tx);
-}
-
-void TChainProtocol::kill_tx(TxId txid, bool terminate_chain,
-                             obs::ChainBreakCause cause) {
-  Transaction* tx = txs_.get(txid);
-  if (tx == nullptr) return;
-  if (tx->encrypted()) {
-    if (PeerState* ds = find_state(tx->donor)) {
-      ds->pending.resolve(tx->requestor);
-    }
-  }
-  if (tx->state == TxState::kAwaitKey) {
-    // A delivered ciphertext dies un-keyed: the key is lost to this
-    // requestor however the transaction got here (donor crash, departed
-    // payee, watchdog giving up).
-    ++swarm_->metrics().resilience().keys_lost;
-    if (obs::Trace* tr = swarm_->obs()) {
-      tr->emit({.t = swarm_->simulator().now(),
-                .kind = obs::EventKind::kKeyLost,
-                .piece = tx->piece,
-                .a = tx->donor,
-                .b = tx->requestor,
-                .ref = txid,
-                .chain = tx->chain});
-    }
-    if (PeerState* rs = find_state(tx->requestor)) {
+  if (tx.state == TxState::kAwaitKey) {
+    if (PeerState* rs = find_state(requestor)) {
       if (rs->obligations > 0) --rs->obligations;
     }
-    // The ciphertext is now useless; allow re-fetching the piece.
-    if (bt::Peer* r = swarm_->peer(tx->requestor);
-        r != nullptr && !r->have.get(tx->piece)) {
-      r->requested.clear(tx->piece);
-      if (r->active) ++swarm_->metrics().resilience().piece_refetches;
+    if (end == TxState::kDead) {
+      // A delivered ciphertext dies un-keyed: the key is lost to this
+      // requestor however the transaction got here (donor crash, departed
+      // payee, watchdog giving up), and the piece may be re-fetched.
+      ++swarm_->metrics().resilience().keys_lost;
+      if (obs::Trace* tr = swarm_->obs()) {
+        tr->emit({.t = swarm_->simulator().now(),
+                  .kind = obs::EventKind::kKeyLost,
+                  .piece = piece,
+                  .a = donor,
+                  .b = requestor,
+                  .ref = txid,
+                  .chain = tx.chain});
+      }
+      if (bt::Peer* r = swarm_->peer(requestor);
+          r != nullptr && !r->have.get(piece)) {
+        r->requested.clear(piece);
+        if (r->active) ++swarm_->metrics().resilience().piece_refetches;
+      }
     }
   }
-  if (terminate_chain) break_chain(tx->chain, cause);
+  if (cause != obs::ChainBreakCause::kNone) break_chain(tx.chain, cause);
+  if (obs::Trace* tr = swarm_->obs()) {
+    const util::SimTime now = swarm_->simulator().now();
+    if (end == TxState::kCompleted) {
+      tr->emit({.t = now,
+                .kind = obs::EventKind::kKeyDelivered,
+                .piece = piece,
+                .a = donor,
+                .b = requestor,
+                .ref = txid,
+                .chain = tx.chain});
+      tr->registry().histogram("tx.lifetime_s").add(now - tx.started);
+    }
+    tr->emit({.t = now,
+              .kind = obs::EventKind::kTxClose,
+              .aux = static_cast<std::uint8_t>(end),
+              .piece = piece,
+              .a = donor,
+              .b = requestor,
+              .c = tx.payee,
+              .ref = txid,
+              .chain = tx.chain});
+  }
   txs_.erase(txid);
+  if (end != TxState::kCompleted) return;
+  swarm_->send_control(
+      [this, requestor, piece, donor] {
+        if (swarm_->is_active(requestor)) {
+          swarm_->grant_piece(requestor, piece, donor);
+        }
+      },
+      /*on_lost=*/[this, requestor, piece, donor, txid] {
+        // The key-release message itself was lost. The requestor's wait
+        // times out; it abandons the ciphertext and re-requests the piece
+        // from another donor.
+        ++swarm_->metrics().resilience().keys_lost;
+        if (obs::Trace* tr = swarm_->obs()) {
+          tr->emit({.t = swarm_->simulator().now(),
+                    .kind = obs::EventKind::kKeyLost,
+                    .piece = piece,
+                    .a = donor,
+                    .b = requestor,
+                    .ref = txid});
+        }
+        bt::Peer* r = swarm_->peer(requestor);
+        if (r != nullptr && r->active && !r->have.get(piece) &&
+            r->requested.get(piece)) {
+          r->requested.clear(piece);
+          ++swarm_->metrics().resilience().piece_refetches;
+        }
+      });
 }
 
 void TChainProtocol::arm_watchdog(TxId txid, int retries) {
@@ -669,7 +647,7 @@ void TChainProtocol::watchdog_fire(TxId txid, int retries) {
               .ref = txid,
               .chain = tx->chain});
   }
-  kill_tx(txid, /*terminate_chain=*/true, obs::ChainBreakCause::kWatchdog);
+  close_tx(*tx, TxState::kDead, obs::ChainBreakCause::kWatchdog);
 }
 
 }  // namespace tc::protocols

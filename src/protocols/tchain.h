@@ -111,12 +111,14 @@ class TChainProtocol : public bt::Protocol {
   // gratis key when no payee exists.
   void continue_chain(TxId txid);
   bool try_start_reciprocation(core::Transaction& tx);
-  void settle_free(core::Transaction& tx);
-  // `cause` labels the kChainBreak event when terminate_chain is true and
-  // observability is on; ignored otherwise.
-  void kill_tx(TxId txid, bool terminate_chain,
-               obs::ChainBreakCause cause = obs::ChainBreakCause::kAborted);
-  void release_key(core::Transaction& tx);
+
+  // The one way a transaction ends, closing it in the engine's state `end`:
+  // kCompleted sends the key (a receipt or gratis), kTerminal marks a landed
+  // unencrypted upload, kDead a teardown (a delivered ciphertext loses its
+  // key), and kAwaitKey a free-rider's swallow, which keeps the donor's
+  // pending slot (§II-D2). Breaks the chain unless `cause` is kNone.
+  void close_tx(core::Transaction& tx, core::TxState end,
+                obs::ChainBreakCause cause = obs::ChainBreakCause::kNone);
 
   // Retires a live chain with a kChainBreak trace event; later calls for
   // the same chain are no-ops, so each chain breaks exactly once.
