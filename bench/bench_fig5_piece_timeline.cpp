@@ -6,7 +6,8 @@
 //
 // Both series are read from the run's trace: an encrypted arrival is a
 // kPieceDelivered whose ref names a kTxOpen with a payee, a key arrival a
-// kPieceGranted. A run whose ring wrapped is refused (exit 2).
+// kPieceGranted. Times count from the leecher's join. A run whose ring
+// wrapped is refused (exit 2).
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,29 +23,33 @@ struct Timeline {
 };
 
 // The first compliant leecher of the upload class `kbps`, in join order.
-tc::net::PeerId first_of_class(const tc::analysis::SwarmMetrics& m,
-                               double kbps) {
+const tc::analysis::PeerRecord* first_of_class(
+    const tc::analysis::SwarmMetrics& m, double kbps) {
   for (const auto* r : m.all()) {
-    if (!r->seeder && !r->freerider && r->upload_kbps == kbps) return r->id;
+    if (!r->seeder && !r->freerider && r->upload_kbps == kbps) return r;
   }
-  return tc::net::kNoPeer;
+  return nullptr;
 }
 
+// `leecher`'s two series, in seconds since it joined.
 Timeline read_timeline(const std::vector<tc::obs::TraceEvent>& events,
-                       tc::net::PeerId peer) {
+                       const tc::analysis::PeerRecord* leecher) {
   using tc::obs::EventKind;
-  std::unordered_set<std::uint64_t> encrypted_txs;  // opened toward `peer`
   Timeline tl;
-  tl.found = peer != tc::net::kNoPeer;
+  tl.found = leecher != nullptr;
+  if (!tl.found) return tl;
+  const tc::net::PeerId peer = leecher->id;
+  const double joined = leecher->join_time;
+  std::unordered_set<std::uint64_t> encrypted_txs;  // opened toward `peer`
   for (const auto& e : events) {
     if (e.kind == EventKind::kTxOpen && e.b == peer &&
         e.c != tc::net::kNoPeer) {
       encrypted_txs.insert(e.ref);
     } else if (e.kind == EventKind::kPieceDelivered && e.b == peer &&
                encrypted_txs.count(e.ref) != 0) {
-      tl.encrypted_received.emplace_back(e.t, e.piece);
+      tl.encrypted_received.emplace_back(e.t - joined, e.piece);
     } else if (e.kind == EventKind::kPieceGranted && e.a == peer) {
-      tl.completed.emplace_back(e.t, e.piece);
+      tl.completed.emplace_back(e.t - joined, e.piece);
     }
   }
   return tl;

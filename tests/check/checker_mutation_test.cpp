@@ -23,6 +23,7 @@ constexpr std::uint8_t kAwaitKey =
     static_cast<std::uint8_t>(obs::TxState::kAwaitKey);
 constexpr std::uint8_t kCompleted =
     static_cast<std::uint8_t>(obs::TxState::kCompleted);
+constexpr std::uint8_t kDead = static_cast<std::uint8_t>(obs::TxState::kDead);
 
 // Builds a stream with ever-increasing timestamps so detection timestamps
 // stay distinct and ordered.
@@ -230,9 +231,22 @@ TEST(CheckerMutation, DroppedEscrowRefundFlagsEscrow) {
 }
 
 TEST(CheckerMutation, SwallowedCiphertextOfCompliantPeerFlagsEscrow) {
+  for (const std::uint8_t end : {kAwaitKey, kDead}) {
+    SCOPED_TRACE(::testing::Message() << "close state " << int{end});
+    Stream s;
+    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+    s.deliver(1, 2, 0, 10).tx_close(10, end);
+    expect_only(check_events(s.events()), Invariant::kEscrow);
+  }
+}
+
+TEST(CheckerMutation, FreeriderCiphertextClosedDeadWithoutKeyLostFlagsEscrow) {
   Stream s;
-  s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-  s.deliver(1, 2, 0, 10).tx_close(10, kAwaitKey);
+  s.join(1).join(2, obs::kPeerFlagFreerider).join(3);
+  s.chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+  // Only an await-key close withholds the key as a sanction; a teardown
+  // must still account for it with key-lost.
+  s.deliver(1, 2, 0, 10).tx_close(10, kDead);
   expect_only(check_events(s.events()), Invariant::kEscrow);
 }
 

@@ -239,6 +239,9 @@ TEST(NodeSwarm, PieceEventsNameTheirTransaction) {
   EXPECT_EQ(sent, delivered);
   EXPECT_GE(delivered, 7u * 16u);
   EXPECT_EQ(aborted, 0u);
+  const auto closes = obs::expect_tx_closes_fit_their_events(bus.events());
+  EXPECT_GT(closes[static_cast<std::size_t>(obs::TxState::kCompleted)], 0u);
+  EXPECT_GT(closes[static_cast<std::size_t>(obs::TxState::kTerminal)], 0u);
 }
 
 TEST(NodeSwarm, SettledTriangleHoldsNoPayload) {

@@ -66,25 +66,39 @@ TEST(TChain, PieceAccountingBalances) {
 }
 
 TEST(TChain, PieceEventsNameTheirTransaction) {
-  TChainProtocol proto;
-  bt::Swarm swarm(small_config(20), proto);
-  swarm.enable_obs(obs::TraceConfig{});
   // Leechers leaving mid-download abort uploads, so every piece kind occurs.
-  for (int k = 1; k <= 4; ++k) {
-    swarm.simulator().schedule_at(5.0 * k, [&swarm] {
-      for (bt::PeerId id : swarm.active_peers()) {
-        const bt::Peer* p = swarm.peer(id);
-        if (!p->seeder && !p->have.complete()) return swarm.depart(id);
-      }
-    });
+  // Free-riders, in the second run, swallow ciphertexts, so over both runs
+  // every close state occurs too.
+  obs::TxCloseCounts closes{};
+  for (const double freeriders : {0.0, 0.25}) {
+    SCOPED_TRACE(::testing::Message() << "free-rider share " << freeriders);
+    TChainProtocol proto;
+    bt::Swarm swarm(small_config(20, freeriders), proto);
+    swarm.enable_obs(obs::TraceConfig{});
+    for (int k = 1; k <= 4; ++k) {
+      swarm.simulator().schedule_at(5.0 * k, [&swarm] {
+        for (bt::PeerId id : swarm.active_peers()) {
+          const bt::Peer* p = swarm.peer(id);
+          if (!p->seeder && !p->have.complete()) return swarm.depart(id);
+        }
+      });
+    }
+    swarm.run();
+    ASSERT_EQ(swarm.obs()->ring().dropped(), 0u);
+    const auto events = swarm.obs()->events();
+    const auto [sent, delivered, aborted] =
+        obs::expect_piece_events_name_their_tx(events);
+    EXPECT_EQ(sent, delivered + aborted);
+    EXPECT_GT(delivered, 0u);
+    EXPECT_GT(aborted, 0u);
+    const auto run = obs::expect_tx_closes_fit_their_events(events);
+    for (std::size_t i = 0; i < closes.size(); ++i) closes[i] += run[i];
   }
-  swarm.run();
-  ASSERT_EQ(swarm.obs()->ring().dropped(), 0u);
-  const auto [sent, delivered, aborted] =
-      obs::expect_piece_events_name_their_tx(swarm.obs()->events());
-  EXPECT_EQ(sent, delivered + aborted);
-  EXPECT_GT(delivered, 0u);
-  EXPECT_GT(aborted, 0u);
+  for (const auto s : {obs::TxState::kAwaitKey, obs::TxState::kCompleted,
+                       obs::TxState::kTerminal, obs::TxState::kDead}) {
+    EXPECT_GT(closes[static_cast<std::size_t>(s)], 0u)
+        << "no close in state " << static_cast<int>(s);
+  }
 }
 
 TEST(TChain, FreeRidersNeverComplete) {
