@@ -234,23 +234,21 @@ struct Checker::Impl {
       return;
     }
     const auto state = static_cast<obs::TxState>(e.aux);
-
-    if (state == obs::TxState::kCompleted && !tx.key_delivered) {
-      violate(Invariant::kTxLifecycle, e,
-              "transaction closed completed but its key was never delivered");
+    if (const char* misfit = close_misfit(tx, state)) {
+      violate(Invariant::kTxLifecycle, e, misfit);
     }
 
     // Key conservation at close. Escrowed keys (§II-B4 handoff) and
     // delivered ciphertexts must resolve: key delivered, key explicitly
     // lost (the refund path — the requestor may re-fetch), or deliberately
-    // withheld from a free-riding requestor (§II-D2 sanction: an await-key
-    // close, never a dead one).
+    // withheld (§II-D2 sanction: an await-key close, never a dead one;
+    // close_misfit allows it only toward a free-rider).
     if (tx.escrowed && !tx.key_delivered && !tx.key_lost) {
       violate(Invariant::kEscrow, e,
               "escrowed key neither delivered nor refunded at close");
     } else if (tx.encrypted && tx.delivered && !tx.key_delivered &&
                !tx.key_lost && state != obs::TxState::kCompleted &&
-               (state != obs::TxState::kAwaitKey || !freerider(tx.requestor))) {
+               state != obs::TxState::kAwaitKey) {
       violate(Invariant::kEscrow, e,
               "delivered ciphertext closed with key neither delivered nor "
               "lost");
@@ -274,12 +272,52 @@ struct Checker::Impl {
     tx.closed = true;
   }
 
+  // Why a close in `state` does not fit what the stream showed of `tx`
+  // before it, or null if it fits.
+  const char* close_misfit(const TxInfo& tx, obs::TxState state) const {
+    switch (state) {
+      case obs::TxState::kUploading:
+        return "transaction closed uploading";
+      case obs::TxState::kAwaitKey:
+        return freerider(tx.requestor)
+                   ? nullptr
+                   : "transaction closed await-key, but its requestor is no "
+                     "free-rider";
+      case obs::TxState::kCompleted:
+        return tx.key_delivered
+                   ? nullptr
+                   : "transaction closed completed but its key was never "
+                     "delivered";
+      case obs::TxState::kTerminal:
+        return !tx.encrypted && tx.delivered
+                   ? nullptr
+                   : "transaction closed terminal, but it has a payee or "
+                     "its piece was never delivered";
+      case obs::TxState::kDead:
+        // A still-keyless delivered ciphertext is the escrow rule's.
+        return tx.delivered && !tx.key_lost &&
+                       (!tx.encrypted || tx.key_delivered)
+                   ? "delivered transaction closed dead with no key-lost"
+                   : nullptr;
+    }
+    return "transaction closed in an unknown state";
+  }
+
+  // A key event names its transaction's chain.
+  void expect_tx_chain(const TxInfo& tx, const TraceEvent& e) {
+    if (e.chain != tx.chain) {
+      violate(Invariant::kTxLifecycle, e,
+              "key event names another chain than its transaction's");
+    }
+  }
+
   void on_key_escrowed(const TraceEvent& e) {
     TxInfo* tx = open_tx(e.ref);
     if (tx == nullptr) {
       unknown_ref(Invariant::kEscrow, e, "transaction (key-escrowed)");
       return;
     }
+    expect_tx_chain(*tx, e);
     if (tx->escrowed) {
       violate(Invariant::kEscrow, e, "key escrowed twice");
       return;
@@ -294,6 +332,7 @@ struct Checker::Impl {
       return;
     }
     TxInfo& tx = *found;
+    expect_tx_chain(tx, e);
     if (tx.key_delivered) {
       violate(Invariant::kFairExchange, e, "key delivered twice");
       return;
@@ -337,6 +376,7 @@ struct Checker::Impl {
       unknown_ref(Invariant::kTxLifecycle, e, "transaction (key-lost)");
       return;
     }
+    expect_tx_chain(it->second, e);
     // A key-lost after close is the in-flight key-release message dying on
     // the wire (the transaction itself completed) — legitimate.
     if (!it->second.closed) it->second.key_lost = true;
@@ -405,17 +445,34 @@ struct Checker::Impl {
     it->second.cause = e.aux;
   }
 
-  // A delivery credits the open transaction its `ref` names, and only if
-  // that transaction's donor, requestor and piece are the event's: a
-  // delivery on another edge must not pay for it (a trace read from a file
-  // can name any id). Baseline flows name no transaction and credit none.
+  // In a stream that opens transactions (a T-Chain driver's), a piece
+  // event names, in `ref`, a transaction opened earlier with the event's
+  // donor, requestor and piece; returns it, or null after flagging the
+  // event. Baseline streams open none and name flow ids, so their piece
+  // events name nothing.
+  TxInfo* piece_tx(const TraceEvent& e) {
+    if (txs.empty()) return nullptr;
+    const auto it = txs.find(e.ref);
+    if (it == txs.end()) {
+      unknown_ref(Invariant::kTxLifecycle, e, "transaction (piece event)");
+      return nullptr;
+    }
+    TxInfo& tx = it->second;
+    if (tx.donor != e.a || tx.requestor != e.b || tx.piece != e.piece) {
+      violate(Invariant::kTxLifecycle, e,
+              "piece event off its transaction's edge or piece");
+      return nullptr;
+    }
+    return &tx;
+  }
+
+  // A delivery credits only the open transaction it names: a delivery on
+  // another edge must not pay for it (a trace read from a file can name
+  // any id).
   void on_piece_delivered(const TraceEvent& e) {
     delivered[pair_key(e.a, e.b)].insert(e.piece);
-    TxInfo* tx = open_tx(e.ref);
-    if (tx == nullptr || tx->donor != e.a || tx->requestor != e.b ||
-        tx->piece != e.piece) {
-      return;
-    }
+    TxInfo* tx = piece_tx(e);
+    if (tx == nullptr || tx->closed) return;
     tx->delivered = true;
     if (tx->chain != 0) {
       util::SimTime& last = chain_deliveries[tx->chain][e.a];
@@ -450,6 +507,8 @@ struct Checker::Impl {
       case EventKind::kPeerDepart:
       case EventKind::kPeerCrash: on_gone(e.a); break;
       case EventKind::kPeerWhitewash: on_whitewash(e.a, e.b); break;
+      case EventKind::kPieceSent:
+      case EventKind::kPieceAborted: piece_tx(e); break;
       case EventKind::kPieceDelivered: on_piece_delivered(e); break;
       case EventKind::kPieceGranted: on_piece_granted(e); break;
       case EventKind::kKeyEscrowed: on_key_escrowed(e); break;
@@ -463,8 +522,6 @@ struct Checker::Impl {
       case EventKind::kChainExtend: on_chain_extend(e); break;
       case EventKind::kChainBreak: on_chain_break(e); break;
       case EventKind::kPeerFinish:
-      case EventKind::kPieceSent:
-      case EventKind::kPieceAborted:
       case EventKind::kChoke:
       case EventKind::kUnchoke:
       case EventKind::kFaultControlDrop:

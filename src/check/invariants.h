@@ -25,15 +25,22 @@
 //    chain twice (a repeated kChainExtend ref is a forged cycle);
 //  * escrow — key conservation: every delivered ciphertext's transaction
 //    resolves with its key delivered, explicitly lost (refund path: the
-//    requestor may re-fetch), or deliberately withheld from a free-rider;
-//    an escrowed key (§II-B4 departure handoff) never silently vanishes at
-//    transaction close;
+//    requestor may re-fetch), or deliberately withheld (an await-key
+//    close); an escrowed key (§II-B4 departure handoff) never silently
+//    vanishes at transaction close;
 //  * piece-conservation — a piece is granted at most once per peer and
 //    only after a delivery on that edge carried it (no piece out of thin
 //    air);
-//  * tx-lifecycle — transaction event streams are well-formed: unique
-//    opens, no events on unknown or already-closed transactions, and a
-//    kCompleted close implies the key was delivered first.
+//  * tx-lifecycle — the trace grammar both T-Chain drivers write: unique
+//    opens; no events on unknown or already-closed transactions; once a
+//    stream has opened a transaction, every piece event names one opened
+//    earlier with its donor, requestor and piece (baseline streams open
+//    none and name flow ids); every key event names its transaction's
+//    chain; and each close fits what came before it — never uploading,
+//    completed only after the key was delivered, terminal only for a
+//    delivered payee-less transaction, await-key only toward a requestor
+//    flagged free-rider (the flag survives a whitewash), and dead after a
+//    delivery only once the key was lost.
 //
 // Soundness contract: verifying a lossy stream cannot produce false
 // positives. When the producer reports ring drops (note_dropped), the

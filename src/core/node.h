@@ -18,15 +18,15 @@
 // possible given its upload capacity", footnote 3), an opportunistic
 // leecher starts one only when it has none open (§II-D3).
 //
-// Trace discipline (what src/check verifies): kChainStart before the
-// head's kTxOpen, kTxOpen before its kChainExtend, kPieceSent at the donor
-// and kPieceDelivered at the receiver, receipts only after the delivery
-// event, kChainBreak before any gratis kKeyDelivered, and terminal
-// transactions closed by the *receiver* after delivery (closing at send
-// would retire the open upload before the checker can match the delivery
-// that pays for the previous transaction). Several peers may each see a
-// chain end, so a node may emit a second kChainBreak for a chain; the
-// trace owner keeps only the first (rt::SwarmContext::emit).
+// Trace discipline: the rules are src/check's (DESIGN.md §4d, tx-lifecycle
+// and fair-exchange). Two orderings here exist for them. A terminal
+// transaction is closed by the *receiver* after delivery: closing at send
+// would close it before the delivery that pays for the previous
+// transaction. And kChainBreak precedes a gratis kKeyDelivered, because a
+// key released without reciprocation is sanctioned only once the chain is
+// in teardown. Several peers may each see a chain end, so a node may emit
+// a second kChainBreak for a chain; the trace owner keeps only the first
+// (rt::SwarmContext::emit).
 //
 // Key cascade: a banked ciphertext may be re-encrypted and forwarded to
 // the payee as a newcomer's reciprocation. This is correct only because

@@ -517,21 +517,7 @@ void TChainProtocol::close_tx(Transaction& tx, TxState end,
       // A delivered ciphertext dies un-keyed: the key is lost to this
       // requestor however the transaction got here (donor crash, departed
       // payee, watchdog giving up), and the piece may be re-fetched.
-      ++swarm_->metrics().resilience().keys_lost;
-      if (obs::Trace* tr = swarm_->obs()) {
-        tr->emit({.t = swarm_->simulator().now(),
-                  .kind = obs::EventKind::kKeyLost,
-                  .piece = piece,
-                  .a = donor,
-                  .b = requestor,
-                  .ref = txid,
-                  .chain = tx.chain});
-      }
-      if (bt::Peer* r = swarm_->peer(requestor);
-          r != nullptr && !r->have.get(piece)) {
-        r->requested.clear(piece);
-        if (r->active) ++swarm_->metrics().resilience().piece_refetches;
-      }
+      lose_key(txid, donor, requestor, piece, tx.chain);
     }
   }
   if (cause != obs::ChainBreakCause::kNone) break_chain(tx.chain, cause);
@@ -557,6 +543,7 @@ void TChainProtocol::close_tx(Transaction& tx, TxState end,
               .ref = txid,
               .chain = tx.chain});
   }
+  const ChainId chain = tx.chain;
   txs_.erase(txid);
   if (end != TxState::kCompleted) return;
   swarm_->send_control(
@@ -565,26 +552,32 @@ void TChainProtocol::close_tx(Transaction& tx, TxState end,
           swarm_->grant_piece(requestor, piece, donor);
         }
       },
-      /*on_lost=*/[this, requestor, piece, donor, txid] {
+      /*on_lost=*/[this, txid, donor, requestor, piece, chain] {
         // The key-release message itself was lost. The requestor's wait
         // times out; it abandons the ciphertext and re-requests the piece
         // from another donor.
-        ++swarm_->metrics().resilience().keys_lost;
-        if (obs::Trace* tr = swarm_->obs()) {
-          tr->emit({.t = swarm_->simulator().now(),
-                    .kind = obs::EventKind::kKeyLost,
-                    .piece = piece,
-                    .a = donor,
-                    .b = requestor,
-                    .ref = txid});
-        }
-        bt::Peer* r = swarm_->peer(requestor);
-        if (r != nullptr && r->active && !r->have.get(piece) &&
-            r->requested.get(piece)) {
-          r->requested.clear(piece);
-          ++swarm_->metrics().resilience().piece_refetches;
-        }
+        lose_key(txid, donor, requestor, piece, chain);
       });
+}
+
+void TChainProtocol::lose_key(TxId txid, PeerId donor, PeerId requestor,
+                              PieceIndex piece, ChainId chain) {
+  ++swarm_->metrics().resilience().keys_lost;
+  if (obs::Trace* tr = swarm_->obs()) {
+    tr->emit({.t = swarm_->simulator().now(),
+              .kind = obs::EventKind::kKeyLost,
+              .piece = piece,
+              .a = donor,
+              .b = requestor,
+              .ref = txid,
+              .chain = chain});
+  }
+  bt::Peer* r = swarm_->peer(requestor);
+  if (r != nullptr && r->active && !r->have.get(piece) &&
+      r->requested.get(piece)) {
+    r->requested.clear(piece);
+    ++swarm_->metrics().resilience().piece_refetches;
+  }
 }
 
 void TChainProtocol::arm_watchdog(TxId txid, int retries) {

@@ -120,6 +120,12 @@ class TChainProtocol : public bt::Protocol {
   void close_tx(core::Transaction& tx, core::TxState end,
                 obs::ChainBreakCause cause = obs::ChainBreakCause::kNone);
 
+  // A delivered ciphertext's key never reaches its requestor (a teardown,
+  // or the key-release message lost): counts and traces the loss, and
+  // frees the piece for a re-fetch while the requestor still wants it.
+  void lose_key(TxId txid, PeerId donor, PeerId requestor, PieceIndex piece,
+                ChainId chain);
+
   // Retires a live chain with a kChainBreak trace event; later calls for
   // the same chain are no-ops, so each chain breaks exactly once.
   void break_chain(ChainId id, obs::ChainBreakCause cause);

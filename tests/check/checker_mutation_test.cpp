@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,6 +25,10 @@ constexpr std::uint8_t kAwaitKey =
 constexpr std::uint8_t kCompleted =
     static_cast<std::uint8_t>(obs::TxState::kCompleted);
 constexpr std::uint8_t kDead = static_cast<std::uint8_t>(obs::TxState::kDead);
+constexpr std::uint8_t kTerminal =
+    static_cast<std::uint8_t>(obs::TxState::kTerminal);
+constexpr std::uint8_t kUploading =
+    static_cast<std::uint8_t>(obs::TxState::kUploading);
 
 // Builds a stream with ever-increasing timestamps so detection timestamps
 // stay distinct and ordered.
@@ -52,6 +57,10 @@ class Stream {
                net::kNoPiece, 0, 0, flags);
   }
 
+  Stream& whitewash(net::PeerId old_id, net::PeerId fresh) {
+    return add(EventKind::kPeerWhitewash, old_id, fresh);
+  }
+
   Stream& chain_start(std::uint64_t chain, net::PeerId initiator) {
     return add(EventKind::kChainStart, initiator, net::kNoPeer, net::kNoPeer,
                net::kNoPiece, 0, chain);
@@ -62,6 +71,7 @@ class Stream {
   Stream& tx_open(std::uint64_t ref, net::PeerId donor, net::PeerId requestor,
                   net::PeerId payee, net::PieceIndex piece,
                   std::uint64_t chain) {
+    chain_of_[ref] = chain;
     add(EventKind::kTxOpen, donor, requestor, payee, piece, ref, chain);
     return add(EventKind::kChainExtend, net::kNoPeer, net::kNoPeer,
                net::kNoPeer, net::kNoPiece, ref, chain);
@@ -73,10 +83,11 @@ class Stream {
     return add(EventKind::kPieceDelivered, from, to, net::kNoPeer, piece, tx);
   }
 
+  // Names the chain tx_open gave `ref` (0 if it never opened).
   Stream& key_delivered(std::uint64_t ref, net::PeerId donor,
                         net::PeerId requestor) {
     return add(EventKind::kKeyDelivered, donor, requestor, net::kNoPeer,
-               net::kNoPiece, ref);
+               net::kNoPiece, ref, chain_of_[ref]);
   }
 
   Stream& tx_close(std::uint64_t ref, std::uint8_t state) {
@@ -89,6 +100,7 @@ class Stream {
  private:
   util::SimTime t_ = 0.0;
   std::vector<TraceEvent> events_;
+  std::map<std::uint64_t, std::uint64_t> chain_of_;  // tx -> its chain
 };
 
 std::uint64_t class_count(const CheckReport& r, Invariant inv) {
@@ -139,7 +151,11 @@ TEST(CheckerMutation, DeliveryOffItsTransactionIsNoReciprocation) {
     s.deliver(1, 2, 0, 10).tx_open(11, 2, 3, 1, 1, 7);
     s.deliver(from, to, piece, 11);
     s.key_delivered(10, 1, 2).tx_close(10, kCompleted);
-    expect_only(check_events(s.events()), Invariant::kFairExchange);
+    // The stray delivery itself breaks the trace grammar too.
+    const CheckReport r = check_events(s.events());
+    EXPECT_EQ(r.total_violations, 2u);
+    EXPECT_EQ(class_count(r, Invariant::kFairExchange), 1u);
+    EXPECT_EQ(class_count(r, Invariant::kTxLifecycle), 1u);
   }
 }
 
@@ -226,18 +242,17 @@ TEST(CheckerMutation, DroppedEscrowRefundFlagsEscrow) {
   s.deliver(1, 2, 0, 10);
   s.add(EventKind::kKeyEscrowed, 1, 2, 3, net::kNoPiece, 10, 7);
   // The escrowed key vanishes: close with neither delivery nor refund.
-  s.tx_close(10, kAwaitKey);
+  s.tx_close(10, kDead);
   expect_only(check_events(s.events()), Invariant::kEscrow);
 }
 
 TEST(CheckerMutation, SwallowedCiphertextOfCompliantPeerFlagsEscrow) {
-  for (const std::uint8_t end : {kAwaitKey, kDead}) {
-    SCOPED_TRACE(::testing::Message() << "close state " << int{end});
-    Stream s;
-    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
-    s.deliver(1, 2, 0, 10).tx_close(10, end);
-    expect_only(check_events(s.events()), Invariant::kEscrow);
-  }
+  // Torn down with no key-lost. (An await-key close toward a compliant
+  // peer is the trace grammar's: see the whitewash cases below.)
+  Stream s;
+  s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+  s.deliver(1, 2, 0, 10).tx_close(10, kDead);
+  expect_only(check_events(s.events()), Invariant::kEscrow);
 }
 
 TEST(CheckerMutation, FreeriderCiphertextClosedDeadWithoutKeyLostFlagsEscrow) {
@@ -373,6 +388,143 @@ TEST(CheckerMutation, SecondExtendOfClosedTxFlagsForgedCycle) {
   const CheckReport r = check_events(s.events());
   expect_only(r, Invariant::kChainShape);
   EXPECT_NE(r.findings.front().detail.find("cycle"), std::string::npos);
+}
+
+// --- tx-lifecycle: the trace grammar ---------------------------------------
+
+TEST(CheckerMutation, PieceEventOffItsTransactionFlagsTxLifecycle) {
+  for (const EventKind kind : {EventKind::kPieceSent,
+                               EventKind::kPieceDelivered,
+                               EventKind::kPieceAborted}) {
+    // Tx 10 is 1 -> 2, piece 0. Each event names an id never opened, or
+    // tx 10 on another edge or piece.
+    using Named = std::tuple<net::PeerId, net::PeerId, net::PieceIndex,
+                             std::uint64_t>;
+    for (const auto& [from, to, piece, tx] :
+         {Named{1, 2, 0, 12}, Named{2, 1, 0, 10}, Named{1, 3, 0, 10},
+          Named{1, 2, 1, 10}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << obs::event_kind_name(kind) << " " << from << "->" << to
+                   << " piece " << piece << " tx " << tx);
+      Stream s;
+      s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+      s.add(kind, from, to, net::kNoPeer, piece, tx);
+      expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+    }
+  }
+}
+
+TEST(CheckerMutation, BaselinePieceEventsNameFlowsAndPass) {
+  // No transaction opens, so piece events carry flow ids and name nothing.
+  Stream s;
+  s.join(1).join(2);
+  s.add(EventKind::kPieceSent, 1, 2, net::kNoPeer, 0, 500);
+  s.add(EventKind::kPieceSent, 1, 2, net::kNoPeer, 1, 501);
+  s.deliver(1, 2, 0, 500);
+  s.add(EventKind::kPieceAborted, 1, 2, net::kNoPeer, 1, 501);
+  s.add(EventKind::kPieceGranted, 2, 1, net::kNoPeer, 0);
+  EXPECT_STREQ(check_events(s.events()).verdict(), "PASS");
+}
+
+TEST(CheckerMutation, UploadingOrUnknownCloseFlagsTxLifecycle) {
+  for (const std::uint8_t end : {kUploading, std::uint8_t{9}}) {
+    SCOPED_TRACE(::testing::Message() << "close state " << int{end});
+    Stream s;
+    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+    s.tx_close(10, end);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
+}
+
+// A payee-less gift, tx 20 (1 -> 2, piece 5), delivered.
+Stream delivered_gift() {
+  Stream s;
+  s.join(1).join(2);
+  s.add(EventKind::kTxOpen, 1, 2, net::kNoPeer, 5, 20, 0);
+  s.deliver(1, 2, 5, 20);
+  return s;
+}
+
+TEST(CheckerMutation, DeliveredGiftClosesTerminal) {
+  Stream s = delivered_gift();
+  s.tx_close(20, kTerminal);
+  EXPECT_STREQ(check_events(s.events()).verdict(), "PASS");
+}
+
+TEST(CheckerMutation, TerminalCloseOfUndeliveredOrEncryptedTxFlagsTxLifecycle) {
+  {
+    SCOPED_TRACE("payee-less, undelivered");
+    Stream s;
+    s.join(1).join(2).add(EventKind::kTxOpen, 1, 2, net::kNoPeer, 5, 20, 0);
+    s.tx_close(20, kTerminal);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
+  {
+    SCOPED_TRACE("encrypted");
+    Stream s;
+    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+    s.tx_close(10, kTerminal);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
+}
+
+TEST(CheckerMutation, DeliveredTxClosedDeadWithoutKeyLostFlagsTxLifecycle) {
+  {
+    SCOPED_TRACE("payee-less gift");
+    Stream s = delivered_gift();
+    s.tx_close(20, kDead);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
+  {
+    SCOPED_TRACE("ciphertext whose key was delivered");
+    Stream s;
+    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+    s.deliver(1, 2, 0, 10);
+    s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 11);
+    s.key_delivered(10, 1, 2).tx_close(10, kDead);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
+}
+
+TEST(CheckerMutation, DeliveredTxClosedDeadAfterKeyLostPasses) {
+  Stream s = delivered_gift();
+  s.add(EventKind::kKeyLost, 1, 2, net::kNoPeer, 5, 20, 0);
+  s.tx_close(20, kDead);
+  EXPECT_STREQ(check_events(s.events()).verdict(), "PASS");
+}
+
+// Peer 2 whitewashes into peer 4, then swallows tx 10's ciphertext.
+Stream swallow_after_whitewash(std::uint8_t flags_of_2) {
+  Stream s;
+  s.join(1).join(2, flags_of_2).join(3).whitewash(2, 4);
+  s.chain_start(7, 1).tx_open(10, 1, 4, 3, 0, 7);
+  s.deliver(1, 4, 0, 10).tx_close(10, kAwaitKey);
+  return s;
+}
+
+TEST(CheckerMutation, WhitewashedFreeriderSwallowIsSanctioned) {
+  const CheckReport r =
+      check_events(swallow_after_whitewash(obs::kPeerFlagFreerider).events());
+  EXPECT_STREQ(r.verdict(), "PASS");
+}
+
+TEST(CheckerMutation, AwaitKeyCloseOfUnflaggedRequestorFlagsTxLifecycle) {
+  expect_only(check_events(swallow_after_whitewash(0).events()),
+              Invariant::kTxLifecycle);
+}
+
+TEST(CheckerMutation, KeyEventOnAnotherChainFlagsTxLifecycle) {
+  for (const EventKind kind : {EventKind::kKeyEscrowed,
+                               EventKind::kKeyDelivered, EventKind::kKeyLost}) {
+    SCOPED_TRACE(obs::event_kind_name(kind));
+    // Tx 10 is in chain 7 and reciprocated; its key event names chain 8.
+    Stream s;
+    s.join(1).join(2).join(3).chain_start(7, 1).tx_open(10, 1, 2, 3, 0, 7);
+    s.deliver(1, 2, 0, 10);
+    s.tx_open(11, 2, 3, 1, 1, 7).deliver(2, 3, 1, 11);
+    s.add(kind, 1, 2, 3, net::kNoPiece, 10, 8);
+    expect_only(check_events(s.events()), Invariant::kTxLifecycle);
+  }
 }
 
 // --- soundness contract ----------------------------------------------------

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/analysis/metrics.h"
+#include "src/check/invariants.h"
 #include "src/obs/chain_view.h"
-#include "tests/obs/piece_event_property.h"
 
 namespace tc::protocols {
 namespace {
@@ -66,15 +68,18 @@ TEST(TChain, PieceAccountingBalances) {
 }
 
 TEST(TChain, PieceEventsNameTheirTransaction) {
-  // Leechers leaving mid-download abort uploads, so every piece kind occurs.
-  // Free-riders, in the second run, swallow ciphertexts, so over both runs
+  // The checker holds the trace grammar (tx-lifecycle). Leechers leaving
+  // mid-download abort uploads, so every piece kind occurs. Free-riders, in
+  // the second run, swallow ciphertexts and whitewash, so over both runs
   // every close state occurs too.
-  obs::TxCloseCounts closes{};
+  std::array<std::size_t, 5> closes{};  // by TxState
   for (const double freeriders : {0.0, 0.25}) {
     SCOPED_TRACE(::testing::Message() << "free-rider share " << freeriders);
     TChainProtocol proto;
     bt::Swarm swarm(small_config(20, freeriders), proto);
     swarm.enable_obs(obs::TraceConfig{});
+    check::Checker checker;
+    swarm.obs()->set_sink(&checker);
     for (int k = 1; k <= 4; ++k) {
       swarm.simulator().schedule_at(5.0 * k, [&swarm] {
         for (bt::PeerId id : swarm.active_peers()) {
@@ -84,15 +89,18 @@ TEST(TChain, PieceEventsNameTheirTransaction) {
       });
     }
     swarm.run();
+    EXPECT_STREQ(checker.finish().verdict(), "PASS");
+    swarm.obs()->set_sink(nullptr);
     ASSERT_EQ(swarm.obs()->ring().dropped(), 0u);
-    const auto events = swarm.obs()->events();
-    const auto [sent, delivered, aborted] =
-        obs::expect_piece_events_name_their_tx(events);
-    EXPECT_EQ(sent, delivered + aborted);
+    const obs::Trace& trace = *swarm.obs();
+    const auto delivered = trace.count(obs::EventKind::kPieceDelivered);
+    const auto aborted = trace.count(obs::EventKind::kPieceAborted);
+    EXPECT_EQ(trace.count(obs::EventKind::kPieceSent), delivered + aborted);
     EXPECT_GT(delivered, 0u);
     EXPECT_GT(aborted, 0u);
-    const auto run = obs::expect_tx_closes_fit_their_events(events);
-    for (std::size_t i = 0; i < closes.size(); ++i) closes[i] += run[i];
+    for (const obs::TraceEvent& e : trace.events()) {
+      if (e.kind == obs::EventKind::kTxClose) ++closes.at(e.aux);
+    }
   }
   for (const auto s : {obs::TxState::kAwaitKey, obs::TxState::kCompleted,
                        obs::TxState::kTerminal, obs::TxState::kDead}) {
