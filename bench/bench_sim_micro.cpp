@@ -1,7 +1,7 @@
 // Simulator micro-costs (infrastructure bench): event-queue throughput,
 // fluid bandwidth-model updates, bitfield/LRF selection, availability
-// updates, tracker sampling, the T-Chain transaction table, the invariant
-// checker over a recorded trace.
+// updates, tracker sampling, the flow-control eligibility scan, the T-Chain
+// transaction table, the invariant checker over a recorded trace.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +10,8 @@
 #include "src/bt/row_kernels.h"
 #include "src/bt/swarm.h"
 #include "src/check/invariants.h"
+#include "src/core/pending.h"
+#include "src/core/policy.h"
 #include "src/core/transaction.h"
 #include "src/net/tracker.h"
 #include "src/protocols/tchain.h"
@@ -129,7 +131,32 @@ void BM_TrackerNeighborList(benchmark::State& state) {
     benchmark::DoNotOptimize(tracker.neighbor_list(1, rng));
   }
 }
-BENCHMARK(BM_TrackerNeighborList)->Arg(1000)->Arg(10000);
+// 401 members is a sim-flash-tchain swarm: the rejection sampler's regime.
+BENCHMARK(BM_TrackerNeighborList)->Arg(401)->Arg(1000)->Arg(10000);
+
+// One flow-control pass as choose_payee makes it: eligible() for each of a
+// donor's 49 neighbours, against a tracker holding 21 outstanding counts,
+// 3 of them at the cap (the mean shape of a sim-flash-tchain donor).
+void BM_FlowControlScan(benchmark::State& state) {
+  std::vector<net::PeerId> neighbors;
+  for (net::PeerId n = 1; n <= 49; ++n) neighbors.push_back(n);
+  util::Rng rng(3);
+  rng.shuffle(neighbors);
+  core::PendingTracker pending(core::kPendingCap);
+  for (std::size_t i = 0; i < 21; ++i) {
+    const int adds = i < 3 ? core::kPendingCap : 1;
+    for (int a = 0; a < adds; ++a) pending.add(neighbors[i]);
+  }
+  rng.shuffle(neighbors);
+  for (auto _ : state) {
+    int eligible = 0;
+    for (net::PeerId n : neighbors) eligible += pending.eligible(n);
+    benchmark::DoNotOptimize(eligible);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(neighbors.size()));
+}
+BENCHMARK(BM_FlowControlScan);
 
 // core::TransactionTable over a sliding window of live transactions, the
 // size a sim-flash-tchain swarm holds mid-run. One op: create the newest

@@ -8,10 +8,13 @@
 // monitoring or information sharing.
 //
 // The counts are a flat list of (neighbor, count) pairs holding only
-// neighbors with something outstanding: a lookup is a short linear scan,
-// and resolving a count to zero swaps the last pair into its place.
+// neighbors with something outstanding: pending() is a short linear scan,
+// and resolving a count to zero swaps the last pair into its place. A
+// second list holds only the neighbors at or over the cap, kept as counts
+// cross it, so eligible() scans the few banned neighbors, not every count.
 #pragma once
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -36,15 +39,12 @@ class PendingTracker {
   }
   // Paper: banned while pending >= k... "more than k" with k = 2 buffered;
   // we use pending < cap as eligibility, i.e. at most `cap` outstanding.
-  bool eligible(PeerId n) const { return pending(n) < cap_; }
-  // The neighbours at the cap (not eligible()), in no particular order.
-  std::vector<PeerId> at_cap() const {
-    std::vector<PeerId> out;
-    for (const auto& [n, c] : counts_) {
-      if (c >= cap_) out.push_back(n);
-    }
-    return out;
+  bool eligible(PeerId n) const {
+    return std::find(at_cap_.begin(), at_cap_.end(), n) == at_cap_.end();
   }
+  // The neighbours at the cap (not eligible()), in no particular order.
+  // A view of the tracker's own list: add() and resolve() change it.
+  const std::vector<PeerId>& at_cap() const { return at_cap_; }
 
  private:
   // Position of n's pair in counts_, or counts_.size() if none.
@@ -57,6 +57,8 @@ class PendingTracker {
   int cap_;
   // Every count > 0, in no particular order.
   std::vector<std::pair<PeerId, int>> counts_;
+  // Every neighbour whose count is >= cap_, in no particular order.
+  std::vector<PeerId> at_cap_;
 };
 
 }  // namespace tc::core

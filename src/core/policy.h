@@ -2,8 +2,9 @@
 // both drivers: the simulator's protocols::TChainProtocol and the peer
 // engine core::Node. A driver supplies only what it alone knows — which
 // neighbours are present, and their claimed (have ∪ in-flight) sets — and
-// the flow-control cap through PendingTracker::eligible. Nothing here
-// allocates: every uniform choice is one pass through UniformPick.
+// the flow-control cap through PendingTracker::eligible, a scan of the few
+// neighbours at the cap. Nothing here allocates: every uniform choice is
+// one pass through UniformPick.
 #pragma once
 
 #include <cstddef>

@@ -42,11 +42,12 @@ std::vector<PeerId> Tracker::neighbor_list(PeerId requester,
     return pool;
   }
 
-  // Sparse rejection sample: O(want) expected.
-  std::unordered_set<PeerId> seen;
+  // Sparse rejection sample: O(want) expected draws, each tested against
+  // the at most kTrackerListSize members already taken.
   while (out.size() < want) {
     const PeerId p = dense_[rng.index(dense_.size())];
-    if (p == requester || !seen.insert(p).second) continue;
+    if (p == requester || std::find(out.begin(), out.end(), p) != out.end())
+      continue;
     out.push_back(p);
   }
   return out;

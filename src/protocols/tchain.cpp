@@ -129,8 +129,9 @@ void TChainProtocol::prune_banned_neighbors(PeerId id) {
   bt::Peer* p = swarm_->peer(id);
   if (p == nullptr || !p->active) return;
   if (p->neighbors.size() * 5 < bt::kMaxNeighbors * 4) return;
-  const std::vector<PeerId> banned = state(id).pending.at_cap();
+  const std::vector<PeerId>& banned = state(id).pending.at_cap();
   if (banned.empty()) return;
+  // Collect first: an on_neighbor_removed that resolved counts moves banned.
   std::vector<PeerId> drop;
   for (PeerId n : p->neighbors) {
     if (std::find(banned.begin(), banned.end(), n) != banned.end())
@@ -174,8 +175,9 @@ bool TChainProtocol::initiate_chain(PeerId donor, bool by_seeder) {
   const PeerId requestor = core::pick_peer(
       d->neighbors,
       [&](PeerId n) {
+        if (!ds.pending.eligible(n)) return false;
         const bt::Peer* np = swarm_->peer(n);
-        return np != nullptr && np->active && ds.pending.eligible(n) &&
+        return np != nullptr && np->active &&
                core::chain_head_needs(np->requested, d->have);
       },
       swarm_->rng());

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "src/util/rng.h"
+
 namespace tc::core {
 namespace {
 
@@ -76,6 +81,52 @@ TEST(PendingTracker, FreeRiderAccumulatesAndStaysBanned) {
     t.add(4);
     EXPECT_TRUE(t.eligible(4));
     t.resolve(4);
+  }
+}
+
+TEST(PendingTracker, MatchesAReferenceCountUnderRandomAddsAndResolves) {
+  // Seeded random adds and resolves over 20 ids, checked after every step
+  // against a plain map. Adds and resolves are equally likely, so counts
+  // wander past the cap and back to zero, and resolves hit ids the
+  // tracker does not hold.
+  constexpr PeerId kIds = 20;
+  for (const int cap : {1, 2, 3}) {
+    int adds_past_cap = 0;
+    int resolves_of_absent = 0;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      PendingTracker t(cap);
+      std::map<PeerId, int> want;
+      util::Rng rng(seed);
+      for (int step = 0; step < 400; ++step) {
+        const auto n = static_cast<PeerId>(rng.index(kIds));
+        int& count = want[n];
+        if (rng.index(2) == 0) {
+          t.add(n);
+          adds_past_cap += count >= cap;
+          ++count;
+        } else {
+          t.resolve(n);
+          resolves_of_absent += count == 0;
+          if (count > 0) --count;
+        }
+        std::set<PeerId> banned;
+        for (PeerId id = 0; id < kIds; ++id) {
+          const int c = want[id];
+          ASSERT_EQ(t.pending(id), c)
+              << "cap " << cap << " seed " << seed << " step " << step;
+          ASSERT_EQ(t.eligible(id), c < cap)
+              << "cap " << cap << " seed " << seed << " step " << step;
+          if (c >= cap) banned.insert(id);
+        }
+        const auto& at_cap = t.at_cap();
+        ASSERT_EQ(at_cap.size(), banned.size())
+            << "cap " << cap << " seed " << seed << " step " << step;
+        ASSERT_EQ(std::set<PeerId>(at_cap.begin(), at_cap.end()), banned)
+            << "cap " << cap << " seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_GT(adds_past_cap, 0) << "cap " << cap;
+    EXPECT_GT(resolves_of_absent, 0) << "cap " << cap;
   }
 }
 
