@@ -158,6 +158,34 @@ void BM_FlowControlScan(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowControlScan);
 
+// A donor's pending churn: a tracker holding 21 outstanding counts, 3 of
+// them at the cap, and one resolve/add pair per count in shuffled order.
+// The at-cap counts drop below the cap and climb back; the others drop to
+// zero and return. One item is one pair.
+void BM_PendingTrackerResolve(benchmark::State& state) {
+  std::vector<net::PeerId> held;
+  for (net::PeerId n = 1; n <= 49; ++n) held.push_back(n);
+  util::Rng rng(5);
+  rng.shuffle(held);
+  held.resize(21);
+  core::PendingTracker pending(core::kPendingCap);
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    const int adds = i < 3 ? core::kPendingCap : 1;
+    for (int a = 0; a < adds; ++a) pending.add(held[i]);
+  }
+  rng.shuffle(held);
+  for (auto _ : state) {
+    for (net::PeerId n : held) {
+      pending.resolve(n);
+      pending.add(n);
+    }
+    benchmark::DoNotOptimize(pending.pending(held.front()));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(held.size()));
+}
+BENCHMARK(BM_PendingTrackerResolve);
+
 // core::TransactionTable over a sliding window of live transactions, the
 // size a sim-flash-tchain swarm holds mid-run. One op: create the newest
 // transaction, get() a live one, erase the oldest. Ids name pool slots, not

@@ -23,6 +23,7 @@ struct Peer {
 
   Bitfield have;       // completed (decrypted) pieces — "F_A" in the paper
   Bitfield requested;  // in-flight or received-encrypted: not to be re-fetched
+  // Shrinks only on an aborted upload, a whitewash re-key, or T-Chain's clears.
 
   std::vector<PeerId> neighbors;  // small (<= ~55): vector beats a set
 

@@ -3,6 +3,15 @@
 #include <limits>
 
 namespace tc::protocols {
+namespace {
+
+// True when for_each_interested(sender) would visit `receiver`.
+bool wants_from(const bt::Peer& receiver, const bt::Peer& sender) {
+  return receiver.active && !receiver.seeder &&
+         receiver.requested.interested_in(sender.have);
+}
+
+}  // namespace
 
 void FairTorrentProtocol::on_peer_join(PeerId id) {
   fit(states_, id);
@@ -13,8 +22,9 @@ void FairTorrentProtocol::on_peer_depart(PeerId id) { states_[id] = {}; }
 
 void FairTorrentProtocol::on_piece_complete(PeerId peer, PieceIndex,
                                             PeerId from) {
-  states_[peer].deficit[from] -=
-      static_cast<double>(swarm_->config().piece_bytes);
+  FtState& st = states_[peer];
+  st.deficit[from] -= static_cast<double>(swarm_->config().piece_bytes);
+  st.unwanted = false;  // a piece more may be one a neighbour lacks
 }
 
 void FairTorrentProtocol::on_neighbor_added(PeerId a, PeerId b) {
@@ -22,8 +32,12 @@ void FairTorrentProtocol::on_neighbor_added(PeerId a, PeerId b) {
   // here. A new interested neighbor may unblock an idle sender on either
   // side.
   fit(states_, std::max(a, b));
-  if (swarm_->is_active(a)) next_send(a);
-  if (swarm_->is_active(b)) next_send(b);
+  const bt::Peer& pa = *swarm_->peer(a);
+  const bt::Peer& pb = *swarm_->peer(b);
+  if (states_[a].unwanted && wants_from(pb, pa)) states_[a].unwanted = false;
+  if (states_[b].unwanted && wants_from(pa, pb)) states_[b].unwanted = false;
+  if (pa.active) next_send(a);
+  if (pb.active) next_send(b);
 }
 
 double FairTorrentProtocol::deficit(PeerId peer, PeerId neighbor) const {
@@ -33,7 +47,7 @@ double FairTorrentProtocol::deficit(PeerId peer, PeerId neighbor) const {
 
 void FairTorrentProtocol::next_send(PeerId id) {
   FtState& st = states_[id];
-  if (st.sending) return;
+  if (st.sending || st.unwanted) return;
   const bt::Peer* p = swarm_->peer(id);
   if (p == nullptr || !p->active) return;
   if (p->freerider && !p->seeder) return;  // contributes nothing
@@ -52,7 +66,10 @@ void FairTorrentProtocol::next_send(PeerId id) {
       target = n;
     }
   });
-  if (target == net::kNoPeer) return;
+  if (target == net::kNoPeer) {
+    st.unwanted = true;
+    return;
+  }
 
   const auto piece = swarm_->select_lrf(target, id);
   if (!piece) return;
@@ -66,6 +83,9 @@ void FairTorrentProtocol::next_send(PeerId id) {
         if (ok) {
           fs.deficit[t] += static_cast<double>(swarm_->config().piece_bytes);
           swarm_->grant_piece(t, pc, f);
+        } else if (const bt::Peer* tp = swarm_->peer(t)) {
+          // The swarm has just dropped t's claim on pc.
+          for (PeerId n : tp->neighbors) states_[n].unwanted = false;
         }
         if (swarm_->is_active(f)) next_send(f);
       });

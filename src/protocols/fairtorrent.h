@@ -28,13 +28,30 @@ class FairTorrentProtocol : public BaselineProtocol {
   double deficit(PeerId peer, PeerId neighbor) const;
 
  protected:
-  // Periodic retry covers the idle case (nobody interested right now).
+  // Periodic retry covers the idle case (nobody interested right now): a
+  // peer whose `unwanted` flag a piece or an abort cleared walks again here.
   void on_period(PeerId id) override { next_send(id); }
 
  private:
   struct FtState {
     std::unordered_map<PeerId, double> deficit;  // sent - received
     bool sending = false;
+    // Set when an idle peer's walk found no interested neighbour; next_send
+    // returns before the walk while it holds, since that walk would find
+    // nobody again, draw nothing and start nothing. It stays true until
+    // interest can appear, which takes one of three events, each clearing
+    // it:
+    //  - the peer's `have` grows: only in Swarm::grant_piece, which calls
+    //    on_piece_complete;
+    //  - a neighbour's `requested` shrinks: only on an aborted upload,
+    //    which this protocol's own upload callback sees (ok == false), or
+    //    on a re-key, whose identity reaches nobody except through new
+    //    links;
+    //  - a new link brings an interested neighbour: links are made only in
+    //    Swarm::connect, which calls on_neighbor_added.
+    // A departure, a finished leecher or a neighbour's growing `requested`
+    // only shrinks interest.
+    bool unwanted = false;
   };
 
   void next_send(PeerId id);

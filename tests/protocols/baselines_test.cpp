@@ -2,6 +2,7 @@
 // completion sanity plus the scheme-specific behaviours the paper leans on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -122,6 +123,28 @@ TEST(FairTorrent, DeficitsTrackTransfersSymmetrically) {
     EXPECT_EQ(proto.deficit(a, b), 0.0) << a << "," << b;
   }
   EXPECT_GT(departed, 0u);
+}
+
+TEST(FairTorrent, IdleSeederServesALateJoinerAtOnce) {
+  // The first leecher finishes and leaves long before the second joins, so
+  // the seeder walks its neighbours in vain on every period tick and marks
+  // itself as wanted by nobody. Only the new link's wake-up lets it serve
+  // the late joiner; without it the seeder stays idle for good.
+  FairTorrentProtocol proto;
+  bt::Swarm swarm(small_config(proto, 2), proto, {0.0, 105.0});
+  swarm.run();
+  std::vector<const analysis::PeerRecord*> leechers;
+  for (const analysis::PeerRecord* r : swarm.metrics().all())
+    if (!r->seeder) leechers.push_back(r);
+  ASSERT_EQ(leechers.size(), 2u);
+  std::sort(leechers.begin(), leechers.end(), [](const auto* a, const auto* b) {
+    return a->join_time < b->join_time;
+  });
+  ASSERT_TRUE(leechers[0]->finished());
+  EXPECT_LT(leechers[0]->finish_time, 105.0);
+  ASSERT_TRUE(leechers[1]->finished());
+  EXPECT_EQ(leechers[1]->join_time, 105.0);
+  EXPECT_LT(leechers[1]->completion_time(), 5.0);
 }
 
 TEST(FairTorrent, WhitewashingFreeRidersFinishFast) {
