@@ -216,18 +216,24 @@ void BM_TransactionTableChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_TransactionTableChurn)->Arg(7000);
 
-// check::check_events over the full event stream of one small T-Chain flash
-// crowd (arg: leechers; 4 MiB in 64 KiB pieces, seed 1). The swarm runs
-// once, outside the timed loop; one item is one event checked.
+// check::check_events over the full event stream of one T-Chain flash crowd
+// (args: leechers, file MiB; 64 KiB pieces, seed 1). The swarm runs once,
+// outside the timed loop; one item is one event checked. 400 x 16 MiB is
+// one swarm of perfbench's sim-flash-tchain (about 745 k events); the small
+// shape (about 48 k events) keeps the checker's tables far smaller than a
+// checked run of that workload grows them.
 void BM_CheckerReplay(benchmark::State& state) {
   bt::SwarmConfig cfg;
   cfg.leecher_count = static_cast<std::size_t>(state.range(0));
-  cfg.file_bytes = 4 * util::kMiB;
+  cfg.file_bytes = static_cast<util::ByteCount>(state.range(1)) * util::kMiB;
   cfg.piece_bytes = 64 * util::kKiB;
   cfg.seed = 1;
   protocols::TChainProtocol proto;
   bt::Swarm swarm(cfg, proto);
-  swarm.enable_obs(obs::TraceConfig{});
+  // Room for every event of the larger shape, so the ring never wraps.
+  obs::TraceConfig trace;
+  trace.ring_capacity = std::size_t{1} << 21;
+  swarm.enable_obs(trace);
   swarm.run();
   if (swarm.obs()->ring().dropped() != 0) {
     state.SkipWithError("trace ring wrapped");
@@ -242,7 +248,10 @@ void BM_CheckerReplay(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events.size()));
 }
-BENCHMARK(BM_CheckerReplay)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckerReplay)
+    ->Args({100, 4})
+    ->Args({400, 16})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -31,9 +31,9 @@ const char* CheckReport::verdict() const {
 
 namespace {
 
-// (peer, peer) -> 64-bit map key. PeerIds are 32-bit, so this is exact.
-std::uint64_t pair_key(net::PeerId a, net::PeerId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
+// (uploader, piece) -> 64-bit set key. Both are 32-bit, so this is exact.
+std::uint64_t pair_key(net::PeerId uploader, net::PieceIndex piece) {
+  return (static_cast<std::uint64_t>(uploader) << 32) | piece;
 }
 
 }  // namespace
@@ -44,12 +44,18 @@ struct Checker::Impl {
   struct PeerInfo {
     bool freerider = false;
     bool colluder = false;
+    // Neighbor -> unreciprocated encrypted pieces this peer sent it as
+    // donor (flow control k).
+    std::unordered_map<net::PeerId, int> pending;
+    // Pieces granted (decrypted / plainly received) at this peer.
+    std::unordered_set<net::PieceIndex> granted;
+    // (uploader, piece) pairs ever delivered to this peer.
+    std::unordered_set<std::uint64_t> delivered;
   };
 
   struct TxInfo {
     net::PeerId donor = net::kNoPeer;
     net::PeerId requestor = net::kNoPeer;
-    net::PeerId payee = net::kNoPeer;
     net::PieceIndex piece = net::kNoPiece;
     std::uint64_t chain = 0;
     util::SimTime opened = 0.0;
@@ -63,10 +69,12 @@ struct Checker::Impl {
   };
 
   struct ChainInfo {
-    net::PeerId initiator = net::kNoPeer;
-    std::uint32_t extends = 0;
+    bool started = false;  // kChainStart seen (a delivery may come first)
+    bool extended = false;  // a kChainExtend named it: no more heads
     bool broken = false;
-    std::uint8_t cause = 0;
+    // Peer -> latest time it delivered a piece as donor within the chain
+    // (the reciprocation evidence for fair-exchange).
+    std::unordered_map<net::PeerId, util::SimTime> last_delivery;
   };
 
   CheckerOptions opts;
@@ -78,18 +86,9 @@ struct Checker::Impl {
   // stays, so a late event on it is told apart from an unknown id.
   std::unordered_map<std::uint64_t, TxInfo> txs;
   std::unordered_map<std::uint64_t, ChainInfo> chains;
-  // donor -> neighbor -> unreciprocated encrypted pieces (flow control k).
-  std::unordered_map<net::PeerId, std::unordered_map<net::PeerId, int>> pending;
-  // (uploader, receiver) -> pieces ever delivered on that edge.
-  std::unordered_map<std::uint64_t, std::unordered_set<net::PieceIndex>>
-      delivered;
-  // peer -> pieces granted (decrypted / plainly received) at that peer.
-  std::unordered_map<net::PeerId, std::unordered_set<net::PieceIndex>> granted;
-  // chain -> peer -> latest time that peer delivered a piece as donor
-  // within the chain (the reciprocation evidence for fair-exchange).
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<net::PeerId, util::SimTime>>
-      chain_deliveries;
+  // Transactions whose key was escrowed, in escrow order; end-of-stream
+  // warnings read these instead of every record.
+  std::vector<std::uint64_t> escrowed;
 
   // --- Reporting ----------------------------------------------------------
 
@@ -146,11 +145,17 @@ struct Checker::Impl {
     return it == txs.end() || it->second.closed ? nullptr : &it->second;
   }
 
+  // The record of chain `id` once its kChainStart was seen; null otherwise.
+  ChainInfo* started_chain(std::uint64_t id) {
+    const auto it = chains.find(id);
+    return it == chains.end() || !it->second.started ? nullptr : &it->second;
+  }
+
   int pending_of(net::PeerId donor, net::PeerId n) const {
-    const auto it = pending.find(donor);
-    if (it == pending.end()) return 0;
-    const auto jt = it->second.find(n);
-    return jt == it->second.end() ? 0 : jt->second;
+    const auto it = peers.find(donor);
+    if (it == peers.end()) return 0;
+    const auto jt = it->second.pending.find(n);
+    return jt == it->second.pending.end() ? 0 : jt->second;
   }
 
   // --- Event handlers -----------------------------------------------------
@@ -163,17 +168,18 @@ struct Checker::Impl {
 
   void on_gone(net::PeerId id) {
     // The departing identity's flow-control ledger dies with it.
-    pending.erase(id);
+    peers[id].pending.clear();
   }
 
   void on_whitewash(net::PeerId old_id, net::PeerId fresh) {
     // Same logical peer, fresh identity: the attack flags carry over, the
     // old identity's donor-side ledger does not (that is the attack).
-    PeerInfo info;
-    const auto it = peers.find(old_id);
-    if (it != peers.end()) info = it->second;
-    pending.erase(old_id);
-    peers[fresh] = info;
+    // (References into an unordered_map survive the insert of `fresh`.)
+    PeerInfo& old = peers[old_id];
+    old.pending.clear();
+    PeerInfo& p = peers[fresh];
+    p.freerider = old.freerider;
+    p.colluder = old.colluder;
   }
 
   void on_tx_open(const TraceEvent& e) {
@@ -185,18 +191,17 @@ struct Checker::Impl {
 
     bool head = false;
     if (e.chain != 0) {
-      const auto ct = chains.find(e.chain);
-      if (ct == chains.end()) {
+      const ChainInfo* c = started_chain(e.chain);
+      if (c == nullptr) {
         unknown_ref(Invariant::kChainShape, e, "chain (tx-open)");
       } else {
-        head = ct->second.extends == 0;
+        head = !c->extended;
       }
     }
 
     TxInfo& tx = rec->second;
     tx.donor = e.a;
     tx.requestor = e.b;
-    tx.payee = e.c;
     tx.piece = e.piece;
     tx.chain = e.chain;
     tx.opened = e.t;
@@ -214,7 +219,7 @@ struct Checker::Impl {
         violate(Invariant::kPendingBound, e,
                 "payee designated while at the pending cap k");
       }
-      ++pending[e.a][e.b];
+      ++peers[e.a].pending[e.b];
     } else if (pending_of(e.a, e.b) > 0) {
       // Terminal gifts only go to neighbors with nothing outstanding.
       violate(Invariant::kPendingBound, e,
@@ -261,11 +266,8 @@ struct Checker::Impl {
       const bool swallowed =
           state == obs::TxState::kAwaitKey && !tx.key_lost && !tx.key_delivered;
       if (!swallowed) {
-        const auto dt = pending.find(tx.donor);
-        if (dt != pending.end()) {
-          const auto nt = dt->second.find(tx.requestor);
-          if (nt != dt->second.end() && nt->second > 0) --nt->second;
-        }
+        int& n = peers[tx.donor].pending[tx.requestor];
+        if (n > 0) --n;
       }
     }
 
@@ -323,6 +325,7 @@ struct Checker::Impl {
       return;
     }
     tx->escrowed = true;
+    escrowed.push_back(e.ref);
   }
 
   void on_key_delivered(const TraceEvent& e) {
@@ -351,17 +354,13 @@ struct Checker::Impl {
     // settlement once the chain is in teardown (no qualified payee exists;
     // the break — kNoPayee or an earlier failure — precedes the release).
     bool reciprocated = false;
-    if (tx.chain != 0) {
-      const auto cd = chain_deliveries.find(tx.chain);
-      if (cd != chain_deliveries.end()) {
-        const auto rt = cd->second.find(tx.requestor);
-        reciprocated = rt != cd->second.end() && rt->second >= tx.opened;
-      }
-    }
     bool settling = false;
-    if (tx.chain != 0) {
-      const auto ct = chains.find(tx.chain);
-      settling = ct != chains.end() && ct->second.broken;
+    const auto ct = tx.chain == 0 ? chains.end() : chains.find(tx.chain);
+    if (ct != chains.end()) {
+      const auto rt = ct->second.last_delivery.find(tx.requestor);
+      reciprocated =
+          rt != ct->second.last_delivery.end() && rt->second >= tx.opened;
+      settling = ct->second.broken;
     }
     if (!reciprocated && !settling && !colluder(tx.requestor)) {
       violate(Invariant::kFairExchange, e,
@@ -393,21 +392,19 @@ struct Checker::Impl {
   }
 
   void on_chain_start(const TraceEvent& e) {
-    if (chains.count(e.chain) != 0) {
+    ChainInfo& c = chains[e.chain];
+    if (c.started) {
       violate(Invariant::kChainShape, e, "chain started twice");
       return;
     }
-    ChainInfo c;
-    c.initiator = e.a;
-    chains.emplace(e.chain, c);
+    c.started = true;
   }
 
   void on_chain_extend(const TraceEvent& e) {
-    const auto it = chains.find(e.chain);
-    if (it == chains.end()) {
-      unknown_ref(Invariant::kChainShape, e, "chain (chain-extend)");
+    if (ChainInfo* c = started_chain(e.chain)) {
+      c->extended = true;
     } else {
-      ++it->second.extends;
+      unknown_ref(Invariant::kChainShape, e, "chain (chain-extend)");
     }
     if (e.ref != 0) {
       const auto tt = txs.find(e.ref);
@@ -429,20 +426,19 @@ struct Checker::Impl {
   }
 
   void on_chain_break(const TraceEvent& e) {
-    const auto it = chains.find(e.chain);
-    if (it == chains.end()) {
+    ChainInfo* c = started_chain(e.chain);
+    if (c == nullptr) {
       unknown_ref(Invariant::kChainShape, e, "chain (chain-break)");
       return;
     }
     if (e.aux == static_cast<std::uint8_t>(obs::ChainBreakCause::kNone)) {
       violate(Invariant::kChainShape, e, "chain break without a cause");
     }
-    if (it->second.broken) {
+    if (c->broken) {
       violate(Invariant::kChainShape, e, "chain broken twice");
       return;
     }
-    it->second.broken = true;
-    it->second.cause = e.aux;
+    c->broken = true;
   }
 
   // In a stream that opens transactions (a T-Chain driver's), a piece
@@ -470,26 +466,25 @@ struct Checker::Impl {
   // another edge must not pay for it (a trace read from a file can name
   // any id).
   void on_piece_delivered(const TraceEvent& e) {
-    delivered[pair_key(e.a, e.b)].insert(e.piece);
+    peers[e.b].delivered.insert(pair_key(e.a, e.piece));
     TxInfo* tx = piece_tx(e);
     if (tx == nullptr || tx->closed) return;
     tx->delivered = true;
     if (tx->chain != 0) {
-      util::SimTime& last = chain_deliveries[tx->chain][e.a];
+      util::SimTime& last = chains[tx->chain].last_delivery[e.a];
       last = std::max(last, e.t);
     }
   }
 
   void on_piece_granted(const TraceEvent& e) {
     // e.a = receiver, e.b = source (see obs::EventKind).
-    auto& got = granted[e.a];
-    if (!got.insert(e.piece).second) {
+    PeerInfo& p = peers[e.a];
+    if (!p.granted.insert(e.piece).second) {
       violate(Invariant::kPieceConservation, e,
               "piece granted twice to the same peer");
       return;
     }
-    const auto it = delivered.find(pair_key(e.b, e.a));
-    if (it == delivered.end() || it->second.count(e.piece) == 0) {
+    if (p.delivered.count(pair_key(e.b, e.piece)) == 0) {
       // On a lossy stream the delivery may have been overwritten.
       if (rep.sound) {
         violate(Invariant::kPieceConservation, e,
@@ -538,16 +533,12 @@ struct Checker::Impl {
     if (finished) return;
     finished = true;
     // A run that hits its horizon mid-exchange is not a safety failure:
-    // still-open escrows are surfaced as warnings only. Walk ids in sorted
-    // order so the findings list is deterministic.
-    std::vector<std::uint64_t> open_ids;
-    for (const auto& [id, tx] : txs) {  // det-ok
-      if (!tx.closed) open_ids.push_back(id);
-    }
-    std::sort(open_ids.begin(), open_ids.end());
-    for (const std::uint64_t id : open_ids) {
+    // still-open escrows are surfaced as warnings only, in ascending id
+    // order.
+    std::sort(escrowed.begin(), escrowed.end());
+    for (const std::uint64_t id : escrowed) {
       const TxInfo& tx = txs.at(id);
-      if (tx.escrowed && !tx.key_delivered && !tx.key_lost) {
+      if (!tx.closed && !tx.key_delivered && !tx.key_lost) {
         Violation v;
         v.invariant = Invariant::kEscrow;
         v.severity = Severity::kWarning;
@@ -563,9 +554,9 @@ struct Checker::Impl {
   }
 };
 
-Checker::Checker(CheckerOptions opts) : impl_(new Impl(opts)) {}
+Checker::Checker(CheckerOptions opts) : impl_(std::make_unique<Impl>(opts)) {}
 
-Checker::~Checker() { delete impl_; }
+Checker::~Checker() = default;
 
 void Checker::on_event(const TraceEvent& e) { impl_->consume(e); }
 

@@ -3,7 +3,7 @@
 // The Checker consumes the typed obs::TraceEvent stream — online, as an
 // obs::EventSink registered on the run's Trace (lossless: sinks observe
 // events before the kind mask and the ring), or offline, by replaying a
-// ring snapshot or an exported event CSV (src/check/replay.h) — and
+// ring snapshot or an exported event CSV (obs::read_event_csv) — and
 // verifies the T-Chain safety catalogue:
 //
 //  * fair-exchange — no kKeyDelivered before the matching reciprocation
@@ -53,6 +53,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -150,7 +151,7 @@ class Checker : public obs::EventSink {
 
  private:
   struct Impl;
-  Impl* impl_;  // pimpl keeps the per-tx/per-chain model out of the header
+  std::unique_ptr<Impl> impl_;  // pimpl keeps the checker's tables private
 };
 
 // One-shot offline verification of a replayed stream. `dropped` is the

@@ -285,6 +285,29 @@ TEST(CheckerMutation, EscrowOpenAtEndOfStreamIsOnlyAWarning) {
   EXPECT_STREQ(r.verdict(), "PASS");
 }
 
+TEST(CheckerMutation, OpenEscrowWarningsComeInAscendingIdOrder) {
+  // Three escrows opened and escrowed in descending id order; tx 20's key
+  // is then lost (refunded), so only tx 10 and tx 30 stay unresolved.
+  Stream s;
+  s.join(1).join(2).join(3).chain_start(7, 1);
+  s.tx_open(30, 1, 2, 3, 0, 7).tx_open(20, 2, 3, 1, 1, 7);
+  s.tx_open(10, 3, 1, 2, 2, 7);
+  s.add(EventKind::kKeyEscrowed, 1, 2, 3, net::kNoPiece, 30, 7);
+  s.add(EventKind::kKeyEscrowed, 2, 3, 1, net::kNoPiece, 20, 7);
+  s.add(EventKind::kKeyEscrowed, 3, 1, 2, net::kNoPiece, 10, 7);
+  s.add(EventKind::kKeyLost, 2, 3, net::kNoPeer, net::kNoPiece, 20, 7);
+  const CheckReport r = check_events(s.events());
+  EXPECT_STREQ(r.verdict(), "PASS");
+  EXPECT_EQ(r.warnings, 2u);
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_EQ(r.findings[0].ref, 10u);
+  EXPECT_EQ(r.findings[1].ref, 30u);
+  for (const Violation& v : r.findings) {
+    EXPECT_EQ(v.severity, Severity::kWarning);
+    EXPECT_EQ(v.invariant, Invariant::kEscrow);
+  }
+}
+
 // --- piece-conservation ----------------------------------------------------
 
 TEST(CheckerMutation, DuplicateGrantFlagsPieceConservation) {
@@ -574,6 +597,89 @@ TEST(CheckerMutation, FindingsAreCappedButCountersKeepCounting) {
   const CheckReport r = check_events(s.events(), 0, opts);
   EXPECT_EQ(r.findings.size(), 4u);
   EXPECT_EQ(r.total_violations, 20u);
+}
+
+// The ids of one stream: small, or near the top of each id's range (peers
+// and pieces near 0xfffffffe, transactions and chains near 2^63). A trace
+// read from a file can carry any id.
+struct Ids {
+  bool top = false;
+  net::PeerId peer(net::PeerId k) const {
+    return top && k != net::kNoPeer ? 0xfffffffeu - k : k;
+  }
+  net::PieceIndex piece(net::PieceIndex k) const {
+    return top && k != net::kNoPiece ? 0xfffffffeu - k : k;
+  }
+  std::uint64_t id(std::uint64_t k) const {
+    return top && k != 0 ? (std::uint64_t{1} << 63) + k : k;
+  }
+};
+
+// One stream with a finding of every class and an open-escrow warning.
+Stream findings_of_every_class(const Ids& ids) {
+  const auto p = [&](net::PeerId k) { return ids.peer(k); };
+  const auto x = [&](net::PieceIndex k) { return ids.piece(k); };
+  const auto t = [&](std::uint64_t k) { return ids.id(k); };
+  Stream s;
+  s.join(p(1)).join(p(2)).join(p(3), obs::kPeerFlagFreerider).join(p(4));
+  s.whitewash(p(3), p(5)).chain_start(t(7), p(1));
+  // A reciprocated, completed head.
+  s.tx_open(t(10), p(1), p(2), p(4), x(0), t(7));
+  s.deliver(p(1), p(2), x(0), t(10));
+  s.tx_open(t(11), p(2), p(4), p(1), x(1), t(7));
+  s.deliver(p(2), p(4), x(1), t(11));
+  s.key_delivered(t(10), p(1), p(2)).tx_close(t(10), kCompleted);
+  // fair-exchange: tx 12's key settles with no reciprocation.
+  s.chain_start(t(8), p(1)).tx_open(t(12), p(1), p(4), p(2), x(2), t(8));
+  s.key_delivered(t(12), p(1), p(4));
+  // pending-bound: a gift while tx 11 is still pending on 2 -> 4.
+  s.add(EventKind::kTxOpen, p(2), p(4), net::kNoPeer, x(3), t(13), 0);
+  // piece-conservation: piece 1 reached 4 from 2, not from 1; then twice.
+  s.add(EventKind::kPieceGranted, p(4), p(1), net::kNoPeer, x(1));
+  s.add(EventKind::kPieceGranted, p(4), p(2), net::kNoPeer, x(1));
+  // chain-shape: a break without a cause.
+  s.add(EventKind::kChainBreak, net::kNoPeer, net::kNoPeer, net::kNoPeer,
+        net::kNoPiece, 0, t(8),
+        static_cast<std::uint8_t>(ChainBreakCause::kNone));
+  // The whitewashed free-rider swallows tx 14; tx 11's key stays escrowed.
+  s.tx_open(t(14), p(4), p(5), p(2), x(4), t(7));
+  s.deliver(p(4), p(5), x(4), t(14)).tx_close(t(14), kAwaitKey);
+  s.add(EventKind::kKeyEscrowed, p(2), p(4), p(1), net::kNoPiece, t(11), t(7));
+  // tx-lifecycle: tx 12 closes dead after its key was delivered.
+  s.deliver(p(1), p(4), x(2), t(12)).tx_close(t(12), kDead);
+  // escrow: tx 15's ciphertext is torn down with no key event.
+  s.tx_open(t(15), p(1), p(2), p(4), x(5), t(7));
+  s.deliver(p(1), p(2), x(5), t(15)).tx_close(t(15), kDead);
+  return s;
+}
+
+TEST(CheckerMutation, IdsNearTheTopOfTheirRangesGiveTheSameFindings) {
+  const Ids small;
+  const Ids top{true};
+  const CheckReport a = check_events(findings_of_every_class(small).events());
+  const CheckReport b = check_events(findings_of_every_class(top).events());
+  for (std::size_t c = 0; c < kInvariantCount; ++c) {
+    EXPECT_GE(a.by_class[c], 1u) << invariant_name(static_cast<Invariant>(c));
+  }
+  EXPECT_EQ(a.warnings, 1u);
+  EXPECT_EQ(b.total_violations, a.total_violations);
+  EXPECT_EQ(b.warnings, a.warnings);
+  EXPECT_EQ(b.by_class, a.by_class);
+  ASSERT_EQ(b.findings.size(), a.findings.size());
+  for (std::size_t i = 0; i < a.findings.size(); ++i) {
+    SCOPED_TRACE(a.findings[i].detail);
+    const Violation& v = a.findings[i];
+    const Violation& w = b.findings[i];
+    EXPECT_EQ(w.invariant, v.invariant);
+    EXPECT_EQ(w.severity, v.severity);
+    EXPECT_EQ(w.detail, v.detail);
+    EXPECT_EQ(w.t, v.t);
+    EXPECT_EQ(w.a, top.peer(v.a));
+    EXPECT_EQ(w.b, top.peer(v.b));
+    EXPECT_EQ(w.piece, top.piece(v.piece));
+    EXPECT_EQ(w.ref, top.id(v.ref));
+    EXPECT_EQ(w.chain, top.id(v.chain));
+  }
 }
 
 TEST(CheckerMutation, OnlineSinkMatchesOneShot) {

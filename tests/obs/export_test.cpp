@@ -1,11 +1,14 @@
 // Exporter output shape: the Chrome trace must be structurally valid JSON
 // with per-peer tracks, paired piece flows as duration slices, and
-// non-decreasing timestamps; the CSV must be one row per event.
+// non-decreasing timestamps; the CSV must be one row per event, and
+// read_event_csv must round-trip it exactly and reject malformed input with
+// a line-numbered error.
 #include "src/obs/export.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -149,6 +152,118 @@ TEST(EventCsv, SentinelFieldsAreEmptyCells) {
   std::getline(is, header);
   std::getline(is, row);
   EXPECT_EQ(row, "2.500000,census-tick,,,,,0,0,0");
+}
+
+TEST(Replay, RoundTripsEveryFieldAndSentinel) {
+  std::vector<TraceEvent> events;
+  {
+    TraceEvent e;  // fully-populated triangle open
+    e.t = 12.25;
+    e.kind = EventKind::kTxOpen;
+    e.a = 1;
+    e.b = 2;
+    e.c = 3;
+    e.piece = 17;
+    e.ref = 42;
+    e.chain = 7;
+    events.push_back(e);
+  }
+  {
+    TraceEvent e;  // sentinel-heavy event: no peers, no piece
+    e.t = 13.5;
+    e.kind = EventKind::kCensusTick;
+    events.push_back(e);
+  }
+  {
+    TraceEvent e;  // aux payload (break cause)
+    e.t = 14.0;
+    e.kind = EventKind::kChainBreak;
+    e.chain = 7;
+    e.aux = 3;
+    events.push_back(e);
+  }
+
+  std::stringstream io;
+  obs::write_event_csv(io, events);
+  const auto parsed = read_event_csv(io);
+
+  ASSERT_EQ(parsed.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_DOUBLE_EQ(parsed[i].t, events[i].t);
+    EXPECT_EQ(parsed[i].kind, events[i].kind);
+    EXPECT_EQ(parsed[i].a, events[i].a);
+    EXPECT_EQ(parsed[i].b, events[i].b);
+    EXPECT_EQ(parsed[i].c, events[i].c);
+    EXPECT_EQ(parsed[i].piece, events[i].piece);
+    EXPECT_EQ(parsed[i].ref, events[i].ref);
+    EXPECT_EQ(parsed[i].chain, events[i].chain);
+    EXPECT_EQ(parsed[i].aux, events[i].aux);
+  }
+}
+
+TEST(Replay, RoundTripsEveryEventKindName) {
+  std::vector<TraceEvent> events;
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+    TraceEvent e;
+    e.t = static_cast<double>(k);
+    e.kind = static_cast<EventKind>(k);
+    events.push_back(e);
+  }
+  std::stringstream io;
+  obs::write_event_csv(io, events);
+  const auto parsed = read_event_csv(io);
+  ASSERT_EQ(parsed.size(), events.size());
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(parsed[k].kind, events[k].kind);
+  }
+}
+
+TEST(Replay, RejectsMissingHeader) {
+  std::stringstream in("1.0,tx-open,1,2,3,0,42,7,0\n");
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsEmptyInput) {
+  std::stringstream in("");
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsUnknownKindWithLineNumber) {
+  std::stringstream in("t,kind,a,b,c,piece,ref,chain,aux\n"
+                       "1.0,not-a-kind,1,2,3,0,42,7,0\n");
+  try {
+    read_event_csv(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Replay, RejectsWrongFieldCount) {
+  std::stringstream in("t,kind,a,b,c,piece,ref,chain,aux\n"
+                       "1.0,tx-open,1,2,3\n");
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsNonNumericField) {
+  std::stringstream in("t,kind,a,b,c,piece,ref,chain,aux\n"
+                       "1.0,tx-open,one,2,3,0,42,7,0\n");
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, SkipsBlankLinesAndToleratesCrLf) {
+  std::stringstream in("t,kind,a,b,c,piece,ref,chain,aux\r\n"
+                       "\r\n"
+                       "1.0,peer-join,4,,,,0,0,1\r\n");
+  const auto parsed = read_event_csv(in);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].kind, EventKind::kPeerJoin);
+  EXPECT_EQ(parsed[0].a, 4u);
+  EXPECT_EQ(parsed[0].b, net::kNoPeer);
+  EXPECT_EQ(parsed[0].piece, net::kNoPiece);
+  EXPECT_EQ(parsed[0].aux, 1u);
 }
 
 }  // namespace

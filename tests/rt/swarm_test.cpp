@@ -16,7 +16,6 @@
 
 #include "src/bt/bitfield.h"
 #include "src/check/invariants.h"
-#include "src/check/replay.h"
 #include "src/obs/export.h"
 #include "src/rt/frame_conn.h"
 #include "src/rt/peer_node.h"
@@ -77,8 +76,7 @@ TEST(LiveSwarm, TraceRoundTripsThroughCsvToSameVerdict) {
 
   std::stringstream csv;
   obs::write_event_csv(csv, res.events);
-  const std::vector<obs::TraceEvent> replayed =
-      check::read_event_csv(csv);
+  const std::vector<obs::TraceEvent> replayed = obs::read_event_csv(csv);
   ASSERT_EQ(replayed.size(), res.events.size());
 
   const check::CheckReport offline = check::check_events(replayed, 0);

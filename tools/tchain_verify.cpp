@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/check/invariants.h"
-#include "src/check/replay.h"
+#include "src/obs/export.h"
 #include "src/util/flags.h"
 
 int main(int argc, char** argv) {
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     }
     std::vector<tc::obs::TraceEvent> events;
     try {
-      events = tc::check::read_event_csv(in);
+      events = tc::obs::read_event_csv(in);
     } catch (const std::exception& e) {
       std::cerr << "tchain-verify: " << path << ": " << e.what() << "\n";
       return 2;
