@@ -23,34 +23,54 @@ namespace {
 
 using namespace tc;
 
+// range(1) == 0: n one-shot events at scattered times on the heap.
+// range(1) == 1: n events through one fixed-delay lane, as
+// Swarm::send_control sends fault-free control messages.
 void BM_EventScheduleAndRun(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
+  const bool lane = state.range(1) == 1;
+  state.SetLabel(lane ? "lane" : "heap");
   for (auto _ : state) {
     sim::Simulator s;
-    for (int i = 0; i < n; ++i) {
-      s.schedule_at((i * 2654435761u) % 1000, [] {});
+    if (lane) {
+      const auto l = s.lane(0.05);
+      for (int i = 0; i < n; ++i) s.schedule_in(l, [] {});
+    } else {
+      for (int i = 0; i < n; ++i) {
+        s.schedule_at((i * 2654435761u) % 1000, [] {});
+      }
     }
     s.run();
     benchmark::DoNotOptimize(s.events_processed());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EventScheduleAndRun)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_EventScheduleAndRun)
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}});
 
-void BM_EventCancellation(benchmark::State& state) {
+// One completion timer per uploader, re-armed as BandwidthModel does on
+// each flow-set change: 100 k re-arms of random uploaders, one fired
+// completion per four of them. Items are re-arms.
+void BM_TimerRearm(benchmark::State& state) {
+  const auto uploaders = static_cast<std::size_t>(state.range(0));
+  constexpr int kRearms = 100000;
   for (auto _ : state) {
     sim::Simulator s;
-    std::vector<sim::Simulator::EventId> ids;
-    ids.reserve(10000);
-    for (int i = 0; i < 10000; ++i)
-      ids.push_back(s.schedule_at(i, [] {}));
-    for (std::size_t i = 0; i < ids.size(); i += 2) s.cancel(ids[i]);
+    util::Rng rng(1);
+    std::vector<sim::Simulator::Timer> timers;
+    for (std::size_t u = 0; u < uploaders; ++u) {
+      timers.push_back(s.add_timer([] {}));
+    }
+    for (int i = 0; i < kRearms; ++i) {
+      s.arm(timers[rng.index(uploaders)], s.now() + rng.uniform(0.0, 10.0));
+      if (i % 4 == 3) s.step();
+    }
     s.run();
     benchmark::DoNotOptimize(s.events_processed());
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(state.iterations() * kRearms);
 }
-BENCHMARK(BM_EventCancellation);
+BENCHMARK(BM_TimerRearm)->Arg(20)->Arg(400);
 
 void BM_BandwidthFlowChurn(benchmark::State& state) {
   for (auto _ : state) {

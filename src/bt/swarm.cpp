@@ -237,7 +237,8 @@ void Swarm::send_control(std::function<void()> fn,
                      std::move(fn));
     return;
   }
-  sim_.schedule_in(kControlLatency, std::move(fn));
+  if (!control_lane_) control_lane_ = sim_.lane(kControlLatency);
+  sim_.schedule_in(*control_lane_, std::move(fn));
 }
 
 void Swarm::arm_faults(PeerId id) {

@@ -162,6 +162,10 @@ class Swarm {
   SwarmConfig cfg_;
   Protocol& proto_;
   sim::Simulator sim_;
+  // Fault-free control messages, all kControlLatency out, so already in
+  // time order. Added by the first such send, so a swarm that sends none
+  // (or only jittered ones) never allocates it.
+  std::optional<sim::Simulator::Lane> control_lane_;
   sim::BandwidthModel bw_;
   util::Rng rng_;
   sim::FaultInjector faults_;

@@ -1,6 +1,8 @@
 #include "src/obs/export.h"
 
 #include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -67,9 +69,24 @@ std::uint64_t parse_u64(const std::string& field, std::size_t line_no) {
   std::uint64_t v = 0;
   for (const char ch : field) {
     if (ch < '0' || ch > '9') fail(line_no, "non-numeric field '" + field + "'");
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      fail(line_no, "number out of range '" + field + "'");
+    }
+    v = v * 10 + digit;
   }
   return v;
+}
+
+// The whole field must be one finite, non-negative number.
+double parse_time(const std::string& field, std::size_t line_no) {
+  double t = 0.0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, t);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(t) || t < 0) {
+    fail(line_no, "bad timestamp '" + field + "'");
+  }
+  return t;
 }
 
 // Empty field = "no peer" / "no piece" sentinel (see write_event_csv).
@@ -202,11 +219,7 @@ std::vector<TraceEvent> read_event_csv(std::istream& in) {
     f[n] = cur;
 
     TraceEvent e;
-    try {
-      e.t = std::stod(f[0]);
-    } catch (const std::exception&) {
-      fail(line_no, "bad timestamp '" + f[0] + "'");
-    }
+    e.t = parse_time(f[0], line_no);
     e.kind = parse_kind(f[1], line_no);
     e.a = parse_id(f[2], net::kNoPeer, line_no);
     e.b = parse_id(f[3], net::kNoPeer, line_no);

@@ -1,6 +1,7 @@
 #include "src/sim/bandwidth.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace tc::sim {
@@ -85,11 +86,10 @@ void BandwidthModel::settle(NodeId src) {
 }
 
 void BandwidthModel::reschedule(NodeId src, Node& u) {
-  if (u.next_completion.valid()) {
-    sim_.cancel(u.next_completion);
-    u.next_completion = {};
+  if (u.flows.empty() || u.capacity <= 0) {
+    if (u.completion) sim_.disarm(*u.completion);
+    return;
   }
-  if (u.flows.empty() || u.capacity <= 0) return;
 
   const double w_total = total_weight(u);
   double earliest = std::numeric_limits<double>::infinity();
@@ -97,12 +97,14 @@ void BandwidthModel::reschedule(NodeId src, Node& u) {
     const double rate = u.capacity * (f.weight / w_total);
     earliest = std::min(earliest, f.remaining / rate);
   }
-  u.next_completion = sim_.schedule_in(earliest, [this, src] {
-    nodes_[src].next_completion = {};
-    settle(src);
-    Node& again = nodes_[src];
-    if (!again.next_completion.valid()) reschedule(src, again);
-  });
+  if (!u.completion) {
+    u.completion = sim_.add_timer([this, src] {
+      settle(src);
+      Node& again = nodes_[src];
+      if (!sim_.armed(*again.completion)) reschedule(src, again);
+    });
+  }
+  sim_.arm(*u.completion, sim_.now() + earliest);
 }
 
 FlowId BandwidthModel::start_flow(NodeId src, NodeId dst, double bytes,

@@ -21,6 +21,7 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -93,7 +94,9 @@ class BandwidthModel {
     SimTime last_settle = 0.0;
     std::vector<Flow> flows;       // outbound, ascending FlowId
     std::vector<FlowRef> inbound;  // flows to this node, any order
-    Simulator::EventId next_completion;
+    // Armed at the next completion; added by the first reschedule that
+    // has a completion to time.
+    std::optional<Simulator::Timer> completion;
   };
 
   // Advances all of src's flows to sim_.now() and fires completions

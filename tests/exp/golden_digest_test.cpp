@@ -28,6 +28,11 @@ constexpr const char* kGolden =
 constexpr const char* kGoldenIndirect =
     "1cdaaba263e6ef3a93ffbae3a7014beb0979c67660aa248acdf400e4ac83b49b";
 
+// The four paper protocols with no FaultPlan: control messages take the
+// fixed-delay path that kGolden's jittered runs never reach.
+constexpr const char* kGoldenClean =
+    "36a10d885a8182b76fd074fa04c61e84ea2a70d0129279ed197cb0064302740e";
+
 // Shaped like perfbench's sim-attack-churn workload at its smoke size.
 std::vector<RunSpec> attack_churn_specs(
     const std::vector<std::string>& protocols, bool collude = false) {
@@ -48,6 +53,17 @@ std::vector<RunSpec> attack_churn_specs(
   cfg.freerider_collude = collude;
   Sweep sweep(cfg);
   sweep.protocols(protocols).seeds(1, 1);
+  return sweep.build();
+}
+
+// The same shape with no free-riders and no faults.
+std::vector<RunSpec> clean_specs() {
+  bt::SwarmConfig cfg;
+  cfg.leecher_count = 20;
+  cfg.file_bytes = 2 * util::kMiB;
+  cfg.max_sim_time = 300'000.0;
+  Sweep sweep(cfg);
+  sweep.protocols(protocols::paper_protocols()).seeds(1, 1);
   return sweep.build();
 }
 
@@ -83,6 +99,16 @@ TEST(GoldenDigest, IndirectCastSmokeRecordsAreByteIdentical) {
   ASSERT_EQ(specs.size(), 3u);
   const std::string csv = records_csv(specs);
   EXPECT_EQ(sha256_hex(csv), kGoldenIndirect)
+      << "simulated output changed; records:\n"
+      << csv;
+}
+
+TEST(GoldenDigest, CleanSmokeRecordsAreByteIdentical) {
+  const auto specs = clean_specs();
+  ASSERT_EQ(specs.size(), 4u);
+  ASSERT_FALSE(specs.front().config.faults.enabled());
+  const std::string csv = records_csv(specs);
+  EXPECT_EQ(sha256_hex(csv), kGoldenClean)
       << "simulated output changed; records:\n"
       << csv;
 }

@@ -266,5 +266,56 @@ TEST(Replay, SkipsBlankLinesAndToleratesCrLf) {
   EXPECT_EQ(parsed[0].aux, 1u);
 }
 
+// One data row after the header, with `t` and `ref` as given.
+std::string csv_row(const std::string& t, const std::string& ref) {
+  return "t,kind,a,b,c,piece,ref,chain,aux\n" + t + ",tx-open,1,2,3,0," +
+         ref + ",7,0\n";
+}
+
+TEST(Replay, AcceptsTheLargestU64) {
+  std::stringstream in(csv_row("1.5", "18446744073709551615"));
+  const auto parsed = read_event_csv(in);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].ref, 18446744073709551615ull);
+  EXPECT_EQ(parsed[0].t, 1.5);
+}
+
+TEST(Replay, RejectsANumberThatWouldWrap) {
+  std::stringstream in(csv_row("1.0", "18446744073709551623"));  // 2^64 + 7
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsANumberFarAboveTheRange) {
+  std::stringstream in(csv_row("1.0", "99999999999999999999999"));
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsANanTimestamp) {
+  std::stringstream in(csv_row("nan", "42"));
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsAnInfiniteTimestamp) {
+  std::stringstream in(csv_row("inf", "42"));
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsANegativeTimestamp) {
+  std::stringstream in(csv_row("-1", "42"));
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsATimestampWithTrailingCharacters) {
+  std::stringstream in(csv_row("1abc", "42"));
+  EXPECT_THROW(read_event_csv(in), std::runtime_error);
+}
+
+TEST(Replay, RejectsTimestampFormsTheWriterNeverWrites) {
+  for (const char* t : {"0x10", " 3", "+3", "", "1.0 "}) {
+    std::stringstream in(csv_row(t, "42"));
+    EXPECT_THROW(read_event_csv(in), std::runtime_error) << "t='" << t << "'";
+  }
+}
+
 }  // namespace
 }  // namespace tc::obs
